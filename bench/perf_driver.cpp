@@ -1,5 +1,5 @@
 /// \file perf_driver.cpp
-/// \brief Simulator throughput bench: emits BENCH_9.json for CI tracking.
+/// \brief Simulator throughput bench: emits BENCH_10.json for CI tracking.
 ///
 /// Population mode's cost model is "devices × frames / simulator throughput",
 /// so this driver measures, per governor: end-to-end simulated frames per
@@ -16,7 +16,7 @@
 /// a governor's decision path show up as a diffable number rather than a
 /// vague "CI got slower".
 ///
-/// Usage: bench_perf_driver [out=BENCH_9.json] [frames=2000] [reps=5]
+/// Usage: bench_perf_driver [out=BENCH_10.json] [frames=2000] [reps=5]
 ///                          [decisions=2000000] [blocks=1,16,64,256]
 ///                          [governors=ondemand,schedutil,rtm,rtm-manycore]
 ///                          [domains=1,2,4] [placements=packed,spread,rect]
@@ -151,7 +151,7 @@ double time_decisions(const std::string& name, std::size_t decisions) {
 int main(int argc, char** argv) {
   common::Config cfg;
   cfg.parse_args(argc, argv);
-  const std::string out_path = cfg.get_string("out", "BENCH_9.json");
+  const std::string out_path = cfg.get_string("out", "BENCH_10.json");
   const auto frames = static_cast<std::size_t>(cfg.get_int("frames", 2000));
   const auto reps = static_cast<std::size_t>(cfg.get_int("reps", 5));
   const auto decisions =

@@ -399,11 +399,13 @@ void HttpServer::stop() {
     // Second call: threads already joined (or being joined) by the first.
     return;
   }
-  // Closing the listen fd unblocks accept(); shutdown() unblocks any
-  // connection thread parked in recv()/send().
+  // shutdown() unblocks accept() on the listen fd, and any connection thread
+  // parked in recv()/send() below. The listen fd is closed only after the
+  // accept thread has exited: it reads the fd on every accept, and closing
+  // under it would race the read (and let accept() hit a reused fd number).
   ::shutdown(impl_->listen_fd, SHUT_RDWR);
-  close_fd(impl_->listen_fd);
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
+  close_fd(impl_->listen_fd);
   {
     std::lock_guard<std::mutex> lock(impl_->conn_mu);
     for (auto& conn : impl_->conns) {

@@ -6,6 +6,7 @@
 /// `MovingAverage` is a sliding-window mean used by reactive governors.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -18,7 +19,19 @@ class StateReader;
 class RunningStats {
  public:
   /// \brief Add one observation.
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    if (n_ == 0) {
+      min_ = x;
+      max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
   /// \brief Merge another accumulator into this one (parallel-safe combine).
   void merge(const RunningStats& other) noexcept;
   /// \brief Reset to the empty state.

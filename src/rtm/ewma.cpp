@@ -1,6 +1,5 @@
 #include "rtm/ewma.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -11,28 +10,6 @@ EwmaPredictor::EwmaPredictor(double gamma) : gamma_(gamma) {
   if (!(gamma > 0.0) || gamma > 1.0) {
     throw std::invalid_argument("EwmaPredictor: gamma must be in (0, 1]");
   }
-}
-
-common::Cycles EwmaPredictor::observe(common::Cycles actual) {
-  ++count_;
-  if (!primed_) {
-    predicted_ = actual;
-    primed_ = true;
-    last_err_ = 0.0;
-    return predicted_;
-  }
-  // Misprediction of the epoch that just completed: the filter had predicted
-  // `predicted_` and the hardware reported `actual`.
-  if (actual > 0) {
-    last_err_ = std::abs(static_cast<double>(actual) -
-                         static_cast<double>(predicted_)) /
-                static_cast<double>(actual);
-    err_stats_.add(last_err_);
-  }
-  const double next = gamma_ * static_cast<double>(actual) +
-                      (1.0 - gamma_) * static_cast<double>(predicted_);
-  predicted_ = static_cast<common::Cycles>(next);
-  return predicted_;
 }
 
 void EwmaPredictor::reset() noexcept {

@@ -9,6 +9,7 @@
 /// is the data behind Fig. 3.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -32,7 +33,27 @@ class EwmaPredictor {
   /// \brief Record the actual workload of the epoch that just finished and
   ///        return the prediction for the next epoch (eq. 1). The first call
   ///        seeds the filter and returns the observation unchanged.
-  common::Cycles observe(common::Cycles actual);
+  common::Cycles observe(common::Cycles actual) {
+    ++count_;
+    if (!primed_) {
+      predicted_ = actual;
+      primed_ = true;
+      last_err_ = 0.0;
+      return predicted_;
+    }
+    // Misprediction of the epoch that just completed: the filter had
+    // predicted `predicted_` and the hardware reported `actual`.
+    if (actual > 0) {
+      last_err_ = std::abs(static_cast<double>(actual) -
+                           static_cast<double>(predicted_)) /
+                  static_cast<double>(actual);
+      err_stats_.add(last_err_);
+    }
+    const double next = gamma_ * static_cast<double>(actual) +
+                        (1.0 - gamma_) * static_cast<double>(predicted_);
+    predicted_ = static_cast<common::Cycles>(next);
+    return predicted_;
+  }
 
   /// \brief Prediction for the upcoming epoch (last value returned by
   ///        observe(); 0 before any observation).

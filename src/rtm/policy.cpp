@@ -82,6 +82,14 @@ void EpsilonSchedule::advance(double smoothed_payoff) noexcept {
   if (params_.decay == EpsilonDecay::kPaperEq6) {
     exponent *= static_cast<double>(epoch_);
   }
+  // Settled at a finite, non-negative floor: exp(-exponent) lies in [0, 1]
+  // for exponent >= 0, so the product could only round back to the floor
+  // and the exp is skipped. convergence_epoch_ is already set, so nothing
+  // else would change either.
+  if (convergence_epoch_ != 0 && epsilon_ == params_.epsilon_min &&
+      exponent >= 0.0 && epsilon_ >= 0.0 && std::isfinite(epsilon_)) {
+    return;
+  }
   epsilon_ *= std::exp(-exponent);
   if (epsilon_ < params_.epsilon_min) {
     epsilon_ = params_.epsilon_min;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -55,20 +56,16 @@ double parse_q_cell(const std::string& raw, std::size_t row) {
 
 QTable::QTable(std::size_t states, std::size_t actions)
     : states_(states), actions_(actions), q_(states * actions, 0.0),
-      visits_(states * actions, 0) {
+      visits_(states * actions, 0), best_(states, 0) {
   if (states == 0 || actions == 0) {
     throw std::invalid_argument("QTable: dimensions must be >= 1");
   }
 }
 
-double QTable::q(std::size_t s, std::size_t a) const {
-  if (s >= states_ || a >= actions_) throw std::out_of_range("QTable::q");
-  return q_[s * actions_ + a];
-}
-
 void QTable::set_q(std::size_t s, std::size_t a, double value) {
   if (s >= states_ || a >= actions_) throw std::out_of_range("QTable::set_q");
   q_[s * actions_ + a] = value;
+  best_[s] = scan_row(s);
 }
 
 void QTable::update(std::size_t s, std::size_t a, double reward,
@@ -77,38 +74,41 @@ void QTable::update(std::size_t s, std::size_t a, double reward,
     throw std::out_of_range("QTable::update");
   }
   double& q = q_[s * actions_ + a];
+  const double old = q;
   q = (1.0 - alpha) * q + alpha * (reward + discount * best_value(s_next));
   ++visits_[s * actions_ + a];
   ++updates_;
+
+  // Keep the row's first argmax without a scan. Raising (or keeping) the
+  // best leaves it best; another entry takes over when it beats the best,
+  // or ties it from a lower index. Only a lowered best, or a NaN on either
+  // side (which the `>` scan treats by position), needs the full scan.
+  std::size_t& best = best_[s];
+  if (std::isnan(q) || std::isnan(old)) {
+    best = scan_row(s);
+  } else if (a == best) {
+    if (q < old) best = scan_row(s);
+  } else {
+    const double top = q_[s * actions_ + best];
+    if (a < best ? !(q < top) : q > top) best = a;
+  }
 }
 
-std::size_t QTable::best_action(std::size_t s) const {
-  if (s >= states_) throw std::out_of_range("QTable::best_action");
+std::size_t QTable::scan_row(std::size_t s) const {
+  const double* row = q_.data() + s * actions_;
   std::size_t best = 0;
-  double best_q = q_[s * actions_];
   for (std::size_t a = 1; a < actions_; ++a) {
-    if (q_[s * actions_ + a] > best_q) {
-      best_q = q_[s * actions_ + a];
-      best = a;
-    }
+    if (row[a] > row[best]) best = a;
   }
   return best;
 }
 
-double QTable::best_value(std::size_t s) const {
-  if (s >= states_) throw std::out_of_range("QTable::best_value");
-  double best_q = q_[s * actions_];
-  for (std::size_t a = 1; a < actions_; ++a) {
-    best_q = std::max(best_q, q_[s * actions_ + a]);
-  }
-  return best_q;
+void QTable::rescan_all() {
+  best_.resize(states_);
+  for (std::size_t s = 0; s < states_; ++s) best_[s] = scan_row(s);
 }
 
-std::vector<std::size_t> QTable::greedy_policy() const {
-  std::vector<std::size_t> policy(states_);
-  for (std::size_t s = 0; s < states_; ++s) policy[s] = best_action(s);
-  return policy;
-}
+std::vector<std::size_t> QTable::greedy_policy() const { return best_; }
 
 std::size_t QTable::visits(std::size_t s, std::size_t a) const {
   if (s >= states_ || a >= actions_) throw std::out_of_range("QTable::visits");
@@ -138,6 +138,7 @@ std::size_t QTable::visited_states() const {
 void QTable::reset() {
   std::fill(q_.begin(), q_.end(), 0.0);
   std::fill(visits_.begin(), visits_.end(), 0);
+  std::fill(best_.begin(), best_.end(), 0);
   updates_ = 0;
 }
 
@@ -206,6 +207,7 @@ void QTable::load_csv(const std::string& text) {
   }
   q_ = std::move(q_new);
   visits_ = std::move(visits_new);
+  rescan_all();
 }
 
 void QTable::save_state(common::StateWriter& out) const {
@@ -229,11 +231,13 @@ void QTable::load_state(common::StateReader& in) {
     throw common::SerialError("QTable state: value/visit vector size does "
                               "not match the stored dimensions");
   }
+  const std::size_t updates = in.size();
   states_ = states;
   actions_ = actions;
   q_ = std::move(q);
   visits_.assign(visits.begin(), visits.end());
-  updates_ = in.size();
+  updates_ = updates;
+  rescan_all();
 }
 
 }  // namespace prime::rtm

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,10 @@ class QTable {
   [[nodiscard]] std::size_t actions() const noexcept { return actions_; }
 
   /// \brief Q(s, a). Bounds-checked.
-  [[nodiscard]] double q(std::size_t s, std::size_t a) const;
+  [[nodiscard]] double q(std::size_t s, std::size_t a) const {
+    if (s >= states_ || a >= actions_) throw std::out_of_range("QTable::q");
+    return q_[s * actions_ + a];
+  }
   /// \brief Directly set Q(s, a) (tests and persistence).
   void set_q(std::size_t s, std::size_t a, double value);
 
@@ -43,10 +47,18 @@ class QTable {
               double alpha, double discount);
 
   /// \brief Greedy action argmax_a Q(s, a) (ties break toward lower index,
-  ///        i.e. the slower, lower-energy OPP).
-  [[nodiscard]] std::size_t best_action(std::size_t s) const;
-  /// \brief max_a Q(s, a).
-  [[nodiscard]] double best_value(std::size_t s) const;
+  ///        i.e. the slower, lower-energy OPP). O(1): read from the row's
+  ///        cached first argmax.
+  [[nodiscard]] std::size_t best_action(std::size_t s) const {
+    if (s >= states_) throw std::out_of_range("QTable::best_action");
+    return best_[s];
+  }
+  /// \brief max_a Q(s, a), always bitwise equal to q(s, best_action(s)).
+  ///        O(1).
+  [[nodiscard]] double best_value(std::size_t s) const {
+    if (s >= states_) throw std::out_of_range("QTable::best_value");
+    return q_[s * actions_ + best_[s]];
+  }
   /// \brief Greedy action for every state (the exploited policy).
   [[nodiscard]] std::vector<std::size_t> greedy_policy() const;
 
@@ -81,10 +93,20 @@ class QTable {
   void load_state(common::StateReader& in);
 
  private:
+  /// \brief First argmax of row \p s by a full scan: the best index moves
+  ///        only to an entry `>` the best so far (so a NaN at index 0 wins
+  ///        and NaNs elsewhere never do).
+  [[nodiscard]] std::size_t scan_row(std::size_t s) const;
+  /// \brief Rebuild every row's cached argmax.
+  void rescan_all();
+
   std::size_t states_;
   std::size_t actions_;
   std::vector<double> q_;
   std::vector<std::size_t> visits_;
+  /// Cached scan_row(s) per row. update() keeps it without a scan unless
+  /// the row's best is lowered or a NaN is involved.
+  std::vector<std::size_t> best_;
   std::size_t updates_ = 0;
 };
 

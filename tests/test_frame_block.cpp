@@ -4,9 +4,11 @@
 ///        reproduces core_work()/deadline_at() row for row, and — the headline
 ///        differential — the engine produces bit-identical results, records
 ///        and `.bt` bytes at every block size for every registered governor,
-///        including a checkpoint cut mid-block.
+///        including a checkpoint cut mid-block — with the block-prefetch
+///        helper thread engaged and without it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -14,9 +16,12 @@
 #include <numeric>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/config.hpp"
 #include "sim/bintrace.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
@@ -236,13 +241,40 @@ TEST(FrameBlockFill, MatchesCoreWorkForStreamingApps) {
 
 // --- Engine differential: every block size, every governor ------------------
 
+/// Long enough to engage the engine's prefetch helper (2000 frames or more).
+constexpr std::size_t kLongRun = 4096;
+
+/// True when a lone run on this host has a spare hardware thread for the
+/// helper; on a single-thread host every run stays on the engine thread.
+bool helper_can_engage() { return std::thread::hardware_concurrency() >= 2; }
+
+/// While alive, declares the machine fully busy, so every run keeps frame
+/// generation on the engine thread — the loop as it ran before the helper.
+struct NoHelper {
+  ConcurrentRuns busy{std::max(1u, std::thread::hardware_concurrency())};
+};
+
+/// Asserts that \p run engaged the helper exactly when \p expect and the
+/// host allows it; returns what \p run returned.
+template <typename Run>
+auto expect_helper(bool expect, Run&& run) {
+  const std::size_t before = prefetched_runs();
+  auto result = run();
+  EXPECT_EQ(prefetched_runs() - before,
+            expect && helper_can_engage() ? 1u : 0u);
+  return result;
+}
+
+
 TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
   // The tentpole contract: block size is an execution-strategy knob, never an
   // observable one. For every registered governor, the scalar reference path
   // (block=0) and batched runs at block 1, an odd straggler-producing 7, and
-  // a bigger-than-the-run 256 must agree bit for bit — aggregates and every
-  // epoch record.
-  constexpr std::size_t kFrames = 200;
+  // a larger 256 must agree bit for bit — aggregates and every epoch record.
+  // The runs are long enough to engage the prefetch helper, so block 1 also
+  // stresses its handoff (a ring of 64 one-frame blocks, the helper parked
+  // and woken every 32 frames).
+  constexpr std::size_t kFrames = kLongRun;
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, kFrames);
 
@@ -268,7 +300,8 @@ TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
                                     std::size_t{256}}) {
       SCOPED_TRACE(block);
       TraceSink trace;
-      const RunResult batched = run_at(block, trace);
+      const RunResult batched =
+          expect_helper(true, [&] { return run_at(block, trace); });
       expect_results_bitequal(scalar, batched);
       ASSERT_EQ(trace.records().size(), kFrames);
       for (std::size_t i = 0; i < kFrames; ++i) {
@@ -309,8 +342,10 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
   // A checkpoint cut that lands mid-block (173 stops inside the third
   // 64-frame batch): the resumed run must still be bit-identical to the
   // uninterrupted reference — prefetched-but-unexecuted frames must leave no
-  // trace in the snapshot.
-  constexpr std::size_t kFull = 400;
+  // trace in the snapshot. The full run and the resumed one are long enough
+  // to engage the prefetch helper, so this also pins the helper's resume
+  // path (block 0 skips the stream to frame 173 on the engine thread).
+  constexpr std::size_t kFull = 2400;
   constexpr std::size_t kStop = 173;
   constexpr std::size_t kBlock = 64;
   static_assert(kStop % kBlock != 0, "the cut must land mid-block");
@@ -328,8 +363,10 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
     full_options.block_frames = kBlock;
     full_options.sinks = {&full_trace};
     const wl::Application app_full(app);
-    const RunResult full =
-        run_simulation(*platform_full, app_full, *governor_full, full_options);
+    const RunResult full = expect_helper(true, [&] {
+      return run_simulation(*platform_full, app_full, *governor_full,
+                            full_options);
+    });
 
     const std::string ckpt = temp_path("midblock-" + name + ".ckpt");
     const auto platform_stop = hw::Platform::odroid_xu3_a15();
@@ -351,8 +388,10 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
     resume_options.resume_from = ckpt;
     resume_options.sinks = {&tail_trace};
     const wl::Application app_resume(app);
-    const RunResult resumed = run_simulation(*platform_resume, app_resume,
-                                             *governor_resume, resume_options);
+    const RunResult resumed = expect_helper(true, [&] {
+      return run_simulation(*platform_resume, app_resume, *governor_resume,
+                            resume_options);
+    });
 
     expect_results_bitequal(full, resumed);
     ASSERT_EQ(tail_trace.records().size(), kFull - kStop);
@@ -362,6 +401,201 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
                               tail_trace.records()[i]);
     }
   }
+}
+
+// --- Block prefetch helper ---------------------------------------------------
+
+TEST(PrefetchEngine, MultiDomainHelperRunsMatchEngineThreadRuns) {
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 2);
+  const auto calibration = hw::Platform::from_config(cfg);
+  const wl::Application app = make_streaming_app(*calibration, kLongRun);
+  for (const std::string name : {"ondemand", "rtm"}) {
+    SCOPED_TRACE(name);
+    const auto run = [&](TraceSink& trace) {
+      const auto platform = hw::Platform::from_config(cfg);
+      const auto governor = make_governor(name);
+      RunOptions options;
+      options.max_frames = kLongRun;
+      options.placement = "spread";
+      options.sinks = {&trace};
+      const wl::Application run_app(app);
+      return run_simulation(*platform, run_app, *governor, options);
+    };
+    TraceSink reference_trace;
+    const RunResult reference = expect_helper(false, [&] {
+      const NoHelper no_helper;
+      return run(reference_trace);
+    });
+    TraceSink trace;
+    const RunResult prefetched =
+        expect_helper(true, [&] { return run(trace); });
+    expect_results_bitequal(reference, prefetched);
+    ASSERT_EQ(trace.records().size(), kLongRun);
+    for (std::size_t i = 0; i < kLongRun; ++i) {
+      expect_records_bitequal(reference_trace.records()[i],
+                              trace.records()[i]);
+    }
+  }
+}
+
+TEST(PrefetchEngine, ExhaustedSourceThrowsAtTheSameFrameAsWithoutHelper) {
+  // A bounded stream that ends at frame 3000 of a 5000-frame run: the
+  // helper hits the end while filling ahead, but the engine must see the
+  // same error at the same block as when it fills every block itself —
+  // after executing exactly the frames before that block.
+  constexpr std::size_t kAvailable = 3000;
+  std::vector<wl::FrameDemand> frames;
+  for (std::size_t i = 0; i < kAvailable; ++i) {
+    frames.push_back(
+        wl::FrameDemand{150'000'000 + 10'000 * (i % 97), wl::FrameKind::kGeneric});
+  }
+  const wl::WorkloadTrace trace("finite", std::move(frames));
+  const wl::Application app(
+      "finite",
+      [trace] { return std::make_unique<wl::TraceFrameSource>(trace); },
+      30.0);
+
+  struct Outcome {
+    std::string what;
+    std::size_t epochs = 0;
+  };
+  const auto run = [&] {
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("ondemand");
+    Outcome out;
+    CallbackSink count(
+        [&](const EpochRecord&, gov::Governor&) { ++out.epochs; });
+    RunOptions options;
+    options.max_frames = 5000;
+    options.sinks = {&count};
+    const wl::Application run_app(app);
+    try {
+      (void)run_simulation(*platform, run_app, *governor, options);
+    } catch (const std::out_of_range& e) {
+      out.what = e.what();
+    }
+    return out;
+  };
+  const Outcome reference = expect_helper(false, [&] {
+    const NoHelper no_helper;
+    return run();
+  });
+  const Outcome prefetched = expect_helper(true, run);
+  EXPECT_NE(reference.what.find("frame source exhausted at frame 3000"),
+            std::string::npos)
+      << reference.what;
+  EXPECT_EQ(prefetched.what, reference.what);
+  EXPECT_EQ(reference.epochs, kAvailable / 64 * 64);
+  EXPECT_EQ(prefetched.epochs, reference.epochs);
+}
+
+TEST(PrefetchEngine, SinkThrowJoinsHelperAndLeavesTheAppReusable) {
+  // A sink that throws mid-run unwinds through the engine: the helper must
+  // be stopped and joined (no hang, no std::terminate), and the next run on
+  // the same Application — whose cursor the helper left ahead — must rewind
+  // and reproduce a fresh run bit for bit.
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, kLongRun);
+  const auto run_on = [&](const wl::Application& target,
+                          std::vector<TelemetrySink*> sinks) {
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("rtm");
+    RunOptions options;
+    options.max_frames = kLongRun;
+    options.sinks = std::move(sinks);
+    return run_simulation(*platform, target, *governor, options);
+  };
+
+  CallbackSink thrower([](const EpochRecord& record, gov::Governor&) {
+    if (record.epoch == 1500) throw std::runtime_error("sink failed");
+  });
+  expect_helper(true, [&] {
+    EXPECT_THROW((void)run_on(app, {&thrower}), std::runtime_error);
+    return 0;
+  });
+
+  TraceSink again_trace;
+  const RunResult again = run_on(app, {&again_trace});
+  TraceSink fresh_trace;
+  const wl::Application fresh_app(app);
+  const RunResult fresh = run_on(fresh_app, {&fresh_trace});
+  expect_results_bitequal(fresh, again);
+  ASSERT_EQ(again_trace.records().size(), kLongRun);
+  for (std::size_t i = 0; i < kLongRun; ++i) {
+    expect_records_bitequal(fresh_trace.records()[i],
+                            again_trace.records()[i]);
+  }
+}
+
+TEST(PrefetchEngine, RunShorterThanOneBlockMatchesTheScalarLoop) {
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, 10);
+  const auto run_at = [&](std::size_t block_frames) {
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("rtm");
+    RunOptions options;
+    options.max_frames = 10;
+    options.block_frames = block_frames;
+    const wl::Application run_app(app);
+    return run_simulation(*platform, run_app, *governor, options);
+  };
+  const RunResult scalar = run_at(0);
+  const RunResult batched = expect_helper(false, [&] { return run_at(64); });
+  EXPECT_EQ(batched.epoch_count, 10u);
+  expect_results_bitequal(scalar, batched);
+}
+
+TEST(PrefetchEngine, RepeatRunsOnOneAppRewindTheCursor) {
+  // Runs on one Application in sequence: each starts below where the last
+  // left the cursor (the helper may have left it anywhere up to the run's
+  // end), so block 0 must rewind the stream on the engine thread.
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, kLongRun);
+  const auto run_on = [&](const wl::Application& target, std::size_t frames) {
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("ondemand");
+    RunOptions options;
+    options.max_frames = frames;
+    return run_simulation(*platform, target, *governor, options);
+  };
+  for (const std::size_t frames :
+       {kLongRun, kLongRun / 2 + 37, kLongRun, std::size_t{3000}}) {
+    SCOPED_TRACE(frames);
+    const wl::Application fresh(app);
+    expect_results_bitequal(run_on(fresh, frames),
+                            expect_helper(true, [&] {
+                              return run_on(app, frames);
+                            }));
+  }
+}
+
+TEST(PrefetchEngine, DeclaredConcurrencyKeepsTheHelperOff) {
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, kLongRun);
+  const auto run = [&] {
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("ondemand");
+    RunOptions options;
+    options.max_frames = kLongRun;
+    const wl::Application run_app(app);
+    return run_simulation(*platform, run_app, *governor, options);
+  };
+  const RunResult busy = expect_helper(false, [&] {
+    const NoHelper no_helper;
+    return run();
+  });
+  // The declaration ended with its scope.
+  expect_results_bitequal(busy, expect_helper(true, run));
+  // Too short to amortise the thread, however idle the host.
+  const auto platform = hw::Platform::odroid_xu3_a15();
+  const auto governor = make_governor("ondemand");
+  RunOptions options;
+  options.max_frames = 1000;
+  expect_helper(false, [&] {
+    return run_simulation(*platform, wl::Application(app), *governor, options);
+  });
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 /// \brief Unit tests for EPD/UPD exploration (eq. 2) and the eq. (6) schedule.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-
+#include <cstdint>
 #include <numeric>
 
 #include "rtm/policy.hpp"
@@ -150,6 +151,51 @@ TEST(EpsilonSchedule, FloorIsSticky) {
   const std::size_t conv = s.convergence_epoch();
   s.advance();
   EXPECT_EQ(s.convergence_epoch(), conv);  // first crossing is recorded once
+}
+
+TEST(EpsilonSchedule, FloorShortcutMatchesFullDecay) {
+  // advance() skips its exp once settled at the floor. Pin that against the
+  // full eq. (6) arithmetic bit for bit, including floors of 0, a negative
+  // reward boost (exponent < 0 lifts epsilon off the floor) and NaN pay-offs.
+  struct Case {
+    double epsilon0, alpha, floor, boost;
+    EpsilonDecay decay;
+  };
+  const Case cases[] = {{1.0, 0.9993, 0.01, 1.0, EpsilonDecay::kPaperEq6},
+                        {1.0, 0.9, 0.0, 1.0, EpsilonDecay::kPaperEq6},
+                        {0.5, 0.99, 0.05, 1.0, EpsilonDecay::kGeometric},
+                        {0.01, 0.99, 0.01, 1.0, EpsilonDecay::kPaperEq6},
+                        {1.0, 0.9, 0.01, -50.0, EpsilonDecay::kGeometric}};
+  const double payoffs[] = {0.0, 0.7, -0.2, std::nan(""), 3.0};
+  for (const Case& c : cases) {
+    EpsilonSchedule::Params p;
+    p.epsilon0 = c.epsilon0;
+    p.alpha = c.alpha;
+    p.epsilon_min = c.floor;
+    p.reward_boost = c.boost;
+    p.decay = c.decay;
+    EpsilonSchedule s(p);
+    double eps = c.epsilon0;
+    std::size_t conv = 0;
+    for (std::size_t epoch = 1; epoch <= 3000; ++epoch) {
+      const double payoff = payoffs[epoch % std::size(payoffs)];
+      s.advance(payoff);
+      double exponent =
+          (1.0 - c.alpha) * (1.0 + c.boost * (payoff > 0.0 ? payoff : 0.0));
+      if (c.decay == EpsilonDecay::kPaperEq6) {
+        exponent *= static_cast<double>(epoch);
+      }
+      eps *= std::exp(-exponent);
+      if (eps < c.floor) {
+        eps = c.floor;
+        if (conv == 0) conv = epoch;
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(s.value()),
+                std::bit_cast<std::uint64_t>(eps))
+          << "epoch " << epoch << " floor " << c.floor;
+      ASSERT_EQ(s.convergence_epoch(), conv) << "epoch " << epoch;
+    }
+  }
 }
 
 TEST(EpsilonSchedule, ShouldExploreMatchesEpsilon) {

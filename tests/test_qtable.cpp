@@ -2,7 +2,14 @@
 /// \brief Unit tests for the Q-table and the eq. (3) Bellman update.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+
 #include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "rtm/qtable.hpp"
 
 namespace prime::rtm {
@@ -156,6 +163,75 @@ TEST(QTable, LoadCsvFailureLeavesTableUnchanged) {
                std::runtime_error);
   EXPECT_DOUBLE_EQ(q.q(0, 0), 7.0);
   EXPECT_DOUBLE_EQ(q.q(1, 1), -2.0);
+}
+
+/// Property: the cached argmax answers exactly what a full first-argmax scan
+/// (the `>` test, lowest index on ties) answers, bit for bit, across random
+/// update/set_q/load_state/reset sequences drawn from a value pool full of
+/// ties, signed zeros and NaNs.
+TEST(QTable, CachedArgmaxMatchesBruteForceScan) {
+  constexpr std::size_t kStates = 4;
+  constexpr std::size_t kActions = 5;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double pool[] = {0.0, -0.0, 1.0, -1.0, 0.5, 0.5, 2.0, nan, -3.0};
+  constexpr std::size_t kPool = std::size(pool);
+
+  const auto scan = [&](const QTable& t, std::size_t s) {
+    std::size_t best = 0;
+    for (std::size_t a = 1; a < kActions; ++a) {
+      if (t.q(s, a) > t.q(s, best)) best = a;
+    }
+    return best;
+  };
+  const auto check = [&](const QTable& t, int step) {
+    for (std::size_t s = 0; s < kStates; ++s) {
+      const std::size_t expect = scan(t, s);
+      ASSERT_EQ(t.best_action(s), expect) << "step " << step << " state " << s;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(t.best_value(s)),
+                std::bit_cast<std::uint64_t>(t.q(s, expect)))
+          << "step " << step << " state " << s;
+      ASSERT_EQ(t.greedy_policy()[s], expect);
+    }
+  };
+
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    std::uint64_t rng = seed;
+    const auto draw = [&](std::size_t n) {
+      return static_cast<std::size_t>(common::splitmix64_next(rng) % n);
+    };
+    QTable table(kStates, kActions);
+    QTable donor(kStates, kActions);
+    for (int step = 0; step < 4000; ++step) {
+      const std::size_t op = draw(100);
+      const std::size_t s = draw(kStates);
+      const std::size_t a = draw(kActions);
+      if (op < 70) {
+        // alpha = 1 and discount = 0 store the pooled reward exactly (up to
+        // 0 * q, which keeps NaNs and flips zero signs), so ties are common.
+        const bool exact = draw(2) == 0;
+        table.update(s, a, pool[draw(kPool)], draw(kStates),
+                     exact ? 1.0 : 0.5, exact ? 0.0 : 0.9);
+      } else if (op < 90) {
+        table.set_q(s, a, pool[draw(kPool)]);
+      } else if (op < 95) {
+        donor.set_q(s, a, pool[draw(kPool)]);
+        donor.update(draw(kStates), draw(kActions), pool[draw(kPool)],
+                     draw(kStates), 0.5, 0.9);
+        std::stringstream bytes;
+        common::StateWriter out(bytes);
+        donor.save_state(out);
+        common::StateReader in(bytes);
+        table.load_state(in);
+      } else if (op < 97) {
+        table.reset();
+      } else {
+        table.load_csv(donor.to_csv());
+      }
+      check(table, step);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 /// Property: the Bellman update is a contraction: Q values remain bounded by
