@@ -22,7 +22,7 @@
 /// Internal worker invocation (what the driver execs; not for direct use):
 ///   fleet_tool mode=worker <population args> shard=I shards=N out=DIR
 ///              checkpoint-every=K attempt=A [fail-after=D]
-///              [dashboard-port=P] [dashboard-every=N] [live-workers=W]
+///              [dashboard-port=P] [dashboard-every=N]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -69,8 +69,6 @@ int worker_main(const prime::common::Config& cfg) {
       static_cast<std::uint16_t>(cfg.get_int("dashboard-port", 0));
   opts.dashboard_every =
       static_cast<std::size_t>(cfg.get_int("dashboard-every", 1000));
-  opts.live_workers =
-      static_cast<std::size_t>(cfg.get_int("live-workers", 0));
   return fleet::run_worker(pop, plan.shard(shard_index), opts);
 }
 

@@ -3,7 +3,6 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -55,12 +54,6 @@ bool shard_already_done(const std::string& path, std::uint64_t fingerprint,
   }
 }
 
-/// Worker processes the driver keeps live at once (0 in the sequential
-/// in-process mode, where the engine counts its own runs).
-std::size_t live_workers(const FleetOptions& fleet) {
-  return std::min(fleet.workers, fleet.shards);
-}
-
 ShardRunnerOptions worker_options(const FleetOptions& fleet,
                                   std::size_t shard_index,
                                   std::size_t attempt) {
@@ -70,7 +63,6 @@ ShardRunnerOptions worker_options(const FleetOptions& fleet,
   opts.checkpoint_every = fleet.checkpoint_every;
   opts.attempt = attempt;
   opts.fail_after_devices = fleet.fail_first_attempt_after;
-  opts.live_workers = live_workers(fleet);
   if (fleet.dashboard_port_base != 0) {
     opts.dashboard_port =
         static_cast<std::uint16_t>(fleet.dashboard_port_base + shard_index);
@@ -86,7 +78,6 @@ ShardRunnerOptions worker_options(const FleetOptions& fleet,
   argv.push_back("out=" + fleet.out_dir);
   argv.push_back("checkpoint-every=" + std::to_string(fleet.checkpoint_every));
   argv.push_back("attempt=" + std::to_string(attempt));
-  argv.push_back("live-workers=" + std::to_string(live_workers(fleet)));
   if (fleet.fail_first_attempt_after > 0) {
     argv.push_back("fail-after=" +
                    std::to_string(fleet.fail_first_attempt_after));

@@ -131,7 +131,6 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
     summary.next_device = shard.device_begin;
   }
   summary.started_at_device = summary.next_device;
-  const sim::ConcurrentRuns fleet_runs(opts.live_workers);
 
   // One dashboard for the whole shard session: the port stays bound across
   // device runs, runs_completed counts devices finished, and a polling

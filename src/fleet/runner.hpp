@@ -50,11 +50,6 @@ struct ShardRunnerOptions {
   std::uint16_t dashboard_port = 0;
   /// SSE publication cadence in epochs for dashboard_port.
   std::size_t dashboard_every = 1000;
-  /// Worker processes the fleet keeps live, this one included (0 = none
-  /// declared). The shard declares them as sim::ConcurrentRuns, so its
-  /// device runs engage the engine's prefetch helper only when the whole
-  /// fleet leaves a spare hardware thread.
-  std::size_t live_workers = 0;
 };
 
 /// \brief One device's full outcome: the run aggregates plus the trained

@@ -2,7 +2,6 @@
 
 #include "qlib/library.hpp"
 #include "qlib/sink.hpp"
-#include "sim/engine.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -32,9 +31,6 @@ void parallel_for(std::size_t n, std::size_t workers,
     return;
   }
 
-  // The whole pool counts as in flight from the start, so a pool at nproc
-  // never engages the engine's prefetch helper, not even in its first runs.
-  const ConcurrentRuns pool(count);
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::exception_ptr error;

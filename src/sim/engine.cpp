@@ -1,20 +1,15 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
-#include <thread>
 
 #include "qlib/library.hpp"
 #include "qlib/sink.hpp"
 #include "sim/bintrace.hpp"
+#include "sim/block_prefetch.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/dashboard.hpp"
 #include "sim/placement.hpp"
@@ -96,232 +91,10 @@ qlib::PolicyEntry resolve_warm_start(const std::string& from,
   return std::move(matches.front());
 }
 
-// --- Block prefetch ----------------------------------------------------------
-
-/// run_simulation calls executing right now, and the sum of live
-/// ConcurrentRuns declarations; the larger is the process's runs in flight.
-std::atomic<std::size_t> g_runs_in_flight{0};
-std::atomic<std::size_t> g_declared_runs{0};
-std::atomic<std::size_t> g_prefetched_runs{0};
-
-/// Counts one run_simulation call as in flight for its lifetime.
-struct InFlightRun {
-  InFlightRun() noexcept { g_runs_in_flight.fetch_add(1); }
-  ~InFlightRun() { g_runs_in_flight.fetch_sub(1); }
-  InFlightRun(const InFlightRun&) = delete;
-  InFlightRun& operator=(const InFlightRun&) = delete;
-};
-
-/// Starting and joining the helper thread costs about 25 us (an empty
-/// std::thread spawn+join measured 12-22 us on a 4-vCPU x86-64 VM), while
-/// generating a frame costs about 75 ns on the 1x4 board. A run engages the
-/// helper only when the fill work it moves off the critical path is at
-/// least six times the thread's cost.
-constexpr std::size_t kSpawnJoinNs = 25'000;
-constexpr std::size_t kFillNsPerFrame = 75;
-constexpr std::size_t kMinPrefetchFrames = 6 * kSpawnJoinNs / kFillNsPerFrame;
-
-/// Frames the ring holds ahead of the engine (ring slots = this over the
-/// block size, within [kMinSlots, kMaxSlots]). A sleeping helper is woken
-/// once per half ring, so this sets the handoff's syscall rate.
-constexpr std::size_t kRingFrames = 512;
-constexpr std::size_t kMinSlots = 4;
-constexpr std::size_t kMaxSlots = 64;
-/// Polls before a waiting engine sleeps: the helper is mid-fill whenever the
-/// engine waits, so the block is normally microseconds away.
-constexpr int kEngineSpins = 2048;
-
-void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
-/// True when a run of \p frames amortises the helper and a spare hardware
-/// thread exists: runs in flight x 2 <= hardware threads.
-bool helper_pays_off(std::size_t frames) {
-  if (frames < kMinPrefetchFrames) return false;
-  static const std::size_t hardware = std::thread::hardware_concurrency();
-  const std::size_t runs =
-      std::max(g_runs_in_flight.load(), g_declared_runs.load());
-  return runs * 2 <= hardware;
-}
-
-/// Serves a run's frames [start, frames) to the engine as consecutive
-/// FrameBlocks of `block_frames` rows, strictly in order: acquire(k) ->
-/// epochs -> release(k). Block 0 is always filled on the engine thread, so
-/// any stream rewind or skip_to and every allocation happens there. When the
-/// helper engages it fills blocks 1..N-1 into a ring of pre-sized blocks
-/// ahead of the engine, making exactly the fill_block calls the engine
-/// would, in the same order, never past `frames`; otherwise acquire() fills
-/// each block on the engine thread. Both produce the same frames and leave
-/// the Application's cursor in the same place.
-///
-/// Handoff is two counters: blocks filled (helper -> engine) and blocks
-/// released (engine -> helper). Neither side makes a syscall in steady
-/// state: the helper sleeps only on a full ring and the engine wakes it
-/// once half the ring is free; the engine polls briefly before it sleeps
-/// on an empty one. A fill_block exception is rethrown by acquire() at the
-/// block it was thrown for; destroying the prefetcher (normal exit or an
-/// engine-side throw) stops and joins the helper.
-class BlockPrefetcher {
- public:
-  BlockPrefetcher(const wl::Application& app, std::size_t start,
-                  std::size_t frames, std::size_t block_frames,
-                  std::size_t cores)
-      : app_(app), start_(start), frames_(frames),
-        block_frames_(block_frames), cores_(cores),
-        blocks_((frames - start + block_frames - 1) / block_frames) {
-    const bool threaded = blocks_ > 1 && helper_pays_off(frames - start);
-    const std::size_t slots =
-        threaded ? std::min(blocks_, std::clamp(kRingFrames / block_frames,
-                                                kMinSlots, kMaxSlots))
-                 : 1;
-    ring_.resize(slots);
-    if (blocks_ > 0) fill(0, ring_[0]);
-    if (!threaded) return;
-    for (std::size_t s = 1; s < slots; ++s) {
-      ring_[s].reshape(block_frames, cores);
-    }
-    filled_.store(1);
-    try {
-      helper_ = std::thread([this] { run_helper(); });
-      g_prefetched_runs.fetch_add(1);
-    } catch (const std::system_error&) {
-      // No thread to be had (EAGAIN): run unthreaded out of slot 0.
-    }
-  }
-
-  ~BlockPrefetcher() {
-    if (!helper_.joinable()) return;
-    stop_.store(true);
-    { const std::lock_guard<std::mutex> lock(mutex_); }
-    helper_wake_.notify_one();
-    helper_.join();
-  }
-
-  BlockPrefetcher(const BlockPrefetcher&) = delete;
-  BlockPrefetcher& operator=(const BlockPrefetcher&) = delete;
-
-  [[nodiscard]] std::size_t blocks() const noexcept { return blocks_; }
-
-  /// The filled block k; the engine owns it until release(k).
-  wl::FrameBlock& acquire(std::size_t k) {
-    if (!helper_.joinable()) {
-      if (k > 0) fill(k, ring_[0]);
-      return ring_[0];
-    }
-    if (filled_.load() <= k) wait_for(k);
-    return ring_[k % ring_.size()];
-  }
-
-  /// Hand block k back to the helper for refilling.
-  void release(std::size_t k) {
-    if (!helper_.joinable()) return;
-    released_.store(k + 1);
-    // A cheap filter, then the decision again under the mutex: there a
-    // raised flag means the helper is parked in wait() with filled_ final,
-    // so the test is exactly its wake predicate and no wake-up is lost.
-    if (helper_asleep_.load() && half_free()) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (helper_asleep_.load() && half_free()) {
-        helper_asleep_.store(false);
-        helper_wake_.notify_one();
-      }
-    }
-  }
-
- private:
-  void fill(std::size_t k, wl::FrameBlock& block) const {
-    const std::size_t first = start_ + k * block_frames_;
-    app_.fill_block(first, std::min(block_frames_, frames_ - first), cores_,
-                    block);
-  }
-
-  /// At least half the ring is free: when a sleeping helper resumes.
-  [[nodiscard]] bool half_free() const noexcept {
-    return filled_.load() - released_.load() <= ring_.size() - ring_.size() / 2;
-  }
-
-  void wait_for(std::size_t k) {
-    const auto ready = [&] { return filled_.load() > k || failed_.load(); };
-    for (int spin = 0; spin < kEngineSpins && !ready(); ++spin) cpu_relax();
-    if (!ready()) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      engine_asleep_.store(true);
-      engine_wake_.wait(lock, ready);
-      engine_asleep_.store(false);
-    }
-    if (filled_.load() <= k) std::rethrow_exception(error_);
-  }
-
-  void wake_engine() {
-    { const std::lock_guard<std::mutex> lock(mutex_); }
-    engine_wake_.notify_one();
-  }
-
-  void run_helper() noexcept {
-    const std::size_t slots = ring_.size();
-    for (std::size_t k = 1; k < blocks_; ++k) {
-      if (k - released_.load() >= slots) {
-        std::unique_lock<std::mutex> lock(mutex_);
-        helper_asleep_.store(true);
-        helper_wake_.wait(lock, [&] { return stop_.load() || half_free(); });
-        helper_asleep_.store(false);
-      }
-      if (stop_.load()) return;
-      try {
-        fill(k, ring_[k % slots]);
-      } catch (...) {
-        error_ = std::current_exception();
-        failed_.store(true);
-        wake_engine();
-        return;
-      }
-      filled_.store(k + 1);
-      if (engine_asleep_.load()) wake_engine();
-    }
-  }
-
-  const wl::Application& app_;
-  const std::size_t start_;
-  const std::size_t frames_;
-  const std::size_t block_frames_;
-  const std::size_t cores_;
-  const std::size_t blocks_;
-  std::vector<wl::FrameBlock> ring_;
-  // The wait predicates read these atomics, which change outside the mutex
-  // so that steady state takes no lock. All sequentially consistent: each
-  // sleeper raises its asleep flag under the mutex before testing its
-  // predicate, and the other side stores its counter before reading that
-  // flag, so one of them always sees the other; wakers notify only after
-  // taking the mutex.
-  std::atomic<std::size_t> filled_{0};
-  std::atomic<std::size_t> released_{0};
-  std::atomic<bool> failed_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> helper_asleep_{false};
-  std::atomic<bool> engine_asleep_{false};
-  std::exception_ptr error_;  ///< Published by failed_.
-  std::mutex mutex_;
-  std::condition_variable helper_wake_;
-  std::condition_variable engine_wake_;
-  std::thread helper_;  ///< Last: it uses every member above.
-};
-
 }  // namespace
-
-ConcurrentRuns::ConcurrentRuns(std::size_t runs) noexcept : runs_(runs) {
-  g_declared_runs.fetch_add(runs_);
-}
-
-ConcurrentRuns::~ConcurrentRuns() { g_declared_runs.fetch_sub(runs_); }
-
-std::size_t prefetched_runs() noexcept { return g_prefetched_runs.load(); }
 
 RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
                          gov::Governor& governor, const RunOptions& options) {
-  const InFlightRun in_flight;
   if (!options.warm_start_from.empty() && !options.resume_from.empty()) {
     throw std::invalid_argument(
         "run_simulation: warm_start_from and resume_from are mutually "
@@ -622,9 +395,11 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       dcores[d] = platform.domain(d).core_count();
       dwork[d].resize(dcores[d]);
     }
-    BlockPrefetcher prefetch(app, start, frames,
-                             std::max<std::size_t>(1, options.block_frames),
-                             total);
+    // block_frames=0 runs one-frame blocks here, all filled on the engine
+    // thread like the single-domain reference loop.
+    BlockPrefetcher prefetch(
+        app, start, frames, std::max<std::size_t>(1, options.block_frames),
+        total, options.block_frames != 0 && prefetch_pays_off(frames - start));
     EpochRecord rec;
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);
@@ -825,7 +600,8 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     // frames (on the engine thread or the helper) only moves the stream's
     // replay cursor, which resume re-derives from the frame position anyway.
     const std::size_t cores = cluster.core_count();
-    BlockPrefetcher prefetch(app, start, frames, options.block_frames, cores);
+    BlockPrefetcher prefetch(app, start, frames, options.block_frames, cores,
+                             prefetch_pays_off(frames - start));
     EpochRecord rec;
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);

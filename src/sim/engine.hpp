@@ -108,8 +108,10 @@ struct RunOptions {
   /// decisions, telemetry emission and checkpoint cadence all remain
   /// per-epoch, pinned by the batched-vs-scalar differential tests. 0 selects
   /// the per-frame reference path (one core_work vector and one
-  /// ClusterEpochResult allocated per frame, never prefetched), kept as the
-  /// differential baseline the batched path is tested against.
+  /// ClusterEpochResult allocated per frame), kept as the differential
+  /// baseline the batched path is tested against; multi-domain boards run it
+  /// as one-frame blocks. Either way no frame is generated on a helper
+  /// thread.
   std::size_t block_frames = 64;
 
   /// Placement policy partitioning the application's work slots across the
@@ -158,39 +160,15 @@ struct RunOptions {
 /// If the governor also implements gov::Clairvoyant it receives the true
 /// demand of each upcoming frame before deciding (Oracle only).
 ///
-/// A run owns \p app's streaming replay cursor until it returns: a long
-/// batched run may generate its upcoming frame blocks on a helper thread
-/// (see ConcurrentRuns), so no other thread may use the same Application
-/// meanwhile — give each concurrent run its own copy.
+/// A run owns \p app's streaming replay cursor until it returns: a batched
+/// run of 1000 frames or more generates its upcoming frame blocks on a
+/// helper thread when the host has two or more hardware threads (see
+/// sim/block_prefetch.hpp), so no other thread may use the same Application
+/// meanwhile — give each concurrent run its own copy. Whether the helper
+/// engages never changes a result bit.
 [[nodiscard]] RunResult run_simulation(hw::Platform& platform,
                                        const wl::Application& app,
                                        gov::Governor& governor,
                                        const RunOptions& options = {});
-
-/// \brief Declares, for its lifetime, that \p runs simulations execute
-///        concurrently with this process's own — a sweep's worker pool, or
-///        the sibling worker processes of a fleet.
-///
-/// The batched engine loops take frame generation off the epoch critical
-/// path with a block-prefetch helper thread, but only when a spare hardware
-/// thread exists: runs in flight x 2 <= std::thread::hardware_concurrency().
-/// Runs in flight is the larger of the run_simulation calls executing in
-/// this process and the sum of all live declarations, so a pool or fleet
-/// already at nproc never oversubscribes. Whether the helper engages never
-/// changes a result bit.
-class ConcurrentRuns {
- public:
-  explicit ConcurrentRuns(std::size_t runs) noexcept;
-  ~ConcurrentRuns();
-  ConcurrentRuns(const ConcurrentRuns&) = delete;
-  ConcurrentRuns& operator=(const ConcurrentRuns&) = delete;
-
- private:
-  std::size_t runs_;
-};
-
-/// \brief Runs in this process so far that engaged the block-prefetch
-///        helper thread (observability and tests).
-[[nodiscard]] std::size_t prefetched_runs() noexcept;
 
 }  // namespace prime::sim

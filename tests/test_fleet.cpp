@@ -5,13 +5,10 @@
 ///        differential and failure-injection properties.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -19,7 +16,6 @@
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/summary.hpp"
-#include "sim/engine.hpp"
 
 namespace prime::fleet {
 namespace {
@@ -531,41 +527,6 @@ TEST(FleetRunner, CorruptCheckpointFallsBackToAFreshStart) {
   const ShardSummary s = run_shard(pop, plan.shard(0), opts);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.started_at_device, s.shard.device_begin);
-}
-
-TEST(FleetRunner, LiveWorkersKeepThePrefetchHelperOff) {
-  // A shard told that the fleet keeps nproc workers live never engages the
-  // engine's prefetch helper, however long its devices run; told it runs
-  // alone, it does when the host has a spare hardware thread. The shard's
-  // aggregates are identical either way.
-  PopulationSpec pop = tiny_population();
-  pop.governors = {"ondemand"};
-  pop.devices_per_cell = 1;
-  pop.frames = 4096;
-  pop.stream = true;
-  const std::string dir = temp_dir("fleet-live-workers");
-  const ShardPlan plan(pop.device_count(), 1);
-  ShardRunnerOptions opts;
-  opts.summary_path = shard_summary_path(dir, 0);
-
-  const std::size_t hardware = std::thread::hardware_concurrency();
-  opts.live_workers = std::max<std::size_t>(1, hardware);
-  const std::size_t before = sim::prefetched_runs();
-  const ShardSummary busy = run_shard(pop, plan.shard(0), opts);
-  EXPECT_EQ(sim::prefetched_runs(), before);
-
-  opts.live_workers = 1;
-  const ShardSummary alone = run_shard(pop, plan.shard(0), opts);
-  EXPECT_EQ(sim::prefetched_runs(), before + (hardware >= 2 ? 1 : 0));
-
-  ASSERT_EQ(busy.cells.size(), 1u);
-  ASSERT_EQ(alone.cells.size(), 1u);
-  const sim::RunResult& a = busy.cells.begin()->second.run;
-  const sim::RunResult& b = alone.cells.begin()->second.run;
-  EXPECT_EQ(a.epoch_count, pop.frames);
-  EXPECT_EQ(b.epoch_count, a.epoch_count);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(b.total_energy),
-            std::bit_cast<std::uint64_t>(a.total_energy));
 }
 
 }  // namespace

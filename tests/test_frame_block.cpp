@@ -19,10 +19,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
 #include "sim/bintrace.hpp"
+#include "sim/block_prefetch.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
@@ -241,72 +243,72 @@ TEST(FrameBlockFill, MatchesCoreWorkForStreamingApps) {
 
 // --- Engine differential: every block size, every governor ------------------
 
-/// Long enough to engage the engine's prefetch helper (2000 frames or more).
+/// Long enough to engage the engine's prefetch helper.
 constexpr std::size_t kLongRun = 4096;
+static_assert(kLongRun >= kMinPrefetchFrames);
 
-/// True when a lone run on this host has a spare hardware thread for the
-/// helper; on a single-thread host every run stays on the engine thread.
+/// True when the host has a spare hardware thread for the helper; on a
+/// single-thread host every run stays on the engine thread.
 bool helper_can_engage() { return std::thread::hardware_concurrency() >= 2; }
-
-/// While alive, declares the machine fully busy, so every run keeps frame
-/// generation on the engine thread — the loop as it ran before the helper.
-struct NoHelper {
-  ConcurrentRuns busy{std::max(1u, std::thread::hardware_concurrency())};
-};
 
 /// Asserts that \p run engaged the helper exactly when \p expect and the
 /// host allows it; returns what \p run returned.
 template <typename Run>
 auto expect_helper(bool expect, Run&& run) {
-  const std::size_t before = prefetched_runs();
+  const std::size_t before = BlockPrefetcher::threaded_runs();
   auto result = run();
-  EXPECT_EQ(prefetched_runs() - before,
+  EXPECT_EQ(BlockPrefetcher::threaded_runs() - before,
             expect && helper_can_engage() ? 1u : 0u);
   return result;
 }
 
-
 TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
   // The tentpole contract: block size is an execution-strategy knob, never an
   // observable one. For every registered governor, the scalar reference path
-  // (block=0) and batched runs at block 1, an odd straggler-producing 7, and
-  // a larger 256 must agree bit for bit — aggregates and every epoch record.
-  // The runs are long enough to engage the prefetch helper, so block 1 also
-  // stresses its handoff (a ring of 64 one-frame blocks, the helper parked
-  // and woken every 32 frames).
-  constexpr std::size_t kFrames = kLongRun;
+  // (block=0) and batched runs at block 1, an odd straggler-producing 7, a
+  // larger 256 and a bigger-than-the-run block must agree bit for bit —
+  // aggregates and every epoch record. A 200-frame run is too short for the
+  // prefetch helper, so it pins the engine-thread batched path. A
+  // kLongRun-frame run engages the helper at every block size that splits
+  // it; block 1 stresses the handoff (a ring of 512 one-frame blocks, the
+  // helper parked and woken every 256 frames).
   const auto calibration = hw::Platform::odroid_xu3_a15();
-  const wl::Application app = make_streaming_app(*calibration, kFrames);
+  for (const std::size_t frames : {std::size_t{200}, kLongRun}) {
+    SCOPED_TRACE(frames);
+    const wl::Application app = make_streaming_app(*calibration, frames);
 
-  for (const std::string& name : governor_names()) {
-    SCOPED_TRACE(name);
+    for (const std::string& name : governor_names()) {
+      SCOPED_TRACE(name);
 
-    const auto run_at = [&](std::size_t block_frames, TraceSink& trace) {
-      const auto platform = hw::Platform::odroid_xu3_a15();
-      const auto governor = make_governor(name);
-      RunOptions options;
-      options.max_frames = kFrames;
-      options.block_frames = block_frames;
-      options.sinks = {&trace};
-      const wl::Application run_app(app);
-      return run_simulation(*platform, run_app, *governor, options);
-    };
+      const auto run_at = [&](std::size_t block_frames, TraceSink& trace) {
+        const auto platform = hw::Platform::odroid_xu3_a15();
+        const auto governor = make_governor(name);
+        RunOptions options;
+        options.max_frames = frames;
+        options.block_frames = block_frames;
+        options.sinks = {&trace};
+        const wl::Application run_app(app);
+        return run_simulation(*platform, run_app, *governor, options);
+      };
 
-    TraceSink scalar_trace;
-    const RunResult scalar = run_at(0, scalar_trace);
-    ASSERT_EQ(scalar_trace.records().size(), kFrames);
+      TraceSink scalar_trace;
+      const RunResult scalar =
+          expect_helper(false, [&] { return run_at(0, scalar_trace); });
+      ASSERT_EQ(scalar_trace.records().size(), frames);
 
-    for (const std::size_t block : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{256}}) {
-      SCOPED_TRACE(block);
-      TraceSink trace;
-      const RunResult batched =
-          expect_helper(true, [&] { return run_at(block, trace); });
-      expect_results_bitequal(scalar, batched);
-      ASSERT_EQ(trace.records().size(), kFrames);
-      for (std::size_t i = 0; i < kFrames; ++i) {
-        expect_records_bitequal(scalar_trace.records()[i],
-                                trace.records()[i]);
+      for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{256}, 2 * kLongRun}) {
+        SCOPED_TRACE(block);
+        const bool threaded = frames >= kMinPrefetchFrames && block < frames;
+        TraceSink trace;
+        const RunResult batched =
+            expect_helper(threaded, [&] { return run_at(block, trace); });
+        expect_results_bitequal(scalar, batched);
+        ASSERT_EQ(trace.records().size(), frames);
+        for (std::size_t i = 0; i < frames; ++i) {
+          expect_records_bitequal(scalar_trace.records()[i],
+                                  trace.records()[i]);
+        }
       }
     }
   }
@@ -405,7 +407,101 @@ TEST(BatchedEngine, KillMidBlockResumeIsBitIdentical) {
 
 // --- Block prefetch helper ---------------------------------------------------
 
+wl::Application make_finite_app(std::size_t available) {
+  std::vector<wl::FrameDemand> frames;
+  for (std::size_t i = 0; i < available; ++i) {
+    frames.push_back(wl::FrameDemand{150'000'000 + 10'000 * (i % 97),
+                                     wl::FrameKind::kGeneric});
+  }
+  const wl::WorkloadTrace trace("finite", std::move(frames));
+  return wl::Application(
+      "finite",
+      [trace] { return std::make_unique<wl::TraceFrameSource>(trace); },
+      30.0);
+}
+
+TEST(BlockPrefetch, HelperServesTheSameBlocksAsTheEngineThread) {
+  // The prefetcher driven directly, from the start of a stream and from a
+  // resume point mid-block: with and without the helper it must hand out
+  // the same blocks, row for row.
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, kLongRun);
+  constexpr std::size_t kCores = 4;
+  for (const std::size_t start : {std::size_t{0}, std::size_t{173}}) {
+    for (const std::size_t block_frames :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE(::testing::Message() << "start " << start << " block "
+                                        << block_frames);
+      const wl::Application engine_app(app);
+      const wl::Application helper_app(app);
+      BlockPrefetcher engine(engine_app, start, kLongRun, block_frames, kCores,
+                             false);
+      BlockPrefetcher helper(helper_app, start, kLongRun, block_frames, kCores,
+                             true);
+      EXPECT_FALSE(engine.threaded());
+      EXPECT_EQ(helper.threaded(), helper_can_engage());
+      ASSERT_EQ(helper.blocks(), engine.blocks());
+      for (std::size_t k = 0; k < engine.blocks(); ++k) {
+        const wl::FrameBlock& want = engine.acquire(k);
+        const wl::FrameBlock& got = helper.acquire(k);
+        ASSERT_EQ(got.start, want.start) << "block " << k;
+        ASSERT_EQ(got.count, want.count) << "block " << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mem_fraction),
+                  std::bit_cast<std::uint64_t>(want.mem_fraction));
+        for (std::size_t b = 0; b < want.count; ++b) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.periods[b]),
+                    std::bit_cast<std::uint64_t>(want.periods[b]))
+              << "frame " << want.start + b;
+          EXPECT_EQ(got.demand[b], want.demand[b])
+              << "frame " << want.start + b;
+          EXPECT_TRUE(std::equal(want.row(b), want.row(b) + kCores, got.row(b)))
+              << "frame " << want.start + b;
+        }
+        engine.release(k);
+        helper.release(k);
+      }
+    }
+  }
+}
+
+TEST(BlockPrefetch, ExhaustedSourceThrowsAtTheSameBlockWithAndWithoutHelper) {
+  // A bounded stream that ends at frame 3000 of a 5000-frame run: the helper
+  // hits the end while filling ahead, but acquire() must rethrow the same
+  // error at the same block as when the engine thread fills every block.
+  const wl::Application app = make_finite_app(3000);
+  struct Outcome {
+    std::string what;
+    std::size_t block = 0;
+  };
+  const auto drain = [&](bool threaded) {
+    const wl::Application run_app(app);
+    BlockPrefetcher prefetch(run_app, 0, 5000, 64, 4, threaded);
+    Outcome out;
+    for (; out.block < prefetch.blocks(); ++out.block) {
+      try {
+        (void)prefetch.acquire(out.block);
+      } catch (const std::out_of_range& e) {
+        out.what = e.what();
+        break;
+      }
+      prefetch.release(out.block);
+    }
+    return out;
+  };
+  const Outcome engine = drain(false);
+  const Outcome helper = drain(true);
+  EXPECT_NE(engine.what.find("frame source exhausted at frame 3000"),
+            std::string::npos)
+      << engine.what;
+  EXPECT_EQ(engine.block, 3000u / 64);
+  EXPECT_EQ(helper.what, engine.what);
+  EXPECT_EQ(helper.block, engine.block);
+}
+
 TEST(PrefetchEngine, MultiDomainHelperRunsMatchEngineThreadRuns) {
+  // On a multi-domain board block_frames=0 runs one-frame blocks on the
+  // engine thread; the default block engages the helper. Every record must
+  // agree.
   common::Config cfg;
   cfg.set_int("hw.clusters", 2);
   cfg.set_int("hw.cores", 2);
@@ -413,24 +509,23 @@ TEST(PrefetchEngine, MultiDomainHelperRunsMatchEngineThreadRuns) {
   const wl::Application app = make_streaming_app(*calibration, kLongRun);
   for (const std::string name : {"ondemand", "rtm"}) {
     SCOPED_TRACE(name);
-    const auto run = [&](TraceSink& trace) {
+    const auto run = [&](std::size_t block_frames, TraceSink& trace) {
       const auto platform = hw::Platform::from_config(cfg);
       const auto governor = make_governor(name);
       RunOptions options;
       options.max_frames = kLongRun;
+      options.block_frames = block_frames;
       options.placement = "spread";
       options.sinks = {&trace};
       const wl::Application run_app(app);
       return run_simulation(*platform, run_app, *governor, options);
     };
     TraceSink reference_trace;
-    const RunResult reference = expect_helper(false, [&] {
-      const NoHelper no_helper;
-      return run(reference_trace);
-    });
+    const RunResult reference =
+        expect_helper(false, [&] { return run(0, reference_trace); });
     TraceSink trace;
     const RunResult prefetched =
-        expect_helper(true, [&] { return run(trace); });
+        expect_helper(true, [&] { return run(64, trace); });
     expect_results_bitequal(reference, prefetched);
     ASSERT_EQ(trace.records().size(), kLongRun);
     for (std::size_t i = 0; i < kLongRun; ++i) {
@@ -441,54 +536,37 @@ TEST(PrefetchEngine, MultiDomainHelperRunsMatchEngineThreadRuns) {
 }
 
 TEST(PrefetchEngine, ExhaustedSourceThrowsAtTheSameFrameAsWithoutHelper) {
-  // A bounded stream that ends at frame 3000 of a 5000-frame run: the
-  // helper hits the end while filling ahead, but the engine must see the
-  // same error at the same block as when it fills every block itself —
-  // after executing exactly the frames before that block.
-  constexpr std::size_t kAvailable = 3000;
-  std::vector<wl::FrameDemand> frames;
-  for (std::size_t i = 0; i < kAvailable; ++i) {
-    frames.push_back(
-        wl::FrameDemand{150'000'000 + 10'000 * (i % 97), wl::FrameKind::kGeneric});
-  }
-  const wl::WorkloadTrace trace("finite", std::move(frames));
-  const wl::Application app(
-      "finite",
-      [trace] { return std::make_unique<wl::TraceFrameSource>(trace); },
-      30.0);
-
-  struct Outcome {
-    std::string what;
+  // A finite stream exhausted mid-run: the error names the first missing
+  // frame, and the run has executed exactly the whole blocks before it —
+  // whether the engine thread (a run too short for the helper) or the
+  // helper (a long one) hit the end.
+  for (const auto& [available, frames] :
+       {std::pair<std::size_t, std::size_t>{600, 900}, {3000, 5000}}) {
+    SCOPED_TRACE(available);
+    const wl::Application app = make_finite_app(available);
     std::size_t epochs = 0;
-  };
-  const auto run = [&] {
-    const auto platform = hw::Platform::odroid_xu3_a15();
-    const auto governor = make_governor("ondemand");
-    Outcome out;
-    CallbackSink count(
-        [&](const EpochRecord&, gov::Governor&) { ++out.epochs; });
-    RunOptions options;
-    options.max_frames = 5000;
-    options.sinks = {&count};
-    const wl::Application run_app(app);
-    try {
-      (void)run_simulation(*platform, run_app, *governor, options);
-    } catch (const std::out_of_range& e) {
-      out.what = e.what();
-    }
-    return out;
-  };
-  const Outcome reference = expect_helper(false, [&] {
-    const NoHelper no_helper;
-    return run();
-  });
-  const Outcome prefetched = expect_helper(true, run);
-  EXPECT_NE(reference.what.find("frame source exhausted at frame 3000"),
-            std::string::npos)
-      << reference.what;
-  EXPECT_EQ(prefetched.what, reference.what);
-  EXPECT_EQ(reference.epochs, kAvailable / 64 * 64);
-  EXPECT_EQ(prefetched.epochs, reference.epochs);
+    std::string what;
+    expect_helper(frames >= kMinPrefetchFrames, [&] {
+      const auto platform = hw::Platform::odroid_xu3_a15();
+      const auto governor = make_governor("ondemand");
+      CallbackSink count(
+          [&](const EpochRecord&, gov::Governor&) { ++epochs; });
+      RunOptions options;
+      options.max_frames = frames;
+      options.sinks = {&count};
+      try {
+        (void)run_simulation(*platform, app, *governor, options);
+      } catch (const std::out_of_range& e) {
+        what = e.what();
+      }
+      return 0;
+    });
+    EXPECT_NE(what.find("frame source exhausted at frame " +
+                        std::to_string(available)),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(epochs, available / 64 * 64);
+  }
 }
 
 TEST(PrefetchEngine, SinkThrowJoinsHelperAndLeavesTheAppReusable) {
@@ -571,31 +649,22 @@ TEST(PrefetchEngine, RepeatRunsOnOneAppRewindTheCursor) {
   }
 }
 
-TEST(PrefetchEngine, DeclaredConcurrencyKeepsTheHelperOff) {
+TEST(PrefetchEngine, ShortRunsKeepTheHelperOff) {
+  // Too short to amortise the thread, however idle the host.
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, kLongRun);
-  const auto run = [&] {
+  for (const std::size_t frames :
+       {kMinPrefetchFrames - 1, kMinPrefetchFrames}) {
+    SCOPED_TRACE(frames);
     const auto platform = hw::Platform::odroid_xu3_a15();
     const auto governor = make_governor("ondemand");
     RunOptions options;
-    options.max_frames = kLongRun;
+    options.max_frames = frames;
     const wl::Application run_app(app);
-    return run_simulation(*platform, run_app, *governor, options);
-  };
-  const RunResult busy = expect_helper(false, [&] {
-    const NoHelper no_helper;
-    return run();
-  });
-  // The declaration ended with its scope.
-  expect_results_bitequal(busy, expect_helper(true, run));
-  // Too short to amortise the thread, however idle the host.
-  const auto platform = hw::Platform::odroid_xu3_a15();
-  const auto governor = make_governor("ondemand");
-  RunOptions options;
-  options.max_frames = 1000;
-  expect_helper(false, [&] {
-    return run_simulation(*platform, wl::Application(app), *governor, options);
-  });
+    expect_helper(frames >= kMinPrefetchFrames, [&] {
+      return run_simulation(*platform, run_app, *governor, options);
+    });
+  }
 }
 
 }  // namespace
