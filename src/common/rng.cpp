@@ -87,6 +87,22 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
+NormalDraw Rng::draw_normal(double mean, double stddev) noexcept {
+  const double value = normal(mean, stddev);
+  return {value, cached_normal_};
+}
+
+void Rng::skip_normal(const NormalDraw& draw) noexcept {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return;
+  }
+  (void)next_u64();
+  (void)next_u64();
+  cached_normal_ = draw.cached;
+  has_cached_normal_ = true;
+}
+
 double Rng::exponential(double rate) noexcept {
   double u = uniform();
   if (u < 1.0e-300) u = 1.0e-300;

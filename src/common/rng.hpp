@@ -18,6 +18,14 @@ namespace prime::common {
 class StateWriter;
 class StateReader;
 
+/// \brief One normal(mean, stddev) deviate drawn ahead on a copy of an Rng,
+///        with what Rng::skip_normal() needs to advance the original in
+///        lockstep without redoing the Box–Muller math.
+struct NormalDraw {
+  double value = 0.0;   ///< The deviate normal(mean, stddev) returned.
+  double cached = 0.0;  ///< The Box–Muller half the draw left cached.
+};
+
 /// \brief SplitMix64 stepping function; used to expand a 64-bit seed into the
 ///        256-bit xoshiro state. Also usable as a cheap standalone generator.
 /// \param state In/out 64-bit state, advanced by one step.
@@ -71,6 +79,14 @@ class Rng {
   [[nodiscard]] double normal() noexcept;
   /// \brief Normal deviate with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
+  /// \brief normal(mean, stddev), plus the cached half skip_normal() needs.
+  [[nodiscard]] NormalDraw draw_normal(double mean, double stddev) noexcept;
+  /// \brief Advance exactly as the normal() call behind \p draw advanced the
+  ///        copy it was drawn on — two raw draws and the cached half on a new
+  ///        pair, a cache clear otherwise — so this generator's state (and
+  ///        save_state() bytes) match. Requires this generator to be in the
+  ///        state that copy was in before the draw.
+  void skip_normal(const NormalDraw& draw) noexcept;
   /// \brief Exponential deviate with the given rate (lambda > 0).
   [[nodiscard]] double exponential(double rate) noexcept;
   /// \brief Bernoulli trial returning true with probability \p p.

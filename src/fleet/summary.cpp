@@ -1,10 +1,10 @@
 #include "fleet/summary.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <utility>
 
+#include "common/atomic_file.hpp"
 #include "common/binio.hpp"
 #include "common/serial.hpp"
 
@@ -319,24 +319,8 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
 }
 
 void ShardSummary::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw FleetError("shard summary: cannot open '" + tmp +
-                       "' for writing (does the parent directory exist?)");
-    }
-    write(out);
-    out.close();
-    if (!out) {
-      throw FleetError("shard summary: closing '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw FleetError("shard summary: cannot rename '" + tmp + "' over '" +
-                     path + "'");
-  }
+  common::save_file_atomically<FleetError>(
+      path, "shard summary", [this](std::ostream& out) { write(out); });
 }
 
 ShardSummary ShardSummary::load_file(const std::string& path) {

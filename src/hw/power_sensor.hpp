@@ -41,6 +41,21 @@ class PowerSensor {
   /// \brief Sample \p true_power over \p dt seconds and accumulate measured
   ///        energy. Returns the reading.
   common::Watt integrate(common::Watt true_power, common::Seconds dt) noexcept;
+  /// \brief integrate() with its noise term drawn ahead by draw_noise() on a
+  ///        copy of noise_rng(), taken in the state this sensor is in now:
+  ///        the same reading and energy, and the sensor's own generator
+  ///        advances in lockstep, so save_state() bytes match too.
+  common::Watt integrate(common::Watt true_power, common::Seconds dt,
+                         const common::NormalDraw& noise) noexcept;
+
+  /// \brief The generator the next integrate() draws its noise from; draw
+  ///        on a copy of it with draw_noise() to pre-draw the noise stream.
+  [[nodiscard]] const common::Rng& noise_rng() const noexcept { return rng_; }
+  /// \brief The noise term integrate() would draw from \p ahead.
+  [[nodiscard]] common::NormalDraw draw_noise(
+      common::Rng& ahead) const noexcept {
+    return ahead.draw_normal(0.0, params_.noise_sigma);
+  }
 
   /// \brief Energy integrated from readings so far.
   [[nodiscard]] common::Joule measured_energy() const noexcept { return energy_; }
@@ -57,6 +72,9 @@ class PowerSensor {
   void load_state(common::StateReader& in);
 
  private:
+  [[nodiscard]] common::Watt to_reading(common::Watt true_power,
+                                        double noise) const noexcept;
+
   PowerSensorParams params_;
   common::Rng rng_;
   double gain_;

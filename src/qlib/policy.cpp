@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/atomic_file.hpp"
 #include "common/binio.hpp"
 #include "common/hash.hpp"
 #include "common/serial.hpp"
@@ -260,23 +261,8 @@ PolicyEntry PolicyEntry::read(std::istream& in, const std::string& label) {
 }
 
 void PolicyEntry::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw QlibError("policy: cannot open '" + tmp +
-                      "' for writing (does the parent directory exist?)");
-    }
-    write(out);
-    out.close();
-    if (!out) {
-      throw QlibError("policy: closing '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw QlibError("policy: cannot rename '" + tmp + "' over '" + path + "'");
-  }
+  common::save_file_atomically<QlibError>(
+      path, "policy", [this](std::ostream& out) { write(out); });
 }
 
 PolicyEntry PolicyEntry::load_file(const std::string& path) {

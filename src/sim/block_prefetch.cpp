@@ -27,17 +27,23 @@ bool prefetch_pays_off(std::size_t frames) {
 BlockPrefetcher::BlockPrefetcher(const wl::Application& app,
                                  std::size_t start, std::size_t frames,
                                  std::size_t block_frames, std::size_t cores,
-                                 bool threaded)
+                                 bool threaded, const hw::PowerSensor* sensor)
     : app_(app), start_(start), frames_(frames), block_frames_(block_frames),
       cores_(cores),
-      blocks_((frames - start + block_frames - 1) / block_frames) {
+      blocks_((frames - start + block_frames - 1) / block_frames),
+      sensor_(sensor),
+      noise_rng_(sensor != nullptr ? sensor->noise_rng() : common::Rng{}) {
   threaded = threaded && blocks_ > 1;
   const std::size_t slots =
       threaded ? std::min(blocks_,
                           std::max(kMinSlots, kRingFrames / block_frames))
                : 1;
   ring_.resize(slots);
-  if (blocks_ > 0) fill(0, ring_[0]);
+  noise_.resize(slots);
+  if (sensor_ != nullptr) {
+    for (auto& terms : noise_) terms.resize(block_frames);
+  }
+  if (blocks_ > 0) fill(0);
   if (!threaded) return;
   for (std::size_t s = 1; s < slots; ++s) {
     ring_[s].reshape(block_frames, cores);
@@ -63,7 +69,7 @@ BlockPrefetcher::~BlockPrefetcher() {
 
 wl::FrameBlock& BlockPrefetcher::acquire(std::size_t k) {
   if (!helper_.joinable()) {
-    if (k > 0) fill(k, ring_[0]);
+    if (k > 0) fill(k);
     return ring_[0];
   }
   std::unique_lock<std::mutex> lock(mutex_);
@@ -87,10 +93,17 @@ std::size_t BlockPrefetcher::threaded_runs() noexcept {
   return g_threaded_runs.load();
 }
 
-void BlockPrefetcher::fill(std::size_t k, wl::FrameBlock& block) const {
+/// Fill block k into its ring slot, then draw its noise terms.
+void BlockPrefetcher::fill(std::size_t k) {
+  const std::size_t slot = k % ring_.size();
   const std::size_t first = start_ + k * block_frames_;
-  app_.fill_block(first, std::min(block_frames_, frames_ - first), cores_,
-                  block);
+  const std::size_t count = std::min(block_frames_, frames_ - first);
+  app_.fill_block(first, count, cores_, ring_[slot]);
+  if (sensor_ == nullptr) return;
+  common::NormalDraw* terms = noise_[slot].data();
+  for (std::size_t b = 0; b < count; ++b) {
+    terms[b] = sensor_->draw_noise(noise_rng_);
+  }
 }
 
 /// At least half the ring is free: when a parked helper resumes. Called
@@ -111,7 +124,7 @@ void BlockPrefetcher::run_helper() noexcept {
     }
     std::exception_ptr error;
     try {
-      fill(k, ring_[k % slots]);
+      fill(k);
     } catch (...) {
       error = std::current_exception();
     }

@@ -1,12 +1,13 @@
 /// \file block_prefetch.hpp
 /// \brief The engine's frame-block prefetcher: serves a run's frames to the
 ///        batched loops in sim/engine.cpp as consecutive wl::FrameBlocks,
-///        optionally generated ahead on a helper thread.
+///        with each frame's power-sensor noise term, optionally generated
+///        ahead on a helper thread.
 ///
-/// Frame generation is seed-deterministic and independent of any governor
-/// decision, so it can run ahead of the epoch loop on a spare core without
-/// changing a bit. Internal to the engine; declared here so tests can drive
-/// it directly.
+/// Frame generation and the sensor's noise stream are seed-deterministic and
+/// independent of any governor decision, so they can run ahead of the epoch
+/// loop on a spare core without changing a bit. Internal to the engine;
+/// declared here so tests can drive it directly.
 #pragma once
 
 #include <condition_variable>
@@ -16,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "hw/power_sensor.hpp"
 #include "wl/application.hpp"
 #include "wl/frame_block.hpp"
 
@@ -45,6 +48,11 @@ inline constexpr std::size_t kMinPrefetchFrames = 1000;
 /// Both produce the same frames and leave the Application's cursor in the
 /// same place — the helper owns that cursor until the prefetcher dies.
 ///
+/// Given a `sensor`, each block also carries one noise term per frame,
+/// drawn right after the block's fill_block call (same thread, same order)
+/// from a copy of the sensor's generator taken at construction — after any
+/// resume or reset — for hw::PowerSensor's pre-drawn integrate().
+///
 /// Handoff is two counters under one mutex: blocks filled (helper ->
 /// engine) and blocks released (engine -> helper). The helper sleeps only on
 /// a full ring and is notified once half the ring is free; notifying a
@@ -57,7 +65,8 @@ class BlockPrefetcher {
  public:
   BlockPrefetcher(const wl::Application& app, std::size_t start,
                   std::size_t frames, std::size_t block_frames,
-                  std::size_t cores, bool threaded);
+                  std::size_t cores, bool threaded,
+                  const hw::PowerSensor* sensor = nullptr);
   ~BlockPrefetcher();
   BlockPrefetcher(const BlockPrefetcher&) = delete;
   BlockPrefetcher& operator=(const BlockPrefetcher&) = delete;
@@ -68,6 +77,11 @@ class BlockPrefetcher {
 
   /// The filled block k; the caller owns it until release(k).
   wl::FrameBlock& acquire(std::size_t k);
+  /// Block k's sensor noise terms, one per frame (a sensor was given);
+  /// valid from acquire(k) to release(k).
+  [[nodiscard]] const common::NormalDraw* noise(std::size_t k) const noexcept {
+    return noise_[k % noise_.size()].data();
+  }
   /// Hand block k back for refilling.
   void release(std::size_t k);
 
@@ -75,7 +89,7 @@ class BlockPrefetcher {
   [[nodiscard]] static std::size_t threaded_runs() noexcept;
 
  private:
-  void fill(std::size_t k, wl::FrameBlock& block) const;
+  void fill(std::size_t k);
   [[nodiscard]] bool half_free() const noexcept;
   void run_helper() noexcept;
 
@@ -85,7 +99,10 @@ class BlockPrefetcher {
   const std::size_t block_frames_;
   const std::size_t cores_;
   const std::size_t blocks_;
+  const hw::PowerSensor* const sensor_;
+  common::Rng noise_rng_;  ///< Used by whichever thread fills the blocks.
   std::vector<wl::FrameBlock> ring_;
+  std::vector<std::vector<common::NormalDraw>> noise_;  ///< Parallel ring.
   std::mutex mutex_;  ///< Guards the four fields below once the helper runs.
   std::size_t filled_ = 0;
   std::size_t released_ = 0;

@@ -1,12 +1,15 @@
 #include "sim/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
+#include "common/atomic_file.hpp"
 #include "common/binio.hpp"
+#include "common/log.hpp"
 #include "common/serial.hpp"
 
 namespace prime::sim {
@@ -212,25 +215,8 @@ Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
 }
 
 void Checkpoint::save_file(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw CheckpointError("checkpoint: cannot open '" + tmp +
-                            "' for writing (does the parent directory "
-                            "exist?)");
-    }
-    write(out);
-    out.close();
-    if (!out) {
-      throw CheckpointError("checkpoint: closing '" + tmp + "' failed");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("checkpoint: cannot rename '" + tmp + "' over '" +
-                          path + "'");
-  }
+  common::save_file_atomically<CheckpointError>(
+      path, "checkpoint", [this](std::ostream& out) { write(out); });
 }
 
 Checkpoint Checkpoint::load_file(const std::string& path) {
@@ -252,6 +238,13 @@ CheckpointSink::CheckpointSink(std::string path, std::size_t every)
 }
 
 void CheckpointSink::bind(CheckpointSnapshotFn snapshot) {
+  // Only a run that already threw leaves a write in flight here. Its own
+  // exception is the one propagating, so a failed write is logged instead.
+  try {
+    await_pending();
+  } catch (const std::exception& e) {
+    common::log_warn() << e.what() << " (the run had already failed)";
+  }
   snapshot_ = std::move(snapshot);
 }
 
@@ -269,19 +262,35 @@ void CheckpointSink::on_run_begin(const RunContext&) {
 
 void CheckpointSink::on_epoch(const EpochRecord&, gov::Governor&) {
   ++seen_;
-  if (every_ > 0 && seen_ % every_ == 0) write_snapshot();
+  if (every_ > 0 && seen_ % every_ == 0) write_snapshot(true);
 }
 
 void CheckpointSink::on_run_end(const RunResult&) {
   // Always leave a final checkpoint: a completed run can then be *extended*
   // (resume with a larger max_frames) without replaying its history.
-  write_snapshot();
+  write_snapshot(false);
   snapshot_ = nullptr;  // the engine's captures die with the run
 }
 
-void CheckpointSink::write_snapshot() {
-  snapshot_().save_file(path_);
+void CheckpointSink::write_snapshot(bool background) {
+  await_pending();
+  const auto ck = std::make_shared<const Checkpoint>(snapshot_());
+  if (background) {
+    try {
+      pending_ = std::async(std::launch::async,
+                            [ck, path = path_] { ck->save_file(path); });
+      ++written_;
+      return;
+    } catch (const std::system_error&) {
+      // No thread to be had (EAGAIN): seal it here instead.
+    }
+  }
+  ck->save_file(path_);
   ++written_;
+}
+
+void CheckpointSink::await_pending() {
+  if (pending_.valid()) pending_.get();  // get() leaves pending_ empty
 }
 
 // --- Registry entry ----------------------------------------------------------

@@ -41,6 +41,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -125,15 +126,27 @@ using CheckpointSnapshotFn = std::function<Checkpoint()>;
 /// with respect to the run (a checkpointed run executes identically to an
 /// unobserved one) and overwrite the same path atomically, so the file always
 /// holds the most recent complete snapshot. `every=0` writes only the final
-/// run-end checkpoint. Engines that do not support checkpointing (the
-/// multi-app engine) never bind the sink, which then fails loudly at run
-/// begin instead of silently recording nothing.
+/// run-end checkpoint.
+///
+/// Periodic snapshots are taken on the engine thread at their epoch, then
+/// sealed into the file on a background thread while the run goes on. At
+/// most one write is in flight: the next snapshot, run end and bind() wait
+/// for it, and a failed write's CheckpointError is rethrown on the engine
+/// thread there (bind() logs it instead: a write is still in flight there
+/// only when the run has already thrown). The run-end checkpoint is written
+/// synchronously, so a returned run's file is sealed and can be resumed at
+/// once.
+///
+/// Engines that do not support checkpointing (the multi-app engine) never
+/// bind the sink, which then fails loudly at run begin instead of silently
+/// recording nothing.
 class CheckpointSink : public TelemetrySink {
  public:
   /// \brief Write to \p path every \p every epochs (0 = run end only).
   explicit CheckpointSink(std::string path, std::size_t every = 0);
 
-  /// \brief Supply the engine's snapshot function (valid for one run).
+  /// \brief Supply the engine's snapshot function (valid for one run), or
+  ///        unbind with nullptr; either waits for a write in flight.
   void bind(CheckpointSnapshotFn snapshot);
 
   void on_run_begin(const RunContext& ctx) override;
@@ -148,11 +161,14 @@ class CheckpointSink : public TelemetrySink {
   }
 
  private:
-  void write_snapshot();
+  void write_snapshot(bool background);
+  /// Wait for the write in flight, if any; rethrow its error.
+  void await_pending();
 
   std::string path_;
   std::size_t every_;
   CheckpointSnapshotFn snapshot_;
+  std::future<void> pending_;  ///< The background write in flight.
   std::size_t seen_ = 0;
   std::size_t written_ = 0;
 };

@@ -397,12 +397,15 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     }
     // block_frames=0 runs one-frame blocks here, all filled on the engine
     // thread like the single-domain reference loop.
+    hw::PowerSensor& sensor = platform.power_sensor();
     BlockPrefetcher prefetch(
         app, start, frames, std::max<std::size_t>(1, options.block_frames),
-        total, options.block_frames != 0 && prefetch_pays_off(frames - start));
+        total, options.block_frames != 0 && prefetch_pays_off(frames - start),
+        &sensor);
     EpochRecord rec;
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);
+      const common::NormalDraw* noise = prefetch.noise(k);
       std::size_t i = block.start;
       for (std::size_t b = 0; b < block.count; ++b, ++i) {
         const common::Seconds period = block.periods[b];
@@ -477,7 +480,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         // energy spread over the longest domain window.
         const common::Watt avg_power = window > 0.0 ? energy / window : 0.0;
         const common::Watt reading =
-            platform.power_sensor().integrate(avg_power, window);
+            sensor.integrate(avg_power, window, noise[b]);
 
         rec.epoch = i;
         rec.period = period;
@@ -599,12 +602,16 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     // the block size can never shift a snapshot or a record; prefetching
     // frames (on the engine thread or the helper) only moves the stream's
     // replay cursor, which resume re-derives from the frame position anyway.
+    // The sensor's noise terms are drawn ahead with the frames; the sensor's
+    // own generator steps in lockstep, so snapshots see the same state.
     const std::size_t cores = cluster.core_count();
+    hw::PowerSensor& sensor = platform.power_sensor();
     BlockPrefetcher prefetch(app, start, frames, options.block_frames, cores,
-                             prefetch_pays_off(frames - start));
+                             prefetch_pays_off(frames - start), &sensor);
     EpochRecord rec;
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);
+      const common::NormalDraw* noise = prefetch.noise(k);
       std::size_t i = block.start;
       for (std::size_t b = 0; b < block.count; ++b, ++i) {
         const common::Seconds period = block.periods[b];
@@ -635,8 +642,8 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
         cluster.run_epoch_into(row, cores, period, block.mem_fraction, 1.0e9,
                                scratch);
-        const common::Watt reading = platform.power_sensor().integrate(
-            scratch.avg_power, scratch.window);
+        const common::Watt reading =
+            sensor.integrate(scratch.avg_power, scratch.window, noise[b]);
 
         rec.epoch = i;
         rec.period = period;

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/binio.hpp"
+#include "common/log.hpp"
 #include "common/serial.hpp"
 #include "gov/governor.hpp"
 #include "hw/platform.hpp"
@@ -30,6 +32,7 @@
 #include "wl/frame_source.hpp"
 #include "wl/registry.hpp"
 #include "wl/video.hpp"
+#include "short_write.hpp"
 
 namespace prime::sim {
 namespace {
@@ -404,6 +407,17 @@ TEST(CheckpointFormat, SaveIsAtomicOverAnExistingFile) {
   EXPECT_EQ(Checkpoint::load_file(path).frame_position, 500u);
 }
 
+TEST(CheckpointFormat, ShortWriteThrowsAndLeavesNoTempFile) {
+  const std::string path = temp_path("short.ckpt");
+  std::filesystem::remove(path);
+  const Checkpoint ck = sample_checkpoint();
+  EXPECT_EXIT(testing_util::save_past_file_size_limit<CheckpointError>(
+                  [&] { ck.save_file(path); }),
+              testing::ExitedWithCode(0), "checkpoint: stream write failed");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 TEST(CheckpointFormat, RejectsCorruptFiles) {
   const std::string path = temp_path("corrupt.ckpt");
   sample_checkpoint().save_file(path);
@@ -755,22 +769,101 @@ TEST(CheckpointSinkTest, ThrowingRunUnbindsTheSnapshot) {
   // A run that dies mid-loop skips on_run_end, but the engine's scope guard
   // must still unbind the sink — reusing it afterwards has to hit the
   // loud unbound-use error, never a dangling binding into the dead frame.
+  // At every=1 with one-frame blocks the source runs dry after five epochs,
+  // with the fifth snapshot still being sealed in the background: unbinding
+  // waits for it, so the file holds that last snapshot, sealed.
   wl::WorkloadTrace trace =
       wl::VideoTraceGenerator::h264_football().generate(5, 3);
   const wl::Application bounded(
       "bounded", [trace] { return std::make_unique<wl::TraceFrameSource>(trace); },
       30.0);
+  for (const std::size_t every : {2, 1}) {
+    SCOPED_TRACE(every);
+    const std::string path = temp_path("throwing.ckpt");
+    std::filesystem::remove(path);
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("performance");
+    const auto sink = make_sink("checkpoint(path=" + path +
+                                ",every=" + std::to_string(every) + ")");
+    RunOptions options;
+    options.max_frames = 10;  // exhausts the 5-frame source mid-run
+    options.block_frames = every == 1 ? 1 : options.block_frames;
+    options.sinks = {sink.get()};
+    EXPECT_THROW((void)run_simulation(*platform, bounded, *governor, options),
+                 std::out_of_range);
+    RunContext ctx;
+    EXPECT_THROW(sink->on_run_begin(ctx), std::logic_error);
+    if (every == 1) {
+      EXPECT_EQ(Checkpoint::load_file(path).frame_position, 5u);
+      EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    }
+  }
+}
+
+TEST(CheckpointSinkTest, EngineThrowOutranksAFailedBackgroundWrite) {
+  // The fifth snapshot's background write fails (missing directory) while
+  // the source runs dry on the next frame: the run throws the source's
+  // error, and unbinding joins the failed write and logs it, not rethrows.
+  wl::WorkloadTrace trace =
+      wl::VideoTraceGenerator::h264_football().generate(5, 3);
+  const wl::Application bounded(
+      "bounded", [trace] { return std::make_unique<wl::TraceFrameSource>(trace); },
+      30.0);
+  const std::string path = temp_path("no-such-dir/outranked.ckpt");
   const auto platform = hw::Platform::odroid_xu3_a15();
   const auto governor = make_governor("performance");
-  const auto sink = make_sink("checkpoint(path=" + temp_path("throwing.ckpt") +
-                              ",every=2)");
   RunOptions options;
-  options.max_frames = 10;  // exhausts the 5-frame source mid-run
-  options.sinks = {sink.get()};
+  options.max_frames = 10;
+  options.block_frames = 1;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 5;
+  std::ostringstream log;
+  common::Log::set_sink(&log);
   EXPECT_THROW((void)run_simulation(*platform, bounded, *governor, options),
                std::out_of_range);
-  RunContext ctx;
-  EXPECT_THROW(sink->on_run_begin(ctx), std::logic_error);
+  common::Log::set_sink(nullptr);
+  EXPECT_NE(log.str().find(path), std::string::npos) << log.str();
+}
+
+/// Threads of this process (0 where /proc/self/task is unavailable).
+std::size_t thread_count() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(CheckpointSinkTest, FailedWriteFailsTheRunByRunEnd) {
+  // A checkpoint path under a missing directory. Whether the first failing
+  // write is a periodic one sealed in the background or the synchronous
+  // run-end one, the run throws its CheckpointError, naming the file, and
+  // leaves no writer (or prefetch) thread behind.
+  const std::string path = temp_path("no-such-dir/run.ckpt");
+  constexpr std::size_t kFrames = 2000;
+  const auto calibration = hw::Platform::odroid_xu3_a15();
+  const wl::Application app = make_streaming_app(*calibration, kFrames);
+  for (const std::size_t every : {1, 7, 0}) {
+    SCOPED_TRACE(every);
+    const std::size_t threads = thread_count();
+    const auto platform = hw::Platform::odroid_xu3_a15();
+    const auto governor = make_governor("rtm");
+    RunOptions options;
+    options.max_frames = kFrames;
+    options.checkpoint_path = path;
+    options.checkpoint_every = every;
+    const wl::Application run_app(app);
+    try {
+      (void)run_simulation(*platform, run_app, *governor, options);
+      ADD_FAILURE() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(thread_count(), threads);
+  }
 }
 
 TEST(CheckpointSinkTest, SpecValidation) {

@@ -16,6 +16,7 @@
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/summary.hpp"
+#include "short_write.hpp"
 
 namespace prime::fleet {
 namespace {
@@ -371,6 +372,17 @@ TEST(ShardSummaryFile, RejectsCorruptFiles) {
   rewrite_and_expect(bytes + "x", "trailing bytes");
   rewrite_and_expect(bytes.substr(0, bytes.size() - 3), "truncated");
   rewrite_and_expect(bytes.substr(0, 40), "truncated");
+}
+
+TEST(ShardSummaryFile, ShortWriteThrowsAndLeavesNoTempFile) {
+  const PopulationSpec pop = tiny_population();
+  const ShardSummary summary = sample_summary(pop);
+  const std::string path = temp_dir("fsum-short") + "/s.fsum";
+  EXPECT_EXIT(testing_util::save_past_file_size_limit<FleetError>(
+                  [&] { summary.save_file(path); }),
+              testing::ExitedWithCode(0), "shard summary: stream write failed");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(ShardSummaryFile, RejectsInconsistentProgress) {

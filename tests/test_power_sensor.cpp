@@ -2,6 +2,13 @@
 /// \brief Unit tests for the INA231-like power sensor emulation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "common/rng.hpp"
+#include "common/serial.hpp"
 #include "hw/power_sensor.hpp"
 
 namespace prime::hw {
@@ -81,6 +88,67 @@ TEST(PowerSensor, MeasuredEnergyCloseToTrueEnergy) {
     true_energy += 3.5 * 0.04;
   }
   EXPECT_NEAR(s.measured_energy() / true_energy, 1.0, 0.02);
+}
+
+std::string state_bytes(const PowerSensor& s) {
+  std::ostringstream out;
+  common::StateWriter w(out);
+  s.save_state(w);
+  return out.str();
+}
+
+/// Drives \p plain with integrate() and \p drawn with pre-drawn terms from
+/// \p ahead for \p n epochs of varying power, checking every reading.
+void integrate_in_lockstep(PowerSensor& plain, PowerSensor& drawn,
+                           common::Rng& ahead, int n) {
+  for (int i = 0; i < n; ++i) {
+    const double power = 1.0 + 0.37 * (i % 11);
+    const double dt = 0.01 + 0.001 * (i % 7);
+    const common::NormalDraw noise = drawn.draw_noise(ahead);
+    const double a = plain.integrate(power, dt);
+    const double b = drawn.integrate(power, dt, noise);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << "epoch " << i;
+  }
+}
+
+TEST(PowerSensor, PreDrawnNoiseMatchesIntegrateInLockstep) {
+  // The engine's batched loops draw the noise stream ahead on a copy of the
+  // sensor's generator. Readings, energy and save_state bytes must equal
+  // plain integrate()'s after odd counts (a Box–Muller half still cached)
+  // and even ones.
+  for (const int n : {1, 2, 7, 64, 129}) {
+    SCOPED_TRACE(n);
+    PowerSensor plain(PowerSensorParams{}, 11);
+    PowerSensor drawn(PowerSensorParams{}, 11);
+    common::Rng ahead = drawn.noise_rng();
+    integrate_in_lockstep(plain, drawn, ahead, n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.measured_energy()),
+              std::bit_cast<std::uint64_t>(drawn.measured_energy()));
+    EXPECT_EQ(state_bytes(plain), state_bytes(drawn));
+  }
+}
+
+TEST(PowerSensor, PreDrawnNoiseSurvivesASaveLoadMidPair) {
+  // A checkpoint taken between the two halves of a Box–Muller pair: the
+  // resumed sensor (with a fresh copy of its restored generator) continues
+  // exactly where an uninterrupted plain sensor does.
+  PowerSensor plain(PowerSensorParams{}, 12);
+  PowerSensor drawn(PowerSensorParams{}, 12);
+  common::Rng ahead = drawn.noise_rng();
+  integrate_in_lockstep(plain, drawn, ahead, 3);  // odd: one half cached
+  const std::string saved = state_bytes(drawn);
+  ASSERT_EQ(saved, state_bytes(plain));
+
+  PowerSensor resumed(PowerSensorParams{}, 99);
+  std::istringstream in(saved);
+  common::StateReader r(in);
+  resumed.load_state(r);
+  common::Rng resumed_ahead = resumed.noise_rng();
+  integrate_in_lockstep(plain, resumed, resumed_ahead, 6);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plain.measured_energy()),
+            std::bit_cast<std::uint64_t>(resumed.measured_energy()));
+  EXPECT_EQ(state_bytes(plain), state_bytes(resumed));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
+#include "short_write.hpp"
 
 namespace prime::qlib {
 namespace {
@@ -165,6 +166,17 @@ TEST(PolicyEntryFile, RoundTripsExactly) {
   const std::string again = temp_dir("roundtrip2") + "/entry.qpol";
   loaded.save_file(again);
   EXPECT_EQ(read_bytes(again), read_bytes(path));
+}
+
+TEST(PolicyEntryFile, ShortWriteThrowsAndLeavesNoTempFile) {
+  auto platform = hw::Platform::odroid_xu3_a15();
+  const PolicyEntry entry = train_leaf(*platform, "rtm", 1, 2);
+  const std::string path = temp_dir("short") + "/entry.qpol";
+  EXPECT_EXIT(testing_util::save_past_file_size_limit<QlibError>(
+                  [&] { entry.save_file(path); }),
+              testing::ExitedWithCode(0), "policy: stream write failed");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(PolicyEntryFile, RejectsCorruptFiles) {
