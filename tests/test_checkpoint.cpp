@@ -32,26 +32,19 @@
 #include "wl/frame_source.hpp"
 #include "wl/registry.hpp"
 #include "wl/video.hpp"
+#include "sealed_fixtures.hpp"
 #include "short_write.hpp"
 
 namespace prime::sim {
 namespace {
 
+using testing_util::read_bytes;
+using testing_util::sample_checkpoint;
+using testing_util::synthetic_obs;
+using testing_util::write_bytes;
+
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 /// A streaming (unbounded, seed-deterministic) application, calibrated like
@@ -101,34 +94,6 @@ void expect_records_bitequal(const EpochRecord& a, const EpochRecord& b) {
 // (e, chosen action), so two governors in identical state produce identical
 // action streams — and any forgotten member in save/load/reset shows up as a
 // diverging action.
-
-gov::EpochObservation synthetic_obs(std::size_t epoch, std::size_t action,
-                                    double period, const hw::OppTable& opps) {
-  gov::EpochObservation obs;
-  obs.epoch = epoch;
-  obs.period = period;
-  // Sweeps the frame time across the deadline so slack changes sign, misses
-  // occur, and reactive/PID/RL governors all see varied state.
-  obs.frame_time = period * (0.60 + 0.05 * static_cast<double>(
-                                               (epoch * 7 + action) % 12));
-  obs.window = obs.frame_time > period ? obs.frame_time : period;
-  obs.opp_index = action;
-  const double freq = opps.at(action).frequency;
-  std::vector<common::Cycles> cycles(4);
-  obs.total_cycles = 0;
-  for (std::size_t i = 0; i < cycles.size(); ++i) {
-    cycles[i] = static_cast<common::Cycles>(
-        obs.frame_time * freq * (0.70 + 0.06 * static_cast<double>(i)));
-    obs.total_cycles += cycles[i];
-  }
-  obs.core_cycles = std::move(cycles);
-  obs.avg_power = 1.0 + 0.2 * static_cast<double>(action);
-  // 70..94 degC: crosses the thermal-cap trip (85) and release (78) points,
-  // so the decorator's cap state machine actually exercises.
-  obs.temperature = 70.0 + static_cast<double>(epoch % 25);
-  obs.deadline_met = obs.frame_time <= period;
-  return obs;
-}
 
 struct DriveResult {
   std::vector<std::size_t> actions;
@@ -356,27 +321,6 @@ TEST(GovernorState, LoadRejectsTruncatedPayload) {
 }
 
 // --- The `.ckpt` format ------------------------------------------------------
-
-Checkpoint sample_checkpoint() {
-  Checkpoint ck;
-  ck.governor = "test-governor";
-  ck.application = "test-app";
-  ck.opp_count = 19;
-  ck.core_count = 4;
-  ck.frame_position = 173;
-  ck.aggregates.epoch_count = 173;
-  ck.aggregates.total_energy = 12.5;
-  ck.aggregates.total_time = 6.92;
-  ck.aggregates.deadline_misses = 3;
-  ck.aggregates.performance_sum = 150.25;
-  ck.aggregates.power_sum = 310.0;
-  ck.has_last = true;
-  ck.last = synthetic_obs(172, 5, 1.0 / 30.0,
-                          hw::Platform::odroid_xu3_a15()->opp_table());
-  ck.governor_state = std::string("\x01\x02\x03\x00\x04", 5);
-  ck.platform_state = std::string(300, '\x7f');
-  return ck;
-}
 
 TEST(CheckpointFormat, FileRoundTripPreservesEveryField) {
   const std::string path = temp_path("roundtrip.ckpt");

@@ -16,10 +16,15 @@
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
 #include "fleet/summary.hpp"
+#include "sealed_fixtures.hpp"
 #include "short_write.hpp"
 
 namespace prime::fleet {
 namespace {
+
+using testing_util::random_result;
+using testing_util::sample_summary;
+using testing_util::tiny_population;
 
 /// A per-test scratch directory, wiped first: several tests assert on how
 /// many workers were launched, and a summary left behind by a previous test
@@ -29,22 +34,6 @@ std::string temp_dir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-/// A tiny population that runs in milliseconds per device: 2 governors x 1
-/// workload x 3 replicas = 6 devices of 20 frames each.
-PopulationSpec tiny_population() {
-  PopulationSpec pop;
-  pop.governors = {"performance", "ondemand"};
-  pop.workloads = {"flat(mean=2e8,cv=0.1)"};
-  pop.fps = {30.0};
-  pop.devices_per_cell = 3;
-  pop.frames = 20;
-  pop.base_seed = 99;
-  pop.energy_bins = 64;
-  pop.miss_bins = 32;
-  pop.perf_bins = 32;
-  return pop;
 }
 
 std::string report_csv(const PopulationReport& report) {
@@ -227,20 +216,6 @@ TEST(RunResultMerge, AssociativeOnDyadicValues) {
   EXPECT_EQ(grouped.power_sum, seq.power_sum);
 }
 
-/// Random (non-dyadic) per-device results: ExactSum and integer histograms
-/// must make the *cell* merge exact even where plain f64 sums would drift.
-sim::RunResult random_result(common::Rng& rng) {
-  sim::RunResult r;
-  r.epoch_count = 20;
-  r.total_energy = rng.uniform(0.0, 30.0);
-  r.measured_energy = rng.uniform(0.0, 30.0);
-  r.total_time = rng.uniform(0.1, 2.0);
-  r.deadline_misses = static_cast<std::size_t>(rng.next_u64() % 20);
-  r.performance_sum = rng.uniform(10.0, 40.0);
-  r.power_sum = rng.uniform(20.0, 90.0);
-  return r;
-}
-
 void expect_exactly_equal(const CellStats& a, const CellStats& b) {
   EXPECT_EQ(a.devices, b.devices);
   EXPECT_TRUE(a.energy_sum == b.energy_sum);
@@ -298,20 +273,6 @@ TEST(CellStatsMerge, RejectsForeignHistogramGeometry) {
 }
 
 // --- ShardSummary file format ------------------------------------------------
-
-ShardSummary sample_summary(const PopulationSpec& pop) {
-  ShardSummary s;
-  s.fingerprint = pop.fingerprint();
-  s.shard = Shard{1, 2, 3, 6};
-  s.next_device = 5;
-  s.started_at_device = 3;
-  common::Rng rng(31);
-  CellStats stats(pop);
-  stats.add_device(random_result(rng));
-  stats.add_device(random_result(rng));
-  s.cells.emplace(1, stats);
-  return s;
-}
 
 TEST(ShardSummaryFile, RoundTripsExactly) {
   const PopulationSpec pop = tiny_population();

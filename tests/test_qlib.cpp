@@ -27,52 +27,22 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
+#include "sealed_fixtures.hpp"
 #include "short_write.hpp"
 
 namespace prime::qlib {
 namespace {
+
+using testing_util::make_app;
+using testing_util::read_bytes;
+using testing_util::train_leaf;
+using testing_util::write_bytes;
 
 std::string temp_dir(const std::string& name) {
   const std::string dir = testing::TempDir() + "qlib-tests/" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-std::string read_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-void write_bytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-wl::Application make_app(const std::string& workload, std::uint64_t seed,
-                         const hw::Platform& platform, double fps = 25.0,
-                         std::size_t frames = 200) {
-  sim::ExperimentSpec spec;
-  spec.workload = workload;
-  spec.fps = fps;
-  spec.frames = frames;
-  spec.seed = seed;
-  return sim::make_application(spec, platform);
-}
-
-/// Train one governor on a short run and return its leaf policy entry.
-PolicyEntry train_leaf(const hw::Platform& platform, const std::string& spec,
-                       std::uint64_t gov_seed, std::uint64_t trace_seed,
-                       const std::string& workload = "mpeg4") {
-  const wl::Application app = make_app(workload, trace_seed, platform);
-  const auto governor = sim::make_governor(spec, gov_seed);
-  const sim::RunResult run = sim::run_simulation(
-      const_cast<hw::Platform&>(platform), app, *governor);
-  return make_leaf_entry(platform, *governor, workload, 25.0, spec,
-                         run.epoch_count);
 }
 
 /// Assert \p fn throws QlibError whose message contains \p needle.
