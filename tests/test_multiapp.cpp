@@ -2,6 +2,8 @@
 /// \brief Tests for concurrent multi-application execution (future work).
 #include <gtest/gtest.h>
 
+#include "common/config.hpp"
+#include "common/hash.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/telemetry.hpp"
@@ -20,6 +22,78 @@ wl::Application make_app(const char* workload, double fps, std::size_t frames,
   spec.threads = 2;  // each app gets a 2-core partition
   spec.target_utilisation = utilisation;
   return make_application(spec, platform);
+}
+
+/// Fold every field of \p r and of each record in \p records, doubles by bit
+/// pattern, into one digest.
+std::uint64_t digest(const RunResult& r,
+                     const std::vector<EpochRecord>& records) {
+  common::Fnv1a64 h;
+  h.token(r.governor);
+  h.token(r.application);
+  h.u64(r.epoch_count);
+  h.f64(r.total_energy);
+  h.f64(r.measured_energy);
+  h.f64(r.total_time);
+  h.u64(r.deadline_misses);
+  h.f64(r.performance_sum);
+  h.f64(r.power_sum);
+  for (const EpochRecord& rec : records) {
+    h.u64(rec.epoch);
+    h.f64(rec.period);
+    h.u64(rec.opp_index);
+    h.f64(rec.frequency);
+    h.u64(rec.demand);
+    h.u64(rec.executed);
+    h.f64(rec.frame_time);
+    h.f64(rec.window);
+    h.f64(rec.energy);
+    h.f64(rec.sensor_power);
+    h.f64(rec.temperature);
+    h.f64(rec.slack);
+    h.u64(rec.deadline_met ? 1 : 0);
+  }
+  return h.value();
+}
+
+/// Two rtm-governed apps (mpeg4 on \p cores_a, fft on \p cores_b) for 200
+/// frames on \p platform; returns each app's result-and-records digest.
+std::vector<std::uint64_t> pinned_run_digests(
+    hw::Platform& platform, std::vector<std::size_t> cores_a,
+    std::vector<std::size_t> cores_b) {
+  const wl::Application a = make_app("mpeg4", 25.0, 200, 1, platform);
+  const wl::Application b = make_app("fft", 25.0, 200, 2, platform);
+  std::vector<std::unique_ptr<gov::Governor>> governors;
+  governors.push_back(make_governor("rtm", 11));
+  governors.push_back(make_governor("rtm", 22));
+  const std::vector<AppPlacement> placements = {{&a, std::move(cores_a)},
+                                                {&b, std::move(cores_b)}};
+  TraceSink trace_a;
+  TraceSink trace_b;
+  MultiAppOptions options;
+  options.app_sinks = {{&trace_a}, {&trace_b}};
+  const MultiAppResult r =
+      run_multi_simulation(platform, placements, governors, options);
+  return {digest(r.per_app[0], trace_a.records()),
+          digest(r.per_app[1], trace_b.records())};
+}
+
+// Pins every per-app result and record bit of one run per board shape, so a
+// change to the multi-app epoch loop cannot move them unnoticed.
+TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
+  auto one = hw::Platform::odroid_xu3_a15();
+  EXPECT_EQ(pinned_run_digests(*one, {0, 1}, {2, 3}),
+            (std::vector<std::uint64_t>{0x39c567e3ed515095ULL,
+                                        0x2ea4d253eae93fffULL}));
+
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 2);
+  auto two = hw::Platform::from_config(cfg);
+  ASSERT_EQ(two->domain_count(), 2u);
+  EXPECT_EQ(pinned_run_digests(*two, {0, 2}, {1, 3}),
+            (std::vector<std::uint64_t>{0x80aa56727553f50aULL,
+                                        0xe57c1f6cdc773dbaULL}));
 }
 
 TEST(MultiApp, ValidatesInputs) {
