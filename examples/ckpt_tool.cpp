@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/config.hpp"
+#include "common/sealed.hpp"
 #include "common/strings.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -32,7 +33,7 @@ void print_info(const prime::sim::Checkpoint& ck, const std::string& path) {
   const prime::sim::RunResult& agg = ck.aggregates;
   std::cout << "checkpoint " << path << "\n"
             << "  format:         v" << prime::sim::kCheckpointVersion << ", "
-            << prime::sim::kCheckpointHeaderSize
+            << prime::common::kSealedHeaderSize
             << " B header + sealed payload\n"
             << "  governor:       " << ck.governor << "\n"
             << "  application:    " << ck.application << "\n"

@@ -1,5 +1,6 @@
 #include "common/serial.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -100,18 +101,29 @@ bool StateReader::boolean() {
   return v == 1;
 }
 
-std::string StateReader::str() {
+std::string StateReader::str() { return read_counted(kMaxString, "string"); }
+
+std::string StateReader::blob() { return read_counted(kMaxBlob, "blob"); }
+
+std::string StateReader::read_counted(std::uint64_t max, const char* what) {
   const std::uint64_t n = u64();
-  if (n > kMaxString) {
-    throw SerialError("serialised state: string length " + std::to_string(n) +
-                      " exceeds the " + std::to_string(kMaxString) +
-                      " byte bound (corrupt payload?)");
+  if (n > max) {
+    throw SerialError("serialised state: " + std::string(what) + " length " +
+                      std::to_string(n) + " exceeds the " +
+                      std::to_string(max) + " byte bound (corrupt payload?)");
   }
-  std::string out(static_cast<std::size_t>(n), '\0');
-  if (n > 0) {
-    in_->read(out.data(), static_cast<std::streamsize>(n));
-    if (static_cast<std::uint64_t>(in_->gcount()) != n) {
-      throw SerialError("serialised state: truncated string payload");
+  // Grow a chunk at a time, so a corrupt length the stream cannot back
+  // fails at its end instead of after allocating the claimed size.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::string out;
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const auto take = static_cast<std::size_t>(std::min(n - at, kChunk));
+    out.resize(at + take);
+    in_->read(out.data() + at, static_cast<std::streamsize>(take));
+    if (static_cast<std::size_t>(in_->gcount()) != take) {
+      throw SerialError("serialised state: truncated " + std::string(what) +
+                        " payload");
     }
   }
   return out;

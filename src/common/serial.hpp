@@ -47,6 +47,8 @@ class StateWriter {
   void boolean(bool v);
   /// \brief u64 byte length followed by the raw bytes.
   void str(const std::string& v);
+  /// \brief str()'s encoding, for what StateReader::blob() reads back.
+  void blob(const std::string& v) { str(v); }
   /// \brief std::size_t as u64.
   void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// \brief u64 element count followed by each element as f64.
@@ -74,15 +76,23 @@ class StateReader {
   /// \brief Length-prefixed string. Lengths above kMaxString throw — state
   ///        strings are names and spec text, never megabytes.
   [[nodiscard]] std::string str();
+  /// \brief Length-prefixed bytes in StateWriter::str's encoding, for opaque
+  ///        state that outgrows kMaxString (governor/platform state, merge
+  ///        accumulators). Lengths above kMaxBlob throw.
+  [[nodiscard]] std::string blob();
   [[nodiscard]] std::size_t size() { return static_cast<std::size_t>(u64()); }
   [[nodiscard]] std::vector<double> vec_f64();
   [[nodiscard]] std::vector<std::uint64_t> vec_u64();
 
   /// \brief Upper bound on str() lengths (64 KiB).
   static constexpr std::uint64_t kMaxString = 64 * 1024;
+  /// \brief Upper bound on blob() lengths (1 GiB).
+  static constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
 
  private:
   void read_bytes(unsigned char* out, std::size_t n);
+  /// Length prefix plus that many bytes, the length capped at \p max.
+  std::string read_counted(std::uint64_t max, const char* what);
 
   std::istream* in_;
 };

@@ -5,72 +5,15 @@
 #include <utility>
 
 #include "common/atomic_file.hpp"
-#include "common/binio.hpp"
+#include "common/sealed.hpp"
 #include "common/serial.hpp"
 
 namespace prime::fleet {
 
 namespace {
 
-// Header field offsets (see the layout table in summary.hpp).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffHeaderSize = 12;
-constexpr std::size_t kOffPayloadSize = 16;
-constexpr std::size_t kOffShardIndex = 24;
-constexpr std::size_t kOffShardCount = 32;
-
-void write_aggregates(common::StateWriter& w, const sim::RunResult& r) {
-  w.str(r.governor);
-  w.str(r.application);
-  w.size(r.epoch_count);
-  w.f64(r.total_energy);
-  w.f64(r.measured_energy);
-  w.f64(r.total_time);
-  w.size(r.deadline_misses);
-  w.f64(r.performance_sum);
-  w.f64(r.power_sum);
-}
-
-void read_aggregates(common::StateReader& r, sim::RunResult& out) {
-  out.governor = r.str();
-  out.application = r.str();
-  out.epoch_count = r.size();
-  out.total_energy = r.f64();
-  out.measured_energy = r.f64();
-  out.total_time = r.f64();
-  out.deadline_misses = r.size();
-  out.performance_sum = r.f64();
-  out.power_sum = r.f64();
-}
-
-/// Merge accumulators can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap — the checkpoint blob convention.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw FleetError("shard summary '" + label +
-                     "': policy accumulator claims " + std::to_string(n) +
-                     " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw FleetError("shard summary '" + label +
-                     "': truncated policy accumulator");
-  }
-  return blob;
-}
+constexpr common::SealedFormat kFormat{kShardSummaryMagic,
+                                      kShardSummaryVersion, "shard summary"};
 
 }  // namespace
 
@@ -138,7 +81,9 @@ double CellStats::mean_power() const noexcept {
 
 void CellStats::save_state(common::StateWriter& out) const {
   out.u64(devices);
-  write_aggregates(out, run);
+  out.str(run.governor);
+  out.str(run.application);
+  run.save_aggregates(out);
   energy_sum.save_state(out);
   time_sum.save_state(out);
   perf_sum.save_state(out);
@@ -151,7 +96,9 @@ void CellStats::save_state(common::StateWriter& out) const {
 
 void CellStats::load_state(common::StateReader& in) {
   devices = in.u64();
-  read_aggregates(in, run);
+  run.governor = in.str();
+  run.application = in.str();
+  run.load_aggregates(in);
   energy_sum.load_state(in);
   time_sum.load_state(in);
   perf_sum.load_state(in);
@@ -163,147 +110,72 @@ void CellStats::load_state(common::StateReader& in) {
 }
 
 void ShardSummary::write(std::ostream& out) const {
-  const std::streampos base = out.tellp();
-  std::array<unsigned char, kShardSummaryHeaderSize> header{};
-  std::copy(kShardSummaryMagic.begin(), kShardSummaryMagic.end(),
-            header.begin() + kOffMagic);
-  common::store_u32(header.data() + kOffVersion, kShardSummaryVersion);
-  common::store_u32(header.data() + kOffHeaderSize,
-                    static_cast<std::uint32_t>(kShardSummaryHeaderSize));
-  common::store_u64(header.data() + kOffPayloadSize, kShardSummaryUnsealed);
-  common::store_u64(header.data() + kOffShardIndex, shard.index);
-  common::store_u64(header.data() + kOffShardCount, shard.count);
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  common::StateWriter w(out);
-  w.u64(fingerprint);
-  w.size(shard.device_begin);
-  w.size(shard.device_end);
-  w.u64(next_device);
-  w.u64(started_at_device);
-  w.size(cells.size());
-  for (const auto& [cell_index, stats] : cells) {
-    w.u64(cell_index);
-    stats.save_state(w);
-  }
-  w.size(policies.size());
-  for (const auto& [cell_index, policy] : policies) {
-    w.u64(cell_index);
-    w.boolean(policy.mergeable);
-    w.str(policy.governor_name);
-    w.u64(policy.opp_count);
-    w.u64(policy.core_count);
-    w.u64(policy.platform_fingerprint);
-    w.u64(policy.epochs);
-    w.u64(policy.source_fingerprint);
-    write_blob(w, out, policy.accumulator);
-  }
-
-  // Seal: patch the payload size in place only now that every byte is down.
-  const std::streampos end = out.tellp();
-  const auto payload = static_cast<std::uint64_t>(
-      end - base - static_cast<std::streamoff>(kShardSummaryHeaderSize));
-  unsigned char sealed[8];
-  common::store_u64(sealed, payload);
-  out.seekp(base + static_cast<std::streamoff>(kOffPayloadSize));
-  out.write(reinterpret_cast<const char*>(sealed), sizeof(sealed));
-  out.seekp(end);
-  out.flush();
-  if (!out.good()) {
-    throw FleetError(
-        "shard summary: stream write failed while sealing (disk full?)");
-  }
+  common::write_sealed<FleetError>(
+      out, kFormat, {shard.index, shard.count}, [&](common::StateWriter& w) {
+        w.u64(fingerprint);
+        w.size(shard.device_begin);
+        w.size(shard.device_end);
+        w.u64(next_device);
+        w.u64(started_at_device);
+        w.size(cells.size());
+        for (const auto& [cell_index, stats] : cells) {
+          w.u64(cell_index);
+          stats.save_state(w);
+        }
+        w.size(policies.size());
+        for (const auto& [cell_index, policy] : policies) {
+          w.u64(cell_index);
+          w.boolean(policy.mergeable);
+          w.str(policy.governor_name);
+          w.u64(policy.opp_count);
+          w.u64(policy.core_count);
+          w.u64(policy.platform_fingerprint);
+          w.u64(policy.epochs);
+          w.u64(policy.source_fingerprint);
+          w.blob(policy.accumulator);
+        }
+      });
 }
 
 ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
-  std::array<unsigned char, kShardSummaryHeaderSize> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (static_cast<std::size_t>(in.gcount()) != header.size()) {
-    throw FleetError("shard summary '" + label + "': truncated header");
-  }
-  if (!std::equal(kShardSummaryMagic.begin(), kShardSummaryMagic.end(),
-                  header.begin() + kOffMagic)) {
-    throw FleetError("shard summary '" + label +
-                     "': bad magic — not a PRIME-RTM shard summary");
-  }
-  const std::uint32_t version = common::load_u32(header.data() + kOffVersion);
-  if (version != kShardSummaryVersion) {
-    throw FleetError("shard summary '" + label + "': unsupported version " +
-                     std::to_string(version) + " (this build supports " +
-                     std::to_string(kShardSummaryVersion) + ")");
-  }
-  const std::uint32_t header_size =
-      common::load_u32(header.data() + kOffHeaderSize);
-  if (header_size != kShardSummaryHeaderSize) {
-    throw FleetError("shard summary '" + label + "': header size mismatch (" +
-                     std::to_string(header_size) + ", expected " +
-                     std::to_string(kShardSummaryHeaderSize) + ")");
-  }
-  const std::uint64_t payload =
-      common::load_u64(header.data() + kOffPayloadSize);
-  if (payload == kShardSummaryUnsealed) {
-    throw FleetError("shard summary '" + label +
-                     "': unsealed — the writer never finished (torn write or "
-                     "crashed worker)");
-  }
-
   ShardSummary s;
-  s.shard.index =
-      static_cast<std::size_t>(common::load_u64(header.data() + kOffShardIndex));
-  s.shard.count =
-      static_cast<std::size_t>(common::load_u64(header.data() + kOffShardCount));
-  const std::streampos payload_start = in.tellg();
-  try {
-    common::StateReader r(in);
-    s.fingerprint = r.u64();
-    s.shard.device_begin = r.size();
-    s.shard.device_end = r.size();
-    s.next_device = r.u64();
-    s.started_at_device = r.u64();
-    const std::size_t cell_count = r.size();
-    for (std::size_t i = 0; i < cell_count; ++i) {
-      const std::uint64_t cell_index = r.u64();
-      if (s.cells.count(cell_index) != 0) {
-        throw FleetError("shard summary '" + label + "': duplicate cell " +
-                         std::to_string(cell_index));
-      }
-      s.cells[cell_index].load_state(r);
-    }
-    const std::size_t policy_count = r.size();
-    for (std::size_t i = 0; i < policy_count; ++i) {
-      const std::uint64_t cell_index = r.u64();
-      if (s.policies.count(cell_index) != 0) {
-        throw FleetError("shard summary '" + label +
-                         "': duplicate policy record for cell " +
-                         std::to_string(cell_index));
-      }
-      CellPolicy& policy = s.policies[cell_index];
-      policy.mergeable = r.boolean();
-      policy.governor_name = r.str();
-      policy.opp_count = r.u64();
-      policy.core_count = r.u64();
-      policy.platform_fingerprint = r.u64();
-      policy.epochs = r.u64();
-      policy.source_fingerprint = r.u64();
-      policy.accumulator = read_blob(r, in, label);
-    }
-  } catch (const common::SerialError& e) {
-    throw FleetError("shard summary '" + label + "': " + e.what());
-  }
-  const auto consumed = static_cast<std::uint64_t>(in.tellg() - payload_start);
-  if (consumed != payload) {
-    throw FleetError("shard summary '" + label +
-                     "': payload size mismatch (header promises " +
-                     std::to_string(payload) + " bytes, parsed " +
-                     std::to_string(consumed) + ") — truncated or trailing "
-                     "bytes");
-  }
-  // Anything after the sealed payload is not ours: reject rather than ignore.
-  in.peek();
-  if (!in.eof()) {
-    throw FleetError("shard summary '" + label +
-                     "': trailing bytes after the sealed payload");
-  }
+  const common::SealedWords words = common::read_sealed<FleetError>(
+      in, kFormat, label, [&](common::StateReader& r) {
+        s.fingerprint = r.u64();
+        s.shard.device_begin = r.size();
+        s.shard.device_end = r.size();
+        s.next_device = r.u64();
+        s.started_at_device = r.u64();
+        const std::size_t cell_count = r.size();
+        for (std::size_t i = 0; i < cell_count; ++i) {
+          const std::uint64_t cell_index = r.u64();
+          if (s.cells.count(cell_index) != 0) {
+            throw FleetError("shard summary '" + label + "': duplicate cell " +
+                             std::to_string(cell_index));
+          }
+          s.cells[cell_index].load_state(r);
+        }
+        const std::size_t policy_count = r.size();
+        for (std::size_t i = 0; i < policy_count; ++i) {
+          const std::uint64_t cell_index = r.u64();
+          if (s.policies.count(cell_index) != 0) {
+            throw FleetError("shard summary '" + label +
+                             "': duplicate policy record for cell " +
+                             std::to_string(cell_index));
+          }
+          CellPolicy& policy = s.policies[cell_index];
+          policy.mergeable = r.boolean();
+          policy.governor_name = r.str();
+          policy.opp_count = r.u64();
+          policy.core_count = r.u64();
+          policy.platform_fingerprint = r.u64();
+          policy.epochs = r.u64();
+          policy.source_fingerprint = r.u64();
+          policy.accumulator = r.blob();
+        }
+      });
+  s.shard.index = static_cast<std::size_t>(words[0]);
+  s.shard.count = static_cast<std::size_t>(words[1]);
   if (s.shard.device_end < s.shard.device_begin ||
       s.next_device < s.shard.device_begin ||
       s.next_device > s.shard.device_end ||
@@ -320,14 +192,11 @@ ShardSummary ShardSummary::read(std::istream& in, const std::string& label) {
 
 void ShardSummary::save_file(const std::string& path) const {
   common::save_file_atomically<FleetError>(
-      path, "shard summary", [this](std::ostream& out) { write(out); });
+      path, kFormat.name, [this](std::ostream& out) { write(out); });
 }
 
 ShardSummary ShardSummary::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw FleetError("shard summary '" + path + "': cannot open for reading");
-  }
+  std::ifstream in = common::open_sealed<FleetError>(path, kFormat);
   return read(in, path);
 }
 

@@ -20,27 +20,17 @@
 ///   - `shard-<i>.ckpt` — mid-shard progress at a device boundary, what a
 ///     relaunched worker resumes from after a crash or kill.
 ///
-/// On-disk layout (version 2; little-endian, 64 B header + sealed payload):
-///
-///     offset size header field
-///          0    8 magic "PRIMEFS\0"
-///          8    4 u32 format version (2)
-///         12    4 u32 header size (64)
-///         16    8 u64 payload size — kShardSummaryUnsealed until sealed
-///         24    8 u64 shard index
-///         32    8 u64 shard count
-///         40   24 reserved (0)
-///
-/// The payload (common::StateWriter) carries the population fingerprint,
-/// the device range, progress counters, the per-cell stats and — since
-/// version 2 — the per-cell policy accumulator records (CellPolicy): the
+/// On-disk format (version 2): the sealed envelope of common/sealed.hpp —
+/// magic "PRIMEFS\0", header words 0 and 1 (offsets 24, 32) the shard index
+/// and shard count. The payload carries the population fingerprint, the
+/// device range, progress counters, the per-cell stats and — since version
+/// 2 — the per-cell policy accumulator records (CellPolicy): the
 /// gov::StateMerger accumulator of every trained governor state the shard
 /// folded, so the driver can merge shards into fleet `.qpol` policies and a
 /// killed/retried worker resumes its accumulation bit-identically from the
-/// same sealed artifact as its statistics. Files are
-/// written to `<path>.tmp` and atomically renamed, and the payload size is
-/// patched in only after the last byte ("sealing") — exactly the `.ckpt`
-/// discipline, so a torn artifact is detectable, never silently partial.
+/// same sealed artifact as its statistics. A torn artifact is detectable,
+/// never silently partial; reading also rejects duplicate cell or policy
+/// records and an inconsistent device range.
 #pragma once
 
 #include <array>
@@ -62,10 +52,6 @@ inline constexpr std::array<unsigned char, 8> kShardSummaryMagic = {
 /// \brief The format version this build reads and writes. Version 2 added
 ///        the per-cell policy accumulator records.
 inline constexpr std::uint32_t kShardSummaryVersion = 2;
-/// \brief Fixed header size; the payload starts here.
-inline constexpr std::size_t kShardSummaryHeaderSize = 64;
-/// \brief Payload-size sentinel meaning "write still in progress / torn".
-inline constexpr std::uint64_t kShardSummaryUnsealed = ~std::uint64_t{0};
 
 /// \brief Error thrown by the fleet layer: malformed or mismatched shard
 ///        artifacts, incomplete coverage at merge time, worker failures the
@@ -159,7 +145,8 @@ struct ShardSummary {
   ///        (requires a seekable stream).
   void write(std::ostream& out) const;
   /// \brief Parse and validate; \p label names the source in errors. Throws
-  ///        FleetError on bad magic, version skew, unsealed or torn files.
+  ///        FleetError when any envelope check (common/sealed.hpp) or the
+  ///        payload checks fail.
   [[nodiscard]] static ShardSummary read(std::istream& in,
                                          const std::string& label);
   /// \brief Write to \p path atomically (tmp + rename).

@@ -10,31 +10,6 @@
 namespace prime::gov {
 namespace {
 
-/// Accumulator blobs carry a full champion payload (a governor state, which
-/// can exceed StateReader's 64 KiB string cap), so they use the checkpoint
-/// blob convention: bare u64 length + raw bytes, with a sanity cap.
-constexpr std::uint64_t kMaxBlob = 1ull << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& bytes) {
-  w.u64(bytes.size());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in) {
-  const std::uint64_t len = r.u64();
-  if (len > kMaxBlob) {
-    throw StateMergeError("state merge accumulator: blob length " +
-                          std::to_string(len) + " exceeds the 1 GiB cap");
-  }
-  std::string bytes(static_cast<std::size_t>(len), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(len));
-  if (static_cast<std::uint64_t>(in.gcount()) != len) {
-    throw StateMergeError("state merge accumulator: truncated blob");
-  }
-  return bytes;
-}
-
 /// The generic merger: exact weighted accumulation of table cells plus an
 /// order-invariant champion carry for everything else (see merge.hpp).
 class WeightedStateMerger final : public StateMerger {
@@ -95,7 +70,7 @@ class WeightedStateMerger final : public StateMerger {
     if (r.boolean()) {  // has_champion
       const bool champ_has_data = r.boolean();
       const std::uint64_t champ_weight = r.u64();
-      const std::string champ = read_blob(r, in);
+      const std::string champ = r.blob();
       consider_champion(champ_has_data, champ_weight, champ);
     }
     if (in.peek() != std::istream::traits_type::eof()) {
@@ -123,7 +98,7 @@ class WeightedStateMerger final : public StateMerger {
     if (has_champion_) {
       w.boolean(champion_has_data_);
       w.u64(champion_weight_);
-      write_blob(w, out, champion_);
+      w.blob(champion_);
     }
     return out.str();
   }

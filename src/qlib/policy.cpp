@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "common/atomic_file.hpp"
-#include "common/binio.hpp"
 #include "common/hash.hpp"
+#include "common/sealed.hpp"
 #include "common/serial.hpp"
 #include "common/spec.hpp"
 #include "gov/merge.hpp"
@@ -20,38 +20,7 @@ namespace prime::qlib {
 
 namespace {
 
-// Header field offsets (see the layout table in policy.hpp).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffHeaderSize = 12;
-constexpr std::size_t kOffPayloadSize = 16;
-constexpr std::size_t kOffKeyFingerprint = 24;
-
-/// State blobs can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap — the checkpoint blob convention.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw QlibError("policy '" + label + "': state blob claims " +
-                    std::to_string(n) + " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw QlibError("policy '" + label + "': truncated state blob");
-  }
-  return blob;
-}
+constexpr common::SealedFormat kFormat{kQpolMagic, kQpolVersion, "policy"};
 
 std::string hex16(std::uint64_t value) {
   char buf[17];
@@ -137,123 +106,50 @@ std::string PolicyKey::filename() const {
 // --- PolicyEntry -------------------------------------------------------------
 
 void PolicyEntry::write(std::ostream& out) const {
-  const std::streampos base = out.tellp();
-  std::array<unsigned char, kQpolHeaderSize> header{};
-  std::copy(kQpolMagic.begin(), kQpolMagic.end(), header.begin() + kOffMagic);
-  common::store_u32(header.data() + kOffVersion, kQpolVersion);
-  common::store_u32(header.data() + kOffHeaderSize,
-                    static_cast<std::uint32_t>(kQpolHeaderSize));
-  common::store_u64(header.data() + kOffPayloadSize, kQpolUnsealed);
-  common::store_u64(header.data() + kOffKeyFingerprint, key.fingerprint());
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  common::StateWriter w(out);
-  w.u64(key.platform_fingerprint);
-  w.str(key.workload_class);
-  w.u64(key.fps_band);
-  w.str(key.governor_spec);
-  w.str(governor_name);
-  w.u64(opp_count);
-  w.u64(core_count);
-  w.u8(static_cast<std::uint8_t>(kind));
-  w.u64(provenance.visit_weight);
-  w.u64(provenance.epochs_trained);
-  w.u64(provenance.sources);
-  w.u64(provenance.source_fingerprint);
-  write_blob(w, out, blob);
-
-  // Seal: patch the payload size in place only now that every byte is down.
-  const std::streampos end = out.tellp();
-  const auto payload = static_cast<std::uint64_t>(
-      end - base - static_cast<std::streamoff>(kQpolHeaderSize));
-  unsigned char sealed[8];
-  common::store_u64(sealed, payload);
-  out.seekp(base + static_cast<std::streamoff>(kOffPayloadSize));
-  out.write(reinterpret_cast<const char*>(sealed), sizeof(sealed));
-  out.seekp(end);
-  out.flush();
-  if (!out.good()) {
-    throw QlibError("policy: stream write failed while sealing (disk full?)");
-  }
+  common::write_sealed<QlibError>(
+      out, kFormat, {key.fingerprint()}, [&](common::StateWriter& w) {
+        w.u64(key.platform_fingerprint);
+        w.str(key.workload_class);
+        w.u64(key.fps_band);
+        w.str(key.governor_spec);
+        w.str(governor_name);
+        w.u64(opp_count);
+        w.u64(core_count);
+        w.u8(static_cast<std::uint8_t>(kind));
+        w.u64(provenance.visit_weight);
+        w.u64(provenance.epochs_trained);
+        w.u64(provenance.sources);
+        w.u64(provenance.source_fingerprint);
+        w.blob(blob);
+      });
 }
 
 PolicyEntry PolicyEntry::read(std::istream& in, const std::string& label) {
-  std::array<unsigned char, kQpolHeaderSize> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (static_cast<std::size_t>(in.gcount()) != header.size()) {
-    throw QlibError("policy '" + label + "': truncated header");
-  }
-  if (!std::equal(kQpolMagic.begin(), kQpolMagic.end(),
-                  header.begin() + kOffMagic)) {
-    throw QlibError("policy '" + label +
-                    "': bad magic — not a PRIME-RTM policy entry");
-  }
-  const std::uint32_t version = common::load_u32(header.data() + kOffVersion);
-  if (version != kQpolVersion) {
-    throw QlibError("policy '" + label + "': unsupported version " +
-                    std::to_string(version) + " (this build supports " +
-                    std::to_string(kQpolVersion) + ")");
-  }
-  const std::uint32_t header_size =
-      common::load_u32(header.data() + kOffHeaderSize);
-  if (header_size != kQpolHeaderSize) {
-    throw QlibError("policy '" + label + "': header size mismatch (" +
-                    std::to_string(header_size) + ", expected " +
-                    std::to_string(kQpolHeaderSize) + ")");
-  }
-  const std::uint64_t payload =
-      common::load_u64(header.data() + kOffPayloadSize);
-  if (payload == kQpolUnsealed) {
-    throw QlibError("policy '" + label +
-                    "': unsealed — the writer never finished (torn write or "
-                    "crashed producer)");
-  }
-  const std::uint64_t header_fp =
-      common::load_u64(header.data() + kOffKeyFingerprint);
-
   PolicyEntry entry;
-  const std::streampos payload_start = in.tellg();
-  try {
-    common::StateReader r(in);
-    entry.key.platform_fingerprint = r.u64();
-    entry.key.workload_class = r.str();
-    entry.key.fps_band = r.u64();
-    entry.key.governor_spec = r.str();
-    entry.governor_name = r.str();
-    entry.opp_count = r.u64();
-    entry.core_count = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(PolicyBlobKind::kMerged)) {
-      throw QlibError("policy '" + label + "': unknown blob kind " +
-                      std::to_string(kind));
-    }
-    entry.kind = static_cast<PolicyBlobKind>(kind);
-    entry.provenance.visit_weight = r.u64();
-    entry.provenance.epochs_trained = r.u64();
-    entry.provenance.sources = r.u64();
-    entry.provenance.source_fingerprint = r.u64();
-    entry.blob = read_blob(r, in, label);
-  } catch (const common::SerialError& e) {
-    throw QlibError("policy '" + label + "': " + e.what());
-  }
-  const auto consumed = static_cast<std::uint64_t>(in.tellg() - payload_start);
-  if (consumed != payload) {
-    throw QlibError("policy '" + label +
-                    "': payload size mismatch (header promises " +
-                    std::to_string(payload) + " bytes, parsed " +
-                    std::to_string(consumed) +
-                    ") — truncated or trailing bytes");
-  }
-  // Anything after the sealed payload is not ours: reject rather than ignore.
-  in.peek();
-  if (!in.eof()) {
-    throw QlibError("policy '" + label +
-                    "': trailing bytes after the sealed payload");
-  }
-  if (header_fp != entry.key.fingerprint()) {
-    throw QlibError("policy '" + label +
-                    "': header key fingerprint " + hex16(header_fp) +
-                    " does not match the payload key " +
+  const common::SealedWords words = common::read_sealed<QlibError>(
+      in, kFormat, label, [&](common::StateReader& r) {
+        entry.key.platform_fingerprint = r.u64();
+        entry.key.workload_class = r.str();
+        entry.key.fps_band = r.u64();
+        entry.key.governor_spec = r.str();
+        entry.governor_name = r.str();
+        entry.opp_count = r.u64();
+        entry.core_count = r.u64();
+        const std::uint8_t kind = r.u8();
+        if (kind > static_cast<std::uint8_t>(PolicyBlobKind::kMerged)) {
+          throw QlibError("policy '" + label + "': unknown blob kind " +
+                          std::to_string(kind));
+        }
+        entry.kind = static_cast<PolicyBlobKind>(kind);
+        entry.provenance.visit_weight = r.u64();
+        entry.provenance.epochs_trained = r.u64();
+        entry.provenance.sources = r.u64();
+        entry.provenance.source_fingerprint = r.u64();
+        entry.blob = r.blob();
+      });
+  if (words[0] != entry.key.fingerprint()) {
+    throw QlibError("policy '" + label + "': header key fingerprint " +
+                    hex16(words[0]) + " does not match the payload key " +
                     hex16(entry.key.fingerprint()) +
                     " — corrupt or hand-edited entry");
   }
@@ -262,14 +158,11 @@ PolicyEntry PolicyEntry::read(std::istream& in, const std::string& label) {
 
 void PolicyEntry::save_file(const std::string& path) const {
   common::save_file_atomically<QlibError>(
-      path, "policy", [this](std::ostream& out) { write(out); });
+      path, kFormat.name, [this](std::ostream& out) { write(out); });
 }
 
 PolicyEntry PolicyEntry::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw QlibError("policy '" + path + "': cannot open for reading");
-  }
+  std::ifstream in = common::open_sealed<QlibError>(path, kFormat);
   return read(in, path);
 }
 

@@ -10,25 +10,13 @@
 /// plus provenance (visit totals, epochs trained, source fingerprint), in a
 /// sealed `.qpol` file.
 ///
-/// On-disk layout (version 1; little-endian, 64 B header + sealed payload,
-/// the `.bt`/`.ckpt` discipline):
-///
-///     offset size header field
-///          0    8 magic "PRIMEQP\0"
-///          8    4 u32 format version (1)
-///         12    4 u32 header size (64)
-///         16    8 u64 payload size — kQpolUnsealed until sealed
-///         24    8 u64 key fingerprint (PolicyKey::fingerprint)
-///         32   32 reserved (0)
-///
-/// The payload (common::StateWriter encoding) carries the key fields, the
+/// On-disk format (version 1): the sealed envelope of common/sealed.hpp —
+/// magic "PRIMEQP\0", header word 0 (offset 24) the key fingerprint
+/// (PolicyKey::fingerprint). The payload carries the key fields, the
 /// governor display name, the platform shape (OPP/core count), the entry
-/// kind, the provenance record and the length-prefixed state blob. The
-/// payload size is patched into the header only after the last byte
-/// ("sealing") and files are written tmp+rename, so torn writes are
-/// detectable and an existing entry survives a crashed writer. Reading
-/// fails closed: bad magic, version skew, unsealed, truncated, trailing
-/// bytes and header/payload key-fingerprint skew all throw QlibError.
+/// kind, the provenance record and the length-prefixed state blob. Reading
+/// fails closed: every envelope check, an unknown entry kind and a
+/// header/payload key-fingerprint skew all throw QlibError.
 ///
 /// Merging (merge_entries) is the fleet story: visit-count-weighted Q/visit
 /// aggregation through gov::StateMerger — ExactSum-style deterministic
@@ -59,10 +47,6 @@ inline constexpr std::array<unsigned char, 8> kQpolMagic = {
     'P', 'R', 'I', 'M', 'E', 'Q', 'P', '\0'};
 /// \brief The format version this build reads and writes.
 inline constexpr std::uint32_t kQpolVersion = 1;
-/// \brief Fixed header size; the payload starts here.
-inline constexpr std::size_t kQpolHeaderSize = 64;
-/// \brief Payload-size sentinel meaning "write still in progress / torn".
-inline constexpr std::uint64_t kQpolUnsealed = ~std::uint64_t{0};
 
 /// \brief Error thrown on malformed, incompatible, torn or mismatched
 ///        policy-library inputs. Messages name the file and expectation.

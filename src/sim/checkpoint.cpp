@@ -8,40 +8,16 @@
 #include <utility>
 
 #include "common/atomic_file.hpp"
-#include "common/binio.hpp"
 #include "common/log.hpp"
+#include "common/sealed.hpp"
 #include "common/serial.hpp"
 
 namespace prime::sim {
 
 namespace {
 
-// Header field offsets (see the layout table in checkpoint.hpp).
-constexpr std::size_t kOffMagic = 0;
-constexpr std::size_t kOffVersion = 8;
-constexpr std::size_t kOffHeaderSize = 12;
-constexpr std::size_t kOffPayloadSize = 16;
-constexpr std::size_t kOffFramePosition = 24;
-
-void write_aggregates(common::StateWriter& w, const RunResult& r) {
-  w.size(r.epoch_count);
-  w.f64(r.total_energy);
-  w.f64(r.measured_energy);
-  w.f64(r.total_time);
-  w.size(r.deadline_misses);
-  w.f64(r.performance_sum);
-  w.f64(r.power_sum);
-}
-
-void read_aggregates(common::StateReader& r, RunResult& out) {
-  out.epoch_count = r.size();
-  out.total_energy = r.f64();
-  out.measured_energy = r.f64();
-  out.total_time = r.f64();
-  out.deadline_misses = r.size();
-  out.performance_sum = r.f64();
-  out.power_sum = r.f64();
-}
+constexpr common::SealedFormat kFormat{kCheckpointMagic, kCheckpointVersion,
+                                      "checkpoint"};
 
 void write_observation(common::StateWriter& w,
                        const gov::EpochObservation& obs) {
@@ -75,156 +51,52 @@ gov::EpochObservation read_observation(common::StateReader& r) {
   return obs;
 }
 
-/// Opaque state blobs can exceed StateReader's string bound (a large Q-table
-/// payload), so they travel as a bare u64 length + raw bytes with their own
-/// generous sanity cap.
-constexpr std::uint64_t kMaxBlob = std::uint64_t{1} << 30;
-
-void write_blob(common::StateWriter& w, std::ostream& out,
-                const std::string& blob) {
-  w.u64(blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-}
-
-std::string read_blob(common::StateReader& r, std::istream& in,
-                      const std::string& label, const char* what) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxBlob) {
-    throw CheckpointError("checkpoint '" + label + "': " + what +
-                          " state blob claims " + std::to_string(n) +
-                          " bytes (corrupt length)");
-  }
-  std::string blob(static_cast<std::size_t>(n), '\0');
-  in.read(blob.data(), static_cast<std::streamsize>(n));
-  if (static_cast<std::uint64_t>(in.gcount()) != n) {
-    throw CheckpointError("checkpoint '" + label + "': truncated " +
-                          std::string(what) + " state blob");
-  }
-  return blob;
-}
-
 }  // namespace
 
 void Checkpoint::write(std::ostream& out) const {
-  const std::streampos base = out.tellp();
-  std::array<unsigned char, kCheckpointHeaderSize> header{};
-  std::copy(kCheckpointMagic.begin(), kCheckpointMagic.end(),
-            header.begin() + kOffMagic);
-  common::store_u32(header.data() + kOffVersion, kCheckpointVersion);
-  common::store_u32(header.data() + kOffHeaderSize,
-                    static_cast<std::uint32_t>(kCheckpointHeaderSize));
-  common::store_u64(header.data() + kOffPayloadSize, kCheckpointUnsealed);
-  common::store_u64(header.data() + kOffFramePosition, frame_position);
-  out.write(reinterpret_cast<const char*>(header.data()), header.size());
-
-  common::StateWriter w(out);
-  w.str(governor);
-  w.str(application);
-  w.u64(opp_count);
-  w.u64(core_count);
-  w.u64(platform_fingerprint);
-  write_aggregates(w, aggregates);
-  w.boolean(has_last);
-  if (has_last) write_observation(w, last);
-  write_blob(w, out, governor_state);
-  write_blob(w, out, platform_state);
-
-  // Seal: patch the payload size in place only now that every byte is down.
-  const std::streampos end = out.tellp();
-  const auto payload = static_cast<std::uint64_t>(
-      end - base - static_cast<std::streamoff>(kCheckpointHeaderSize));
-  unsigned char sealed[8];
-  common::store_u64(sealed, payload);
-  out.seekp(base + static_cast<std::streamoff>(kOffPayloadSize));
-  out.write(reinterpret_cast<const char*>(sealed), sizeof(sealed));
-  out.seekp(end);
-  out.flush();
-  if (!out.good()) {
-    throw CheckpointError(
-        "checkpoint: stream write failed while sealing (disk full?)");
-  }
+  common::write_sealed<CheckpointError>(
+      out, kFormat, {frame_position}, [&](common::StateWriter& w) {
+        w.str(governor);
+        w.str(application);
+        w.u64(opp_count);
+        w.u64(core_count);
+        w.u64(platform_fingerprint);
+        aggregates.save_aggregates(w);
+        w.boolean(has_last);
+        if (has_last) write_observation(w, last);
+        w.blob(governor_state);
+        w.blob(platform_state);
+      });
 }
 
 Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
-  std::array<unsigned char, kCheckpointHeaderSize> header{};
-  in.read(reinterpret_cast<char*>(header.data()), header.size());
-  if (static_cast<std::size_t>(in.gcount()) != header.size()) {
-    throw CheckpointError("checkpoint '" + label + "': truncated header");
-  }
-  if (!std::equal(kCheckpointMagic.begin(), kCheckpointMagic.end(),
-                  header.begin() + kOffMagic)) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': bad magic — not a PRIME-RTM checkpoint");
-  }
-  const std::uint32_t version = common::load_u32(header.data() + kOffVersion);
-  if (version != kCheckpointVersion) {
-    throw CheckpointError("checkpoint '" + label + "': unsupported version " +
-                          std::to_string(version) + " (this build supports " +
-                          std::to_string(kCheckpointVersion) + ")");
-  }
-  const std::uint32_t header_size =
-      common::load_u32(header.data() + kOffHeaderSize);
-  if (header_size != kCheckpointHeaderSize) {
-    throw CheckpointError("checkpoint '" + label + "': header size mismatch (" +
-                          std::to_string(header_size) + ", expected " +
-                          std::to_string(kCheckpointHeaderSize) + ")");
-  }
-  const std::uint64_t payload =
-      common::load_u64(header.data() + kOffPayloadSize);
-  if (payload == kCheckpointUnsealed) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': unsealed — the writer never finished (torn "
-                          "write or crashed producer)");
-  }
-
   Checkpoint ck;
-  ck.frame_position = common::load_u64(header.data() + kOffFramePosition);
-  const std::streampos payload_start = in.tellg();
-  try {
-    common::StateReader r(in);
-    ck.governor = r.str();
-    ck.application = r.str();
-    ck.opp_count = r.u64();
-    ck.core_count = r.u64();
-    ck.platform_fingerprint = r.u64();
-    read_aggregates(r, ck.aggregates);
-    ck.aggregates.governor = ck.governor;
-    ck.aggregates.application = ck.application;
-    ck.has_last = r.boolean();
-    if (ck.has_last) ck.last = read_observation(r);
-    ck.governor_state = read_blob(r, in, label, "governor");
-    ck.platform_state = read_blob(r, in, label, "platform");
-  } catch (const common::SerialError& e) {
-    throw CheckpointError("checkpoint '" + label + "': " + e.what());
-  }
-  const auto consumed =
-      static_cast<std::uint64_t>(in.tellg() - payload_start);
-  if (consumed != payload) {
-    throw CheckpointError(
-        "checkpoint '" + label + "': payload size mismatch (header promises " +
-        std::to_string(payload) + " bytes, parsed " +
-        std::to_string(consumed) + ") — truncated or trailing bytes");
-  }
-  // Anything after the sealed payload is not ours: reject rather than ignore.
-  in.peek();
-  if (!in.eof()) {
-    throw CheckpointError("checkpoint '" + label +
-                          "': trailing bytes after the sealed payload");
-  }
+  const common::SealedWords words = common::read_sealed<CheckpointError>(
+      in, kFormat, label, [&](common::StateReader& r) {
+        ck.governor = r.str();
+        ck.application = r.str();
+        ck.opp_count = r.u64();
+        ck.core_count = r.u64();
+        ck.platform_fingerprint = r.u64();
+        ck.aggregates.load_aggregates(r);
+        ck.aggregates.governor = ck.governor;
+        ck.aggregates.application = ck.application;
+        ck.has_last = r.boolean();
+        if (ck.has_last) ck.last = read_observation(r);
+        ck.governor_state = r.blob();
+        ck.platform_state = r.blob();
+      });
+  ck.frame_position = words[0];
   return ck;
 }
 
 void Checkpoint::save_file(const std::string& path) const {
   common::save_file_atomically<CheckpointError>(
-      path, "checkpoint", [this](std::ostream& out) { write(out); });
+      path, kFormat.name, [this](std::ostream& out) { write(out); });
 }
 
 Checkpoint Checkpoint::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw CheckpointError("checkpoint '" + path + "': cannot open for "
-                          "reading");
-  }
+  std::ifstream in = common::open_sealed<CheckpointError>(path, kFormat);
   return read(in, path);
 }
 

@@ -11,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/rng.hpp"
+#include "common/sealed.hpp"
 #include "fleet/driver.hpp"
 #include "fleet/population.hpp"
 #include "fleet/runner.hpp"
@@ -297,44 +299,6 @@ TEST(ShardSummaryFile, RoundTripsExactly) {
             original.cells.at(1).run.epoch_count);
 }
 
-TEST(ShardSummaryFile, RejectsCorruptFiles) {
-  const PopulationSpec pop = tiny_population();
-  const std::string dir = temp_dir("fsum-corrupt");
-  const std::string path = dir + "/s.fsum";
-  sample_summary(pop).save_file(path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = buf.str();
-
-  const auto rewrite_and_expect = [&](std::string mutated,
-                                      const std::string& needle) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
-    out.close();
-    try {
-      (void)ShardSummary::load_file(path);
-      ADD_FAILURE() << "expected FleetError for " << needle;
-    } catch (const FleetError& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-
-  std::string bad = bytes;
-  bad[0] = 'X';
-  rewrite_and_expect(bad, "bad magic");
-  bad = bytes;
-  bad[8] = 9;  // version low byte
-  rewrite_and_expect(bad, "unsupported version");
-  bad = bytes;
-  for (int i = 0; i < 8; ++i) bad[16 + i] = '\xFF';  // unsealed sentinel
-  rewrite_and_expect(bad, "unsealed");
-  rewrite_and_expect(bytes + "x", "trailing bytes");
-  rewrite_and_expect(bytes.substr(0, bytes.size() - 3), "truncated");
-  rewrite_and_expect(bytes.substr(0, 40), "truncated");
-}
-
 TEST(ShardSummaryFile, ShortWriteThrowsAndLeavesNoTempFile) {
   const PopulationSpec pop = tiny_population();
   const ShardSummary summary = sample_summary(pop);
@@ -344,6 +308,32 @@ TEST(ShardSummaryFile, ShortWriteThrowsAndLeavesNoTempFile) {
               testing::ExitedWithCode(0), "shard summary: stream write failed");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ShardSummaryFile, RejectsDuplicateCell) {
+  // Cells are a map when written, so forge the duplicate in the bytes: the
+  // cell count (after five u64 payload fields) goes to 2 and the one cell
+  // record (up to the trailing zero policy count) appears twice.
+  const PopulationSpec pop = tiny_population();
+  const std::string path = temp_dir("fsum-dup") + "/s.fsum";
+  sample_summary(pop).save_file(path);
+  const std::string bytes = testing_util::read_bytes(path);
+  const std::size_t count_at = common::kSealedHeaderSize + 5 * 8;
+  const std::string record =
+      bytes.substr(count_at + 8, bytes.size() - 8 - (count_at + 8));
+  std::string forged = bytes.substr(0, count_at + 8) + record + record +
+                       bytes.substr(bytes.size() - 8);
+  common::store_u64(reinterpret_cast<unsigned char*>(forged.data()) + count_at,
+                    2);
+  testing_util::write_bytes(path, forged);
+  try {
+    (void)ShardSummary::load_file(path);
+    FAIL() << "accepted a duplicated cell";
+  } catch (const FleetError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate cell 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ShardSummaryFile, RejectsInconsistentProgress) {

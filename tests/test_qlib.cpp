@@ -149,53 +149,20 @@ TEST(PolicyEntryFile, ShortWriteThrowsAndLeavesNoTempFile) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-TEST(PolicyEntryFile, RejectsCorruptFiles) {
+TEST(PolicyEntryFile, RejectsHeaderFingerprintSkew) {
+  // The envelope checks are SealedCorruption's; the key fingerprint in the
+  // header must also agree with the key in the payload.
   auto platform = hw::Platform::odroid_xu3_a15();
   const PolicyEntry entry = train_leaf(*platform, "rtm", 1, 2);
-  const std::string dir = temp_dir("corrupt");
+  const std::string dir = temp_dir("fingerprint");
   const std::string good_path = dir + "/good.qpol";
   entry.save_file(good_path);
-  const std::string good = read_bytes(good_path);
-  ASSERT_GT(good.size(), kQpolHeaderSize);
+  std::string bytes = read_bytes(good_path);
+  bytes[24] = static_cast<char>(bytes[24] ^ 0x01);
   const std::string bad_path = dir + "/bad.qpol";
-
-  const auto expect_rejected = [&](std::string bytes,
-                                   const std::string& what) {
-    write_bytes(bad_path, bytes);
-    EXPECT_THROW((void)PolicyEntry::load_file(bad_path), QlibError) << what;
-  };
-
-  // Truncated header.
-  expect_rejected(good.substr(0, 10), "truncated header");
-  // Bad magic.
-  {
-    std::string bytes = good;
-    bytes[0] = 'X';
-    expect_rejected(bytes, "bad magic");
-  }
-  // Version skew.
-  {
-    std::string bytes = good;
-    bytes[8] = static_cast<char>(kQpolVersion + 1);
-    expect_rejected(bytes, "version skew");
-  }
-  // Unsealed (payload-size sentinel still in place).
-  {
-    std::string bytes = good;
-    for (std::size_t i = 16; i < 24; ++i) bytes[i] = '\xff';
-    expect_rejected(bytes, "unsealed");
-  }
-  // Truncated payload.
-  expect_rejected(good.substr(0, good.size() - 5), "truncated payload");
-  // Trailing bytes after the sealed payload.
-  expect_rejected(good + "junk", "trailing bytes");
-  // Header key fingerprint disagrees with the payload's key.
-  {
-    std::string bytes = good;
-    bytes[24] = static_cast<char>(bytes[24] ^ 0x01);
-    expect_rejected(bytes, "header fingerprint skew");
-  }
-  // The original is untouched by all of the above.
+  write_bytes(bad_path, bytes);
+  expect_qlib_error([&] { (void)PolicyEntry::load_file(bad_path); },
+                    "header key fingerprint");
   EXPECT_NO_THROW((void)PolicyEntry::load_file(good_path));
 }
 
