@@ -66,10 +66,11 @@ struct MultiAppOptions {
 /// requirement schedules — a mid-run add_requirement_change that forks the
 /// rates is rejected up front, not discovered at the divergent frame.
 ///
-/// On a multi-domain platform (hw.clusters > 1) placements address cores by
-/// global index; per-app OPP requests arbitrate per V-F domain (max among
-/// the apps occupying it), and domains hosting no application keep their
-/// current OPP.
+/// Placements address cores by global index; per-app OPP requests
+/// arbitrate per V-F domain (max among the apps occupying it, clamped to the
+/// OPP table), and domains hosting no application keep their current OPP.
+/// An epoch counts as overridden for an app when a domain it occupies ran
+/// faster than the app's own request.
 [[nodiscard]] MultiAppResult run_multi_simulation(
     hw::Platform& platform, const std::vector<AppPlacement>& placements,
     const std::vector<std::unique_ptr<gov::Governor>>& governors,

@@ -96,6 +96,58 @@ TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
                                         0xe57c1f6cdc773dbaULL}));
 }
 
+/// Requests \p over OPPs past the top of the table every epoch.
+class OverTopGovernor : public gov::Governor {
+ public:
+  explicit OverTopGovernor(std::size_t over) : over_(over) {}
+  std::string name() const override { return "over-top"; }
+  std::size_t decide(const gov::DecisionContext& ctx,
+                     const std::optional<gov::EpochObservation>&) override {
+    return ctx.opps->size() + over_;
+  }
+  void reset() override {}
+
+ private:
+  std::size_t over_;
+};
+
+// Requests beyond the table clamp to the top OPP. Two apps that both ask
+// for more than the top both run at the top, so neither was dragged faster
+// than it asked: overrides count against the OPP actually applied.
+TEST(MultiApp, RequestsAboveTheTableAreNotOverridden) {
+  common::Config two_domains;
+  two_domains.set_int("hw.clusters", 2);
+  two_domains.set_int("hw.cores", 2);
+  std::vector<std::unique_ptr<hw::Platform>> boards;
+  boards.push_back(hw::Platform::odroid_xu3_a15());
+  boards.push_back(hw::Platform::from_config(two_domains));
+  for (const auto& board : boards) {
+    SCOPED_TRACE(std::to_string(board->domain_count()) + " domain(s)");
+    const std::size_t top = board->opp_table().size() - 1;
+    const wl::Application a = make_app("mpeg4", 25.0, 30, 1, *board);
+    const wl::Application b = make_app("fft", 25.0, 30, 2, *board);
+    std::vector<std::unique_ptr<gov::Governor>> governors;
+    governors.push_back(std::make_unique<OverTopGovernor>(1));
+    governors.push_back(std::make_unique<OverTopGovernor>(3));
+    // Both apps span every domain, so each domain arbitrates between them.
+    const std::vector<AppPlacement> placements = {{&a, {0, 2}},
+                                                  {&b, {1, 3}}};
+    TraceSink trace_a;
+    TraceSink trace_b;
+    MultiAppOptions options;
+    options.app_sinks = {{&trace_a}, {&trace_b}};
+    const MultiAppResult r =
+        run_multi_simulation(*board, placements, governors, options);
+    EXPECT_EQ(r.overridden_epochs, (std::vector<std::size_t>{0, 0}));
+    for (const TraceSink* trace : {&trace_a, &trace_b}) {
+      ASSERT_EQ(trace->records().size(), 30u);
+      for (const EpochRecord& rec : trace->records()) {
+        EXPECT_EQ(rec.opp_index, top) << "epoch " << rec.epoch;
+      }
+    }
+  }
+}
+
 TEST(MultiApp, ValidatesInputs) {
   auto platform = hw::Platform::odroid_xu3_a15();
   const wl::Application a = make_app("mpeg4", 25.0, 50, 1, *platform);
