@@ -132,6 +132,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         "multi-domain platforms (" +
         std::to_string(domains) + " DVFS domains configured)");
   }
+  // Resolved on every board, so an unknown name fails closed even where one
+  // domain leaves only the identity mapping to run.
+  const Placement place = make_placement(options.placement, platform, &app);
+
   // Resume first: the restored state supersedes the reset_* flags (resetting
   // after loading would discard exactly the state the caller asked to keep).
   std::optional<Checkpoint> resume;
@@ -406,7 +410,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     // combine into a single EpochRecord (the frame completes when the slowest
     // domain does). Always batched — single-domain runs never reach here, so
     // the historical paths below stay bit-identical.
-    const Placement place = make_placement(options.placement, platform, &app);
     const std::size_t total = platform.total_cores();
     std::vector<std::size_t> dcores(domains);
     std::vector<std::vector<common::Cycles>> dwork(domains);

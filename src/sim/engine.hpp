@@ -127,10 +127,9 @@ struct RunOptions {
 
   /// Placement policy partitioning the application's work slots across the
   /// platform's DVFS domains ("packed", "spread", "rect" — see
-  /// sim/placement.hpp). Only consulted on multi-domain platforms
-  /// (hw.clusters > 1): a single-domain board has exactly one valid
-  /// placement, and the engine then runs the historical single-cluster path
-  /// bit-identically. Unknown names throw common::UnknownNameError.
+  /// sim/placement.hpp). Resolved at run setup on every board, so unknown
+  /// names throw common::UnknownNameError even on a single-domain board,
+  /// which has exactly one valid placement and runs the single-cluster path.
   std::string placement = "packed";
 
   // --- Checkpoint/resume (sim/checkpoint.hpp) --------------------------------

@@ -137,6 +137,24 @@ TEST(Placement, UnknownPolicyThrowsWithSuggestions) {
                common::UnknownNameError);
 }
 
+// A single-domain board has nothing to place, but a typo still fails closed.
+TEST(Placement, EngineRejectsUnknownPolicyOnASingleDomainBoard) {
+  const auto board = hw::Platform::odroid_xu3_a15();
+  ASSERT_EQ(board->domain_count(), 1u);
+  const wl::Application app = make_test_app(*board, 5);
+  const auto governor = make_governor("ondemand");
+  RunOptions options;
+  options.placement = "packd";
+  try {
+    (void)run_simulation(*board, app, *governor, options);
+    FAIL() << "accepted placement 'packd'";
+  } catch (const common::UnknownNameError& e) {
+    EXPECT_NE(std::string(e.what()).find("Did you mean 'packed'?"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- Policy structure --------------------------------------------------------
 
 TEST(Placement, PackedFillsDomainsInOrder) {
