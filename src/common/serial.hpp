@@ -47,8 +47,6 @@ class StateWriter {
   void boolean(bool v);
   /// \brief u64 byte length followed by the raw bytes.
   void str(const std::string& v);
-  /// \brief str()'s encoding, for what StateReader::blob() reads back.
-  void blob(const std::string& v) { str(v); }
   /// \brief std::size_t as u64.
   void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// \brief u64 element count followed by each element as f64.

@@ -1,8 +1,6 @@
 #include "fleet/summary.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <utility>
 
 #include "common/atomic_file.hpp"
 #include "common/sealed.hpp"
@@ -132,7 +130,7 @@ void ShardSummary::write(std::ostream& out) const {
           w.u64(policy.platform_fingerprint);
           w.u64(policy.epochs);
           w.u64(policy.source_fingerprint);
-          w.blob(policy.accumulator);
+          w.str(policy.accumulator);
         }
       });
 }

@@ -98,7 +98,7 @@ class WeightedStateMerger final : public StateMerger {
     if (has_champion_) {
       w.boolean(champion_has_data_);
       w.u64(champion_weight_);
-      w.blob(champion_);
+      w.str(champion_);
     }
     return out.str();
   }

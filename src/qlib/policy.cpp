@@ -1,11 +1,9 @@
 #include "qlib/policy.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <utility>
 
 #include "common/atomic_file.hpp"
 #include "common/hash.hpp"
@@ -120,7 +118,7 @@ void PolicyEntry::write(std::ostream& out) const {
         w.u64(provenance.epochs_trained);
         w.u64(provenance.sources);
         w.u64(provenance.source_fingerprint);
-        w.blob(blob);
+        w.str(blob);
       });
 }
 

@@ -1,9 +1,7 @@
 #include "sim/checkpoint.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -64,8 +62,8 @@ void Checkpoint::write(std::ostream& out) const {
         aggregates.save_aggregates(w);
         w.boolean(has_last);
         if (has_last) write_observation(w, last);
-        w.blob(governor_state);
-        w.blob(platform_state);
+        w.str(governor_state);
+        w.str(platform_state);
       });
 }
 
