@@ -5,6 +5,7 @@
 #include "common/atomic_file.hpp"
 #include "common/sealed.hpp"
 #include "common/serial.hpp"
+#include "sim/checkpoint.hpp"
 
 namespace prime::fleet {
 
@@ -81,7 +82,7 @@ void CellStats::save_state(common::StateWriter& out) const {
   out.u64(devices);
   out.str(run.governor);
   out.str(run.application);
-  run.save_aggregates(out);
+  sim::save_aggregates(out, run);
   energy_sum.save_state(out);
   time_sum.save_state(out);
   perf_sum.save_state(out);
@@ -96,7 +97,7 @@ void CellStats::load_state(common::StateReader& in) {
   devices = in.u64();
   run.governor = in.str();
   run.application = in.str();
-  run.load_aggregates(in);
+  sim::load_aggregates(in, run);
   energy_sum.load_state(in);
   time_sum.load_state(in);
   perf_sum.load_state(in);

@@ -51,6 +51,26 @@ gov::EpochObservation read_observation(common::StateReader& r) {
 
 }  // namespace
 
+void save_aggregates(common::StateWriter& out, const RunResult& r) {
+  out.size(r.epoch_count);
+  out.f64(r.total_energy);
+  out.f64(r.measured_energy);
+  out.f64(r.total_time);
+  out.size(r.deadline_misses);
+  out.f64(r.performance_sum);
+  out.f64(r.power_sum);
+}
+
+void load_aggregates(common::StateReader& in, RunResult& r) {
+  r.epoch_count = in.size();
+  r.total_energy = in.f64();
+  r.measured_energy = in.f64();
+  r.total_time = in.f64();
+  r.deadline_misses = in.size();
+  r.performance_sum = in.f64();
+  r.power_sum = in.f64();
+}
+
 void Checkpoint::write(std::ostream& out) const {
   common::write_sealed<CheckpointError>(
       out, kFormat, {frame_position}, [&](common::StateWriter& w) {
@@ -59,7 +79,7 @@ void Checkpoint::write(std::ostream& out) const {
         w.u64(opp_count);
         w.u64(core_count);
         w.u64(platform_fingerprint);
-        aggregates.save_aggregates(w);
+        save_aggregates(w, aggregates);
         w.boolean(has_last);
         if (has_last) write_observation(w, last);
         w.str(governor_state);
@@ -76,7 +96,7 @@ Checkpoint Checkpoint::read(std::istream& in, const std::string& label) {
         ck.opp_count = r.u64();
         ck.core_count = r.u64();
         ck.platform_fingerprint = r.u64();
-        ck.aggregates.load_aggregates(r);
+        load_aggregates(r, ck.aggregates);
         ck.aggregates.governor = ck.governor;
         ck.aggregates.application = ck.application;
         ck.has_last = r.boolean();

@@ -41,6 +41,11 @@
 #include "gov/governor.hpp"
 #include "sim/telemetry.hpp"
 
+namespace prime::common {
+class StateReader;
+class StateWriter;
+}  // namespace prime::common
+
 namespace prime::sim {
 
 /// \brief File identification bytes at offset 0.
@@ -98,6 +103,12 @@ struct Checkpoint {
   /// \brief Load and validate the checkpoint at \p path.
   [[nodiscard]] static Checkpoint load_file(const std::string& path);
 };
+
+/// \brief Serialise \p r's counters and sums, not its identity labels: the
+///        one RunResult aggregate encoding `.ckpt` and `.fsum` payloads share.
+void save_aggregates(common::StateWriter& out, const RunResult& r);
+/// \brief Restore what save_aggregates() wrote into \p r.
+void load_aggregates(common::StateReader& in, RunResult& r);
 
 /// \brief Produces a point-in-time Checkpoint of the running simulation;
 ///        bound by the engine (which owns the state) into every attached

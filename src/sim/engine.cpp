@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/serial.hpp"
 #include "qlib/library.hpp"
 #include "qlib/sink.hpp"
 #include "sim/bintrace.hpp"
@@ -39,26 +38,6 @@ RunResult& RunResult::merge(const RunResult& other) {
   performance_sum += other.performance_sum;
   power_sum += other.power_sum;
   return *this;
-}
-
-void RunResult::save_aggregates(common::StateWriter& out) const {
-  out.size(epoch_count);
-  out.f64(total_energy);
-  out.f64(measured_energy);
-  out.f64(total_time);
-  out.size(deadline_misses);
-  out.f64(performance_sum);
-  out.f64(power_sum);
-}
-
-void RunResult::load_aggregates(common::StateReader& in) {
-  epoch_count = in.size();
-  total_energy = in.f64();
-  measured_energy = in.f64();
-  total_time = in.f64();
-  deadline_misses = in.size();
-  performance_sum = in.f64();
-  power_sum = in.f64();
 }
 
 double RunResult::mean_normalized_performance() const {

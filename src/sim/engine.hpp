@@ -25,11 +25,6 @@
 #include "hw/platform.hpp"
 #include "wl/application.hpp"
 
-namespace prime::common {
-class StateReader;
-class StateWriter;
-}  // namespace prime::common
-
 namespace prime::sim {
 
 class TelemetrySink;
@@ -79,12 +74,6 @@ struct RunResult {
   ///        must be bit-identical under any shard partition the fleet layer
   ///        keeps common::ExactSum accumulators alongside.
   RunResult& merge(const RunResult& other);
-
-  /// \brief Serialise the counters and sums, not the identity labels: the
-  ///        one aggregate encoding `.ckpt` and `.fsum` payloads share.
-  void save_aggregates(common::StateWriter& out) const;
-  /// \brief Restore what save_aggregates() wrote.
-  void load_aggregates(common::StateReader& in);
 
   /// \brief Mean of frame_time/period — the paper's normalised performance
   ///        (>1 under-performs the requirement, <1 over-performs). O(1).
