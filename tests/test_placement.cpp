@@ -8,6 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/placement.hpp"
+#include "sim/telemetry.hpp"
 
 namespace prime::sim {
 namespace {
@@ -344,10 +346,27 @@ TEST(Placement, MultiDomainCheckpointingRejected) {
   const auto board = make_board(2, 4);
   const wl::Application app = make_test_app(*board, 50);
   const auto governor = make_governor("ondemand", 1);
+  // Both ways of attaching a checkpoint fail with the board's domain count.
+  const auto expect_rejected = [&](const RunOptions& options,
+                                   const std::string& form) {
+    SCOPED_TRACE(form);
+    try {
+      (void)run_simulation(*board, app, *governor, options);
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("2 DVFS domains"),
+                std::string::npos)
+          << e.what();
+    }
+  };
   RunOptions with_ckpt;
   with_ckpt.checkpoint_path = testing::TempDir() + "md.ckpt";
-  EXPECT_THROW((void)run_simulation(*board, app, *governor, with_ckpt),
-               std::invalid_argument);
+  expect_rejected(with_ckpt, "checkpoint_path");
+  const auto sink =
+      make_sink("checkpoint(path=" + testing::TempDir() + "md-sink.ckpt)");
+  RunOptions with_sink;
+  with_sink.sinks = {sink.get()};
+  expect_rejected(with_sink, "checkpoint(path=...) sink");
   RunOptions with_resume;
   with_resume.resume_from = testing::TempDir() + "md.ckpt";
   EXPECT_THROW((void)run_simulation(*board, app, *governor, with_resume),
