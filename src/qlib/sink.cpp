@@ -5,6 +5,9 @@
 #include <utility>
 
 #include "common/spec.hpp"
+#include "common/units.hpp"
+#include "qlib/library.hpp"
+#include "qlib/policy.hpp"
 
 namespace prime::qlib {
 
@@ -14,10 +17,10 @@ QlibSink::QlibSink(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
-void QlibSink::bind(PolicyPublishFn publish) { publish_ = std::move(publish); }
+void QlibSink::bind(sim::RunBinding* run) { run_ = run; }
 
 void QlibSink::on_run_begin(const sim::RunContext&) {
-  if (!publish_) {
+  if (run_ == nullptr) {
     throw std::logic_error(
         "QlibSink '" + dir_ +
         "': not bound to a run — policy publication is only supported by the "
@@ -29,12 +32,20 @@ void QlibSink::on_run_begin(const sim::RunContext&) {
 void QlibSink::on_epoch(const sim::EpochRecord&, gov::Governor&) {}
 
 void QlibSink::on_run_end(const sim::RunResult& result) {
-  const std::string path = publish_(result);
+  // The key derives from the run unless the sink carries gov=/wl=/fps=
+  // overrides: the builder and fleet key by construction spec instead of
+  // display name, so lookups match across processes.
+  const wl::Application& app = run_->app;
+  const double fps =
+      fps_ > 0.0 ? fps_ : common::fps_from_period(app.deadline_at(0));
+  const PolicyLibrary lib(dir_);
+  const std::string path = lib.put(make_leaf_entry(
+      run_->platform, run_->governor, workload_.empty() ? app.name() : workload_,
+      fps, governor_spec_, result.epoch_count));
   if (!path.empty()) {
     ++published_;
     last_path_ = path;
   }
-  publish_ = nullptr;  // the engine's captures die with the run
 }
 
 // --- Registry entry ----------------------------------------------------------

@@ -4,10 +4,11 @@
 ///
 /// The checkpoint split, applied to policy publication: the sink decides
 /// *when* (once, at run end — a policy entry is a finished artefact, not a
-/// crash-recovery snapshot), the engine provides *what* through bind() — a
-/// publish function over the live platform/governor/application. Engines
-/// that do not support publication never bind, and the sink fails loudly at
-/// run begin instead of silently recording nothing (the CheckpointSink
+/// crash-recovery snapshot); *what* is the leaf entry built from the
+/// platform, governor and application of the sim::RunBinding that
+/// run_simulation lends it through bind(). Engines that never bind (the
+/// multi-app engine) leave the sink unbound, and it fails loudly at run
+/// begin instead of silently recording nothing (the CheckpointSink
 /// discipline).
 ///
 /// The published key derives from the run (platform shape, application name,
@@ -19,17 +20,11 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 #include "sim/telemetry.hpp"
 
 namespace prime::qlib {
-
-/// \brief Engine-bound publication: builds the leaf entry from the live run
-///        state and stores it; returns the path written, or "" when the run
-///        produced nothing publishable. Valid for one run.
-using PolicyPublishFn = std::function<std::string(const sim::RunResult&)>;
 
 /// \brief Telemetry sink publishing the final governor state as a `.qpol`
 ///        policy-library entry. Spec: `qlib(dir=out/qlib,gov=...,wl=...,
@@ -55,9 +50,8 @@ class QlibSink : public sim::TelemetrySink {
   }
   [[nodiscard]] double fps() const noexcept { return fps_; }
 
-  /// \brief Supply the engine's publish function (valid for one run).
-  void bind(PolicyPublishFn publish);
-
+  /// \brief Bind the run whose state on_run_end publishes (nullptr unbinds).
+  void bind(sim::RunBinding* run) override;
   void on_run_begin(const sim::RunContext& ctx) override;
   void on_epoch(const sim::EpochRecord& record,
                 gov::Governor& governor) override;
@@ -75,7 +69,7 @@ class QlibSink : public sim::TelemetrySink {
   std::string governor_spec_;
   std::string workload_;
   double fps_ = 0.0;
-  PolicyPublishFn publish_;
+  const sim::RunBinding* run_ = nullptr;
   std::size_t published_ = 0;
   std::string last_path_;
 };

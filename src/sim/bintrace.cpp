@@ -379,6 +379,10 @@ BinTraceSink::BinTraceSink(std::string path) : path_(std::move(path)) {}
 
 BinTraceSink::~BinTraceSink() = default;
 
+void BinTraceSink::bind(RunBinding* run) {
+  if (run != nullptr && run->trace_path.empty()) run->trace_path = path_;
+}
+
 void BinTraceSink::on_run_begin(const RunContext& ctx) {
   // (Re)opened truncating per run: a .bt holds exactly one run's homogeneous
   // record block (see the class comment). Lazy like CsvSink — a constructed,

@@ -238,11 +238,14 @@ std::uint64_t concat_traces(const std::vector<std::string>& inputs,
 /// random access needs one homogeneous record block per file, so a `.bt`
 /// holds exactly the most recent run. Constant memory at any run length —
 /// records stream straight to the file; sealing at run end patches the
-/// header count in place.
+/// header count in place. Bound to a run, the first bintrace sink names its
+/// path as the run's RunBinding::trace_path (the dashboard's /window).
 class BinTraceSink : public TelemetrySink {
  public:
   explicit BinTraceSink(std::string path);
   ~BinTraceSink() override;
+
+  void bind(RunBinding* run) override;
 
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -47,6 +48,29 @@ gov::EpochObservation read_observation(common::StateReader& r) {
   obs.temperature = r.f64();
   obs.deadline_met = r.boolean();
   return obs;
+}
+
+/// A point-in-time image of the bound run. Its aggregates gain one epoch
+/// per emitted record across sessions, so their epoch count is the
+/// absolute frame position.
+Checkpoint snapshot_of(const RunBinding& run) {
+  Checkpoint ck;
+  ck.governor = run.governor.name();
+  ck.application = run.app.name();
+  ck.opp_count = run.platform.opp_table().size();
+  ck.core_count = run.platform.total_cores();
+  ck.platform_fingerprint = run.platform.shape_fingerprint();
+  ck.frame_position = run.result.epoch_count;
+  ck.aggregates = run.result;
+  ck.has_last = run.last.has_value();
+  if (run.last) ck.last = *run.last;
+  std::ostringstream governor_state;
+  run.governor.save_state(governor_state);
+  ck.governor_state = governor_state.str();
+  std::ostringstream platform_state;
+  run.platform.save_state(platform_state);
+  ck.platform_state = platform_state.str();
+  return ck;
 }
 
 }  // namespace
@@ -127,7 +151,7 @@ CheckpointSink::CheckpointSink(std::string path, std::size_t every)
   }
 }
 
-void CheckpointSink::bind(CheckpointSnapshotFn snapshot) {
+void CheckpointSink::bind(RunBinding* run) {
   // Only a run that already threw leaves a write in flight here. Its own
   // exception is the one propagating, so a failed write is logged instead.
   try {
@@ -135,11 +159,23 @@ void CheckpointSink::bind(CheckpointSnapshotFn snapshot) {
   } catch (const std::exception& e) {
     common::log_warn() << e.what() << " (the run had already failed)";
   }
-  snapshot_ = std::move(snapshot);
+  run_ = nullptr;
+  if (run == nullptr) return;
+  const std::size_t domains = run->platform.domain_count();
+  if (domains > 1) {
+    // The format stores one pending observation; multi-domain runs carry
+    // one per domain. Fail loudly rather than checkpoint a run that could
+    // only resume with domains 1..N re-observing from scratch.
+    throw std::invalid_argument(
+        "run_simulation: checkpoint sinks are not yet supported on "
+        "multi-domain platforms (" +
+        std::to_string(domains) + " DVFS domains configured)");
+  }
+  run_ = run;
 }
 
 void CheckpointSink::on_run_begin(const RunContext&) {
-  if (!snapshot_) {
+  if (run_ == nullptr) {
     throw std::logic_error(
         "CheckpointSink '" + path_ +
         "': not bound to a run — checkpointing is only supported by the "
@@ -159,12 +195,11 @@ void CheckpointSink::on_run_end(const RunResult&) {
   // Always leave a final checkpoint: a completed run can then be *extended*
   // (resume with a larger max_frames) without replaying its history.
   write_snapshot(false);
-  snapshot_ = nullptr;  // the engine's captures die with the run
 }
 
 void CheckpointSink::write_snapshot(bool background) {
   await_pending();
-  const auto ck = std::make_shared<const Checkpoint>(snapshot_());
+  const auto ck = std::make_shared<const Checkpoint>(snapshot_of(*run_));
   if (background) {
     try {
       pending_ = std::async(std::launch::async,

@@ -32,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <iosfwd>
 #include <stdexcept>
@@ -110,22 +109,18 @@ void save_aggregates(common::StateWriter& out, const RunResult& r);
 /// \brief Restore what save_aggregates() wrote into \p r.
 void load_aggregates(common::StateReader& in, RunResult& r);
 
-/// \brief Produces a point-in-time Checkpoint of the running simulation;
-///        bound by the engine (which owns the state) into every attached
-///        CheckpointSink at run begin.
-using CheckpointSnapshotFn = std::function<Checkpoint()>;
-
 /// \brief Telemetry sink writing periodic checkpoints. Spec:
 ///        `checkpoint(path=out/run.ckpt,every=50000)`.
 ///
 /// The sink decides *when* (every n-th epoch, plus once at run end so a
-/// completed run can be extended later); the engine provides *what* through
-/// bind() — a snapshot function capturing the live governor, platform and
-/// aggregates. Snapshots ride the existing epoch event path, are read-only
-/// with respect to the run (a checkpointed run executes identically to an
-/// unobserved one) and overwrite the same path atomically, so the file always
-/// holds the most recent complete snapshot. `every=0` writes only the final
-/// run-end checkpoint.
+/// completed run can be extended later). *What* comes from the RunBinding
+/// run_simulation lends it through bind(): each snapshot reads the bound
+/// governor, platform, aggregates and pending observation. Snapshots ride
+/// the existing epoch event path, are read-only with respect to the run (a
+/// checkpointed run executes identically to an unobserved one) and
+/// overwrite the same path atomically, so the file always holds the most
+/// recent complete snapshot. `every=0` writes only the final run-end
+/// checkpoint.
 ///
 /// Periodic snapshots are taken on the engine thread at their epoch, then
 /// sealed into the file on a background thread while the run goes on. At
@@ -136,18 +131,20 @@ using CheckpointSnapshotFn = std::function<Checkpoint()>;
 /// synchronously, so a returned run's file is sealed and can be resumed at
 /// once.
 ///
-/// Engines that do not support checkpointing (the multi-app engine) never
-/// bind the sink, which then fails loudly at run begin instead of silently
-/// recording nothing.
+/// bind() rejects a multi-domain board with std::invalid_argument: the
+/// format stores one pending observation, and such runs carry one per
+/// domain. Engines that never bind (the multi-app engine) leave the sink
+/// unbound, and it fails loudly at run begin instead of silently recording
+/// nothing.
 class CheckpointSink : public TelemetrySink {
  public:
   /// \brief Write to \p path every \p every epochs (0 = run end only).
   explicit CheckpointSink(std::string path, std::size_t every = 0);
 
-  /// \brief Supply the engine's snapshot function (valid for one run), or
-  ///        unbind with nullptr; either waits for a write in flight.
-  void bind(CheckpointSnapshotFn snapshot);
-
+  /// \brief Bind \p run (or unbind with nullptr); either waits for a
+  ///        write in flight. Throws std::invalid_argument on a multi-domain
+  ///        board.
+  void bind(RunBinding* run) override;
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;
   void on_run_end(const RunResult& result) override;
@@ -166,7 +163,7 @@ class CheckpointSink : public TelemetrySink {
 
   std::string path_;
   std::size_t every_;
-  CheckpointSnapshotFn snapshot_;
+  const RunBinding* run_ = nullptr;
   std::future<void> pending_;  ///< The background write in flight.
   std::size_t seen_ = 0;
   std::size_t written_ = 0;

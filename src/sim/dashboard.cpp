@@ -131,6 +131,7 @@ void DashboardSink::on_run_begin(const RunContext& ctx) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (server) server_ = std::move(server);
+  bound_bt_path_ = run_ != nullptr ? run_->trace_path : std::string();
   state_ = "running";
   ctx_ = ctx;
   live_ = RunResult{};
@@ -149,20 +150,21 @@ void DashboardSink::on_run_begin(const RunContext& ctx) {
 void DashboardSink::on_epoch(const EpochRecord& record, gov::Governor&) {
   std::lock_guard<std::mutex> lock(mu_);
   live_.accumulate(record);
-  if (domain_probe_) {
-    domain_probe_(domain_opps_);
-    if (residency_.size() < domain_opps_.size()) {
-      residency_.resize(domain_opps_.size());
+  if (run_ != nullptr) {
+    // Valid at on_epoch time: OPPs are set before the epoch executes and
+    // not touched again until the next decision.
+    const hw::Platform& platform = run_->platform;
+    if (residency_.size() < platform.domain_count()) {
+      residency_.resize(platform.domain_count());
     }
-    for (std::size_t d = 0; d < domain_opps_.size(); ++d) {
-      if (residency_[d].size() <= domain_opps_[d]) {
-        residency_[d].resize(domain_opps_[d] + 1, 0);
-      }
-      ++residency_[d][domain_opps_[d]];
+    for (std::size_t d = 0; d < platform.domain_count(); ++d) {
+      const std::size_t opp = platform.domain(d).current_opp_index();
+      if (residency_[d].size() <= opp) residency_[d].resize(opp + 1, 0);
+      ++residency_[d][opp];
     }
   } else {
-    // No engine binding (standalone use): the record's opp_index is the
-    // bottleneck domain's — exact residency on single-domain platforms.
+    // Unbound (standalone use): the record's opp_index is the bottleneck
+    // domain's — exact residency on single-domain platforms.
     if (residency_.empty()) residency_.resize(1);
     if (residency_[0].size() <= record.opp_index) {
       residency_[0].resize(record.opp_index + 1, 0);
@@ -187,25 +189,7 @@ void DashboardSink::on_run_end(const RunResult& result) {
   cv_.notify_all();
 }
 
-void DashboardSink::bind_domains(DomainProbe probe) {
-  std::lock_guard<std::mutex> lock(mu_);
-  domain_probe_ = std::move(probe);
-}
-
-void DashboardSink::unbind_domains() {
-  std::lock_guard<std::mutex> lock(mu_);
-  domain_probe_ = nullptr;
-}
-
-void DashboardSink::bind_trace_path(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  bound_bt_path_ = path;
-}
-
-void DashboardSink::unbind_trace_path() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bound_bt_path_.clear();
-}
+void DashboardSink::bind(RunBinding* run) { run_ = run; }
 
 std::uint16_t DashboardSink::bound_port() const {
   std::lock_guard<std::mutex> lock(mu_);

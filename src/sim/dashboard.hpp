@@ -41,7 +41,6 @@
 
 #include <cstdint>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -70,40 +69,31 @@ namespace prime::sim {
 /// `port` is required (0 binds an ephemeral port — read it back with
 /// bound_port()); `every` is the SSE publication cadence in epochs; `tail`
 /// is the retained recent-epoch window (0 disables); `bt` points /window at
-/// a `.bt` being written by a bintrace sink — when omitted, the engine binds
-/// the path of any bintrace sink attached to the same run automatically.
+/// a `.bt` being written by a bintrace sink — when omitted, /window serves
+/// the run's RunBinding::trace_path, the first bintrace sink attached to
+/// the same run.
+///
+/// Bound to a run (bind()), the sink reads every domain's live OPP through
+/// the bound platform for the residency histogram (EpochRecord carries only
+/// the bottleneck domain's OPP); unbound — standalone use, or the multi-app
+/// engine — it counts each record's opp_index, exact on single-domain
+/// platforms. The trace path is copied at run begin, so the sealed trace
+/// stays scrollable after the run, until the next run begin replaces it (or
+/// clears it, when that run carries no bintrace sink).
 ///
 /// The sink persists across consecutive runs (a fleet shard reuses one
 /// dashboard for every device run): aggregates and tail reset per run,
 /// runs_completed counts up, and the port stays bound.
 class DashboardSink : public TelemetrySink {
  public:
-  /// \brief Probe filling one current-OPP index per DVFS domain; bound by
-  ///        the engine for the duration of a run (EpochRecord carries only
-  ///        the bottleneck domain's OPP).
-  using DomainProbe = std::function<void(std::vector<std::size_t>&)>;
-
   DashboardSink(std::uint16_t port, std::size_t every,
                 std::size_t tail_n = 256, std::string bt_path = "");
   ~DashboardSink() override;
 
+  void bind(RunBinding* run) override;
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;
   void on_run_end(const RunResult& result) override;
-
-  /// \brief Engine binding: per-domain OPP probe for residency. Unbound,
-  ///        the sink falls back to single-domain residency from each
-  ///        record's opp_index (exact on single-domain platforms).
-  void bind_domains(DomainProbe probe);
-  void unbind_domains();
-
-  /// \brief Engine binding: the live `.bt` path behind /window. A `bt=`
-  ///        spec key wins over this; empty leaves /window disabled. Unlike
-  ///        the domain probe, the path survives the run — the sealed trace
-  ///        stays scrollable afterwards — until the next run rebinds it (or
-  ///        clears it, when that run carries no bintrace sink).
-  void bind_trace_path(const std::string& path);
-  void unbind_trace_path();
 
   /// \brief The port actually bound (resolves port=0), or 0 before the
   ///        server has started (no run begun yet).
@@ -133,9 +123,8 @@ class DashboardSink : public TelemetrySink {
   std::uint64_t runs_completed_ = 0;
   std::vector<std::vector<std::uint64_t>> residency_;  ///< [domain][opp]
   std::optional<common::RingBuffer<EpochRecord>> tail_;
-  DomainProbe domain_probe_;
-  std::vector<std::size_t> domain_opps_;  ///< Probe scratch.
-  std::string bound_bt_path_;             ///< From the engine's bintrace scan.
+  const RunBinding* run_ = nullptr;  ///< Engine thread only.
+  std::string bound_bt_path_;        ///< The bound run's trace_path.
 
   std::unique_ptr<common::HttpServer> server_;  ///< Started lazily.
 };

@@ -7,11 +7,8 @@
 #include <stdexcept>
 
 #include "qlib/library.hpp"
-#include "qlib/sink.hpp"
-#include "sim/bintrace.hpp"
 #include "sim/block_prefetch.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/dashboard.hpp"
 #include "sim/placement.hpp"
 #include "sim/telemetry.hpp"
 
@@ -101,14 +98,14 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         "exclusive — a resume already restores the learned state");
   }
   const std::size_t domains = platform.domain_count();
-  if (domains > 1 &&
-      (!options.resume_from.empty() || !options.checkpoint_path.empty())) {
+  if (domains > 1 && !options.resume_from.empty()) {
     // The checkpoint format stores one pending observation; multi-domain runs
     // carry one per domain. Fail loudly rather than resume with domains 1..N
-    // silently re-observing from scratch.
+    // silently re-observing from scratch. (Checkpoint sinks, including the
+    // one checkpoint_path attaches, reject such boards when bound.)
     throw std::invalid_argument(
-        "run_simulation: checkpoint/resume is not yet supported on "
-        "multi-domain platforms (" +
+        "run_simulation: resume is not yet supported on multi-domain "
+        "platforms (" +
         std::to_string(domains) + " DVFS domains configured)");
   }
   // Resolved on every board, so an unknown name fails closed even where one
@@ -239,8 +236,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   std::optional<gov::EpochObservation> last;
   if (resume && resume->has_last) last = resume->last;
 
-  // Checkpoint sinks: the engine owns the *what* (a full-state snapshot over
-  // the live loop variables), the sinks own the *when* (their epoch cadence).
   // RunOptions::checkpoint_path is sugar for attaching one more sink.
   std::vector<TelemetrySink*> sinks = options.sinks;
   std::unique_ptr<CheckpointSink> own_checkpoint;
@@ -253,126 +248,18 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         "run_simulation: RunOptions::checkpoint_every requires "
         "checkpoint_path");
   }
-  const CheckpointSnapshotFn snapshot = [&]() {
-    Checkpoint ck;
-    ck.governor = ctx.governor;
-    ck.application = ctx.application;
-    ck.opp_count = opps.size();
-    ck.core_count = platform.total_cores();
-    ck.platform_fingerprint = platform.shape_fingerprint();
-    // result accumulates one epoch per emitted record across sessions, so
-    // its epoch count *is* the absolute frame position.
-    ck.frame_position = result.epoch_count;
-    ck.aggregates = result;
-    ck.has_last = last.has_value();
-    if (last) ck.last = *last;
-    std::ostringstream governor_state;
-    governor.save_state(governor_state);
-    ck.governor_state = governor_state.str();
-    std::ostringstream platform_state;
-    platform.save_state(platform_state);
-    ck.platform_state = platform_state.str();
-    return ck;
-  };
-  std::vector<CheckpointSink*> bound;
-  std::vector<qlib::QlibSink*> bound_qlib;
-  std::vector<DashboardSink*> bound_dash;
-  for (TelemetrySink* sink : sinks) {
-    // Unwrap decimating pass-throughs so sample(inner=checkpoint(...)) binds
-    // too — the sample cadence then gates how often snapshots are taken.
-    TelemetrySink* s = sink;
-    while (s != nullptr) {
-      if (auto* ck = dynamic_cast<CheckpointSink*>(s)) {
-        if (domains > 1) {
-          // Spec-driven form of the checkpoint_path rejection above: a
-          // checkpoint(...) sink attached through RunOptions::sinks must fail
-          // just as loudly as the engine-owned one.
-          throw std::invalid_argument(
-              "run_simulation: checkpoint sinks are not yet supported on "
-              "multi-domain platforms (" +
-              std::to_string(domains) + " DVFS domains configured)");
-        }
-        ck->bind(snapshot);
-        bound.push_back(ck);
-        break;
-      }
-      if (auto* ql = dynamic_cast<qlib::QlibSink*>(s)) {
-        // Policy publication: the entry's key derives from the run unless
-        // the sink carries spec overrides (gov=/wl=/fps=) — the builder and
-        // fleet use those to key by construction spec instead of display
-        // name, so lookups match across processes.
-        ql->bind([&platform, &governor, &app, ql](const RunResult& run)
-                     -> std::string {
-          double fps = ql->fps();
-          if (fps <= 0.0) fps = common::fps_from_period(app.deadline_at(0));
-          const std::string workload =
-              ql->workload().empty() ? app.name() : ql->workload();
-          const qlib::PolicyLibrary lib(ql->dir());
-          return lib.put(qlib::make_leaf_entry(platform, governor, workload,
-                                               fps, ql->governor_spec(),
-                                               run.epoch_count));
-        });
-        bound_qlib.push_back(ql);
-        break;
-      }
-      if (auto* dash = dynamic_cast<DashboardSink*>(s)) {
-        // EpochRecord carries only the bottleneck domain's OPP; the probe
-        // reads every domain's live setting for the residency histogram
-        // (valid at on_epoch time — OPPs are set before the epoch executes
-        // and not touched again until the next decision).
-        dash->bind_domains([&platform](std::vector<std::size_t>& opps) {
-          opps.resize(platform.domain_count());
-          for (std::size_t d = 0; d < opps.size(); ++d) {
-            opps[d] = platform.domain(d).current_opp_index();
-          }
-        });
-        bound_dash.push_back(dash);
-        break;
-      }
-      auto* sample = dynamic_cast<SampleSink*>(s);
-      s = sample != nullptr ? &sample->inner() : nullptr;
-    }
-  }
-  if (!bound_dash.empty()) {
-    // Point /window scroll-back at the live trace of any bintrace sink
-    // riding in the same run (first one wins; a bt= spec key overrides). A
-    // run with no bintrace sink clears any path left over from a previous
-    // run, so /window never serves a trace unrelated to the current run.
-    const BinTraceSink* found = nullptr;
-    for (TelemetrySink* sink : sinks) {
-      TelemetrySink* s = sink;
-      while (s != nullptr && found == nullptr) {
-        found = dynamic_cast<const BinTraceSink*>(s);
-        auto* sample = dynamic_cast<SampleSink*>(s);
-        s = sample != nullptr ? &sample->inner() : nullptr;
-      }
-      if (found != nullptr) break;
-    }
-    for (DashboardSink* dash : bound_dash) {
-      if (found != nullptr) {
-        dash->bind_trace_path(found->path());
-      } else {
-        dash->unbind_trace_path();
-      }
-    }
-  }
-  // The snapshot/publish lambdas capture this frame by reference. Unbind on
-  // every exit — including an exception thrown mid-run, which skips the
-  // sinks' own on_run_end cleanup — so a caller-owned sink can never retain
-  // a dangling binding into a dead stack frame.
+  // Lend every sink the live run. The guard exists before the first bind,
+  // so every exit — a sink rejecting the run mid-binding, or a throw
+  // mid-run that skips the sinks' own on_run_end — unbinds them all, and a
+  // caller-owned sink never keeps a binding into a dead stack frame.
+  RunBinding binding{platform, governor, app, result, last, {}};
   struct UnbindGuard {
-    std::vector<CheckpointSink*>* sinks;
-    std::vector<qlib::QlibSink*>* qlib_sinks;
-    std::vector<DashboardSink*>* dash_sinks;
+    const std::vector<TelemetrySink*>& sinks;
     ~UnbindGuard() {
-      for (CheckpointSink* ck : *sinks) ck->bind(nullptr);
-      for (qlib::QlibSink* ql : *qlib_sinks) ql->bind(nullptr);
-      // Domain probes capture this frame; the trace path is a plain string
-      // pointing at a file that outlives the run, so it stays bound —
-      // /window scroll-back keeps working on the sealed trace.
-      for (DashboardSink* dash : *dash_sinks) dash->unbind_domains();
+      for (TelemetrySink* sink : sinks) sink->bind(nullptr);
     }
-  } unbind_guard{&bound, &bound_qlib, &bound_dash};
+  } unbind_guard{sinks};
+  for (TelemetrySink* sink : sinks) sink->bind(&binding);
 
   RunEmitter emitter(result, sinks, ctx);
 

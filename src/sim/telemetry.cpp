@@ -152,6 +152,8 @@ SampleSink::SampleSink(std::size_t every, std::unique_ptr<TelemetrySink> inner)
   }
 }
 
+void SampleSink::bind(RunBinding* run) { inner_->bind(run); }
+
 void SampleSink::on_run_begin(const RunContext& ctx) {
   seen_ = 0;
   forwarded_ = 0;

@@ -20,6 +20,7 @@
 
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,21 @@ struct RunContext {
   std::size_t app_count = 1; ///< Number of concurrent application streams.
 };
 
+/// \brief The live run run_simulation lends its sinks for one session:
+///        what a sink needs beyond the epoch stream to snapshot, publish or
+///        probe the run. Valid from bind(&binding) until bind(nullptr).
+struct RunBinding {
+  hw::Platform& platform;
+  gov::Governor& governor;
+  const wl::Application& app;
+  const RunResult& result;  ///< The aggregates, updated as epochs emit.
+  /// The observation the governor's next decision will see.
+  const std::optional<gov::EpochObservation>& last;
+  /// The `.bt` behind the dashboard's /window: filled during binding by the
+  /// first bintrace sink, read by dashboards at run begin.
+  std::string trace_path;
+};
+
 /// \brief Streaming observer of one run's epoch stream.
 ///
 /// Sinks receive on_run_begin once, on_epoch for every executed epoch in
@@ -56,6 +72,12 @@ struct RunContext {
 class TelemetrySink {
  public:
   virtual ~TelemetrySink() = default;
+  /// \brief run_simulation lends \p run to every attached sink before run
+  ///        begin and unbinds with nullptr on every exit, including a throw
+  ///        from another sink's bind. A sink needing run state overrides
+  ///        this; binding may throw to reject the run, unbinding must not
+  ///        throw. Other engines never bind.
+  virtual void bind(RunBinding* run) { (void)run; }
   /// \brief A run is starting; reset per-run state.
   virtual void on_run_begin(const RunContext& ctx) { (void)ctx; }
   /// \brief One epoch executed. \p governor allows introspection probes
@@ -222,7 +244,9 @@ class ConvergenceSink : public TelemetrySink {
 ///        epoch after it to an inner sink, so unbounded streaming runs
 ///        produce bounded per-epoch output (a 1M-frame run with
 ///        `sample(every=1000,inner=csv(path=run.csv))` writes 1000 rows).
-///        Run-begin and run-end pass through unchanged; the forwarded-epoch
+///        Binding, run-begin and run-end pass through unchanged, so a
+///        wrapped checkpoint, qlib or dashboard sink is bound like a bare
+///        one and the sample cadence gates its epochs; the forwarded-epoch
 ///        counter restarts at each run begin. The inner sink is owned and
 ///        built from a nested spec: `sample(every=1000,inner=csv(path=...))`.
 class SampleSink : public TelemetrySink {
@@ -230,6 +254,7 @@ class SampleSink : public TelemetrySink {
   /// \brief Forward every \p every-th epoch (>= 1) to \p inner.
   SampleSink(std::size_t every, std::unique_ptr<TelemetrySink> inner);
 
+  void bind(RunBinding* run) override;
   void on_run_begin(const RunContext& ctx) override;
   void on_epoch(const EpochRecord& record, gov::Governor& governor) override;
   void on_run_end(const RunResult& result) override;

@@ -176,6 +176,31 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param)) + "x4";
     });
 
+// --- Unbinding ---------------------------------------------------------------
+
+TEST(SinkBinding, ThrowWhileBindingLeavesNoSinkBound) {
+  // The checkpoint sink rejects the 2x4 board only after the qlib and
+  // dashboard sinks ahead of it are bound; the throw must unbind them too.
+  auto board = make_board(2);
+  const wl::Application app = make_app(*board);
+  const auto governor = make_governor("rtm", 11);
+  qlib::QlibSink ql(fresh_path("throw-qlib"));
+  DashboardSink dash(0, 1);
+  CheckpointSink ck(fresh_path("throw.ckpt"));
+  RunOptions opt;
+  opt.sinks = {&ql, &dash, &ck};
+  EXPECT_THROW((void)run_simulation(*board, app, *governor, opt),
+               std::invalid_argument);
+
+  const RunContext ctx;
+  EXPECT_THROW(ql.on_run_begin(ctx), std::logic_error);
+  // Unbound, the dashboard counts residency from each record's opp_index:
+  // one row, not one per domain of the board it was bound to.
+  dash.on_run_begin(ctx);
+  dash.on_epoch(EpochRecord{}, *governor);
+  EXPECT_EQ(residency_rows(dash.snapshot_json()), 1u) << dash.snapshot_json();
+}
+
 // --- /window: which .bt the dashboard serves ---------------------------------
 
 common::HttpResult window_of(const DashboardSink& dash) {
