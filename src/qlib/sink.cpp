@@ -38,10 +38,11 @@ void QlibSink::on_run_end(const sim::RunResult& result) {
   const wl::Application& app = run_->app;
   const double fps =
       fps_ > 0.0 ? fps_ : common::fps_from_period(app.deadline_at(0));
+  const std::string& workload = workload_.empty() ? app.name() : workload_;
   const PolicyLibrary lib(dir_);
-  const std::string path = lib.put(make_leaf_entry(
-      run_->platform, run_->governor, workload_.empty() ? app.name() : workload_,
-      fps, governor_spec_, result.epoch_count));
+  const std::string path =
+      lib.put(make_leaf_entry(run_->platform, run_->governor, workload, fps,
+                              governor_spec_, result.epoch_count));
   if (!path.empty()) {
     ++published_;
     last_path_ = path;
