@@ -79,7 +79,7 @@ namespace prime::sim {
 /// engine — it counts each record's opp_index, exact on single-domain
 /// platforms. The trace path is copied at run begin, so the sealed trace
 /// stays scrollable after the run, until the next run begin replaces it (or
-/// clears it, when that run carries no bintrace sink).
+/// clears it, when that run carries no bintrace sink or is never bound).
 ///
 /// The sink persists across consecutive runs (a fleet shard reuses one
 /// dashboard for every device run): aggregates and tail reset per run,
