@@ -111,18 +111,20 @@ double Rng::exponential(double rate) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-std::size_t Rng::discrete(const std::vector<double>& weights) noexcept {
+std::size_t Rng::discrete(const double* weights, std::size_t count) noexcept {
   double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (weights.empty()) return 0;
-  if (total <= 0.0) return weights.size() - 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    total += (weights[i] > 0.0 ? weights[i] : 0.0);
+  }
+  if (count == 0) return 0;
+  if (total <= 0.0) return count - 1;
   double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     const double w = weights[i] > 0.0 ? weights[i] : 0.0;
     if (target < w) return i;
     target -= w;
   }
-  return weights.size() - 1;
+  return count - 1;
 }
 
 Rng Rng::fork() noexcept {

@@ -93,7 +93,13 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept;
   /// \brief Sample an index from an (unnormalised, non-negative) weight
   ///        vector. Returns weights.size()-1 on degenerate input.
-  [[nodiscard]] std::size_t discrete(const std::vector<double>& weights) noexcept;
+  [[nodiscard]] std::size_t discrete(const std::vector<double>& weights) noexcept {
+    return discrete(weights.data(), weights.size());
+  }
+  /// \brief discrete() over the \p count weights at \p weights, so callers
+  ///        can sample from a stack buffer.
+  [[nodiscard]] std::size_t discrete(const double* weights,
+                                     std::size_t count) noexcept;
 
   /// \brief Derive a decorrelated child generator (splits the stream).
   [[nodiscard]] Rng fork() noexcept;

@@ -1,6 +1,5 @@
 #include "rtm/discretizer.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace prime::rtm {
@@ -12,29 +11,6 @@ Discretizer::Discretizer(const DiscretizerParams& params) : params_(params) {
   if (params_.slack_clip <= 0.0) {
     throw std::invalid_argument("Discretizer: slack_clip must be > 0");
   }
-}
-
-std::size_t Discretizer::state_count() const noexcept {
-  return params_.workload_levels * params_.slack_levels;
-}
-
-std::size_t Discretizer::workload_level(double workload01) const noexcept {
-  const double w = std::clamp(workload01, 0.0, 1.0);
-  const auto level =
-      static_cast<std::size_t>(w * static_cast<double>(params_.workload_levels));
-  return std::min(level, params_.workload_levels - 1);
-}
-
-std::size_t Discretizer::slack_level(double slack) const noexcept {
-  const double s01 = std::clamp(
-      (slack + params_.slack_clip) / (2.0 * params_.slack_clip), 0.0, 1.0);
-  const auto level =
-      static_cast<std::size_t>(s01 * static_cast<double>(params_.slack_levels));
-  return std::min(level, params_.slack_levels - 1);
-}
-
-std::size_t Discretizer::state_of(double workload01, double slack) const noexcept {
-  return workload_level(workload01) * params_.slack_levels + slack_level(slack);
 }
 
 Discretizer::Levels Discretizer::levels_of(std::size_t state) const noexcept {

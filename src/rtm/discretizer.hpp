@@ -10,6 +10,7 @@
 /// workload per eq. (7) (normalised mode, used by the many-core RTM).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace prime::rtm {
@@ -35,16 +36,34 @@ class Discretizer {
   explicit Discretizer(const DiscretizerParams& params = {});
 
   /// \brief Total number of states |S| = workload_levels * slack_levels.
-  [[nodiscard]] std::size_t state_count() const noexcept;
+  [[nodiscard]] std::size_t state_count() const noexcept {
+    return params_.workload_levels * params_.slack_levels;
+  }
 
   /// \brief Quantise a workload fraction in [0, 1] to its level.
-  [[nodiscard]] std::size_t workload_level(double workload01) const noexcept;
+  [[nodiscard]] std::size_t workload_level(double workload01) const noexcept {
+    const double w = std::clamp(workload01, 0.0, 1.0);
+    const auto level = static_cast<std::size_t>(
+        w * static_cast<double>(params_.workload_levels));
+    return std::min(level, params_.workload_levels - 1);
+  }
 
   /// \brief Quantise a slack ratio (clipped to +/- slack_clip) to its level.
-  [[nodiscard]] std::size_t slack_level(double slack) const noexcept;
+  [[nodiscard]] std::size_t slack_level(double slack) const noexcept {
+    const double s01 = std::clamp(
+        (slack + params_.slack_clip) / (2.0 * params_.slack_clip), 0.0, 1.0);
+    const auto level = static_cast<std::size_t>(
+        s01 * static_cast<double>(params_.slack_levels));
+    return std::min(level, params_.slack_levels - 1);
+  }
 
   /// \brief Combined state index: workload_level * slack_levels + slack_level.
-  [[nodiscard]] std::size_t state_of(double workload01, double slack) const noexcept;
+  ///        Inline: the RTM maps a state every decision epoch.
+  [[nodiscard]] std::size_t state_of(double workload01,
+                                     double slack) const noexcept {
+    return workload_level(workload01) * params_.slack_levels +
+           slack_level(slack);
+  }
 
   /// \brief Invert a state index back to (workload_level, slack_level) for
   ///        reporting. Returned as workload-major pair packed in a struct.

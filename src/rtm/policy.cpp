@@ -7,28 +7,45 @@
 
 namespace prime::rtm {
 
-std::vector<double> EpdPolicy::probabilities(const hw::OppTable& opps,
-                                             double slack) const {
-  // p(a) = lambda * exp(-beta * Fnorm(a) * L), normalised. lambda (the
-  // uniform 1/|A| of eq. 2) cancels in the normalisation but is kept for
-  // clarity. Frequencies are normalised by f_max so beta is unitless.
+namespace {
+
+/// Eq. (2) into \p p[0, opps.size()): p(a) = lambda * exp(-beta * Fnorm(a) *
+/// L), normalised. lambda (the uniform 1/|A| of eq. 2) cancels in the
+/// normalisation but is kept for clarity. Frequencies are normalised by
+/// f_max so beta is unitless.
+void epd_probabilities(const hw::OppTable& opps, double beta, double slack,
+                       double* p) {
   const std::size_t n = opps.size();
   const double lambda = 1.0 / static_cast<double>(n);
   const double f_max = opps.max().frequency;
-  std::vector<double> p(n);
   double sum = 0.0;
   for (std::size_t a = 0; a < n; ++a) {
     const double f_norm = opps.at(a).frequency / f_max;
-    p[a] = lambda * std::exp(-beta_ * f_norm * slack);
+    p[a] = lambda * std::exp(-beta * f_norm * slack);
     sum += p[a];
   }
-  for (auto& v : p) v /= sum;
+  for (std::size_t a = 0; a < n; ++a) p[a] /= sum;
+}
+
+}  // namespace
+
+std::vector<double> EpdPolicy::probabilities(const hw::OppTable& opps,
+                                             double slack) const {
+  std::vector<double> p(opps.size());
+  epd_probabilities(opps, beta_, slack, p.data());
   return p;
 }
 
 std::size_t EpdPolicy::sample(const hw::OppTable& opps, double slack,
                               common::Rng& rng) const {
-  return rng.discrete(probabilities(opps, slack));
+  // Explorations happen every epoch early in a run: sample from a stack
+  // buffer, falling back to the heap only for an unusually long OPP table.
+  constexpr std::size_t kInline = 64;
+  const std::size_t n = opps.size();
+  if (n > kInline) return rng.discrete(probabilities(opps, slack));
+  double p[kInline];
+  epd_probabilities(opps, beta_, slack, p);
+  return rng.discrete(p, n);
 }
 
 std::vector<double> UpdPolicy::probabilities(const hw::OppTable& opps,
@@ -71,29 +88,6 @@ EpsilonSchedule::EpsilonSchedule(const Params& params)
     : params_(params), epsilon_(params.epsilon0) {
   if (params_.alpha < 0.0 || params_.alpha >= 1.0) {
     throw std::invalid_argument("EpsilonSchedule: alpha must be in [0, 1)");
-  }
-}
-
-void EpsilonSchedule::advance(double smoothed_payoff) noexcept {
-  ++epoch_;
-  const double boost =
-      1.0 + params_.reward_boost * (smoothed_payoff > 0.0 ? smoothed_payoff : 0.0);
-  double exponent = (1.0 - params_.alpha) * boost;
-  if (params_.decay == EpsilonDecay::kPaperEq6) {
-    exponent *= static_cast<double>(epoch_);
-  }
-  // Settled at a finite, non-negative floor: exp(-exponent) lies in [0, 1]
-  // for exponent >= 0, so the product could only round back to the floor
-  // and the exp is skipped. convergence_epoch_ is already set, so nothing
-  // else would change either.
-  if (convergence_epoch_ != 0 && epsilon_ == params_.epsilon_min &&
-      exponent >= 0.0 && epsilon_ >= 0.0 && std::isfinite(epsilon_)) {
-    return;
-  }
-  epsilon_ *= std::exp(-exponent);
-  if (epsilon_ < params_.epsilon_min) {
-    epsilon_ = params_.epsilon_min;
-    if (convergence_epoch_ == 0) convergence_epoch_ = epoch_;
   }
 }
 

@@ -14,6 +14,7 @@
 /// decay of eq. (6): eps_{i+1} = eps_i * exp(-(1 - alpha)).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -128,7 +129,29 @@ class EpsilonSchedule {
   [[nodiscard]] double value() const noexcept { return epsilon_; }
   /// \brief Advance one decision epoch. \p smoothed_payoff is the agent's
   ///        recent average pay-off; only its positive part accelerates decay.
-  void advance(double smoothed_payoff = 0.0) noexcept;
+  void advance(double smoothed_payoff = 0.0) noexcept {
+    ++epoch_;
+    const double boost =
+        1.0 + params_.reward_boost *
+                  (smoothed_payoff > 0.0 ? smoothed_payoff : 0.0);
+    double exponent = (1.0 - params_.alpha) * boost;
+    if (params_.decay == EpsilonDecay::kPaperEq6) {
+      exponent *= static_cast<double>(epoch_);
+    }
+    // Settled at a finite, non-negative floor: exp(-exponent) lies in
+    // [0, 1] for exponent >= 0, so the product could only round back to the
+    // floor and the exp is skipped. convergence_epoch_ is already set, so
+    // nothing else would change either.
+    if (convergence_epoch_ != 0 && epsilon_ == params_.epsilon_min &&
+        exponent >= 0.0 && epsilon_ >= 0.0 && std::isfinite(epsilon_)) {
+      return;
+    }
+    epsilon_ *= std::exp(-exponent);
+    if (epsilon_ < params_.epsilon_min) {
+      epsilon_ = params_.epsilon_min;
+      if (convergence_epoch_ == 0) convergence_epoch_ = epoch_;
+    }
+  }
   /// \brief Draw the explore/exploit decision for this epoch.
   [[nodiscard]] bool should_explore(common::Rng& rng) const noexcept;
   /// \brief True once epsilon has decayed to the floor (exploitation phase).

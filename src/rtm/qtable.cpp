@@ -56,7 +56,8 @@ double parse_q_cell(const std::string& raw, std::size_t row) {
 
 QTable::QTable(std::size_t states, std::size_t actions)
     : states_(states), actions_(actions), q_(states * actions, 0.0),
-      visits_(states * actions, 0), best_(states, 0) {
+      visits_(states * actions, 0), best_(states, 0),
+      runner_up_(states, actions > 1 ? 1 : 0) {
   if (states == 0 || actions == 0) {
     throw std::invalid_argument("QTable: dimensions must be >= 1");
   }
@@ -65,7 +66,7 @@ QTable::QTable(std::size_t states, std::size_t actions)
 void QTable::set_q(std::size_t s, std::size_t a, double value) {
   if (s >= states_ || a >= actions_) throw std::out_of_range("QTable::set_q");
   q_[s * actions_ + a] = value;
-  best_[s] = scan_row(s);
+  scan_row(s);
 }
 
 void QTable::update(std::size_t s, std::size_t a, double reward,
@@ -73,39 +74,75 @@ void QTable::update(std::size_t s, std::size_t a, double reward,
   if (s >= states_ || a >= actions_ || s_next >= states_) {
     throw std::out_of_range("QTable::update");
   }
-  double& q = q_[s * actions_ + a];
-  const double old = q;
-  q = (1.0 - alpha) * q + alpha * (reward + discount * best_value(s_next));
+  double* row = q_.data() + s * actions_;
+  const double old = row[a];
+  const double q =
+      (1.0 - alpha) * old + alpha * (reward + discount * best_value(s_next));
+  row[a] = q;
   ++visits_[s * actions_ + a];
   ++updates_;
 
-  // Keep the row's first argmax without a scan. Raising (or keeping) the
-  // best leaves it best; another entry takes over when it beats the best,
-  // or ties it from a lower index. Only a lowered best, or a NaN on either
-  // side (which the `>` scan treats by position), needs the full scan.
+  // Keep the row's best and runner-up without a scan where the order
+  // allows. An entry takes over a place when it beats its holder, or ties
+  // it from a lower index. A NaN on either side (which the `>` scans treat
+  // by position) rescans; so does a NaN runner-up below, as every
+  // comparison with it is false.
   std::size_t& best = best_[s];
+  std::size_t& second = runner_up_[s];
+  const auto beats = [row, q, a](std::size_t holder) {
+    return a < holder ? !(q < row[holder]) : q > row[holder];
+  };
   if (std::isnan(q) || std::isnan(old)) {
-    best = scan_row(s);
+    scan_row(s);
   } else if (a == best) {
-    if (q < old) best = scan_row(s);
-  } else {
-    const double top = q_[s * actions_ + best];
-    if (a < best ? !(q < top) : q > top) best = a;
+    // A raised best stays best. A lowered one stays best while the
+    // runner-up does not beat it; else both move.
+    if (q < old && (second < best ? !(row[second] < q)
+                                  : !(row[second] <= q))) {
+      scan_row(s);
+    }
+  } else if (beats(best)) {
+    second = best;  // the old best tops every other entry
+    best = a;
+  } else if (a == second) {
+    if (q < old) scan_runner_up(s);
+  } else if (beats(second)) {
+    second = a;
   }
 }
 
-std::size_t QTable::scan_row(std::size_t s) const {
+void QTable::scan_row(std::size_t s) {
   const double* row = q_.data() + s * actions_;
   std::size_t best = 0;
+  double top = row[0];
   for (std::size_t a = 1; a < actions_; ++a) {
-    if (row[a] > row[best]) best = a;
+    if (row[a] > top) {
+      top = row[a];
+      best = a;
+    }
   }
-  return best;
+  best_[s] = best;
+  scan_runner_up(s);
+}
+
+void QTable::scan_runner_up(std::size_t s) {
+  const double* row = q_.data() + s * actions_;
+  const std::size_t best = best_[s];
+  std::size_t second = best == 0 && actions_ > 1 ? 1 : 0;
+  double top = row[second];
+  for (std::size_t a = second + 1; a < actions_; ++a) {
+    if (a != best && row[a] > top) {
+      top = row[a];
+      second = a;
+    }
+  }
+  runner_up_[s] = second;
 }
 
 void QTable::rescan_all() {
   best_.resize(states_);
-  for (std::size_t s = 0; s < states_; ++s) best_[s] = scan_row(s);
+  runner_up_.resize(states_);
+  for (std::size_t s = 0; s < states_; ++s) scan_row(s);
 }
 
 std::vector<std::size_t> QTable::greedy_policy() const { return best_; }
@@ -139,6 +176,7 @@ void QTable::reset() {
   std::fill(q_.begin(), q_.end(), 0.0);
   std::fill(visits_.begin(), visits_.end(), 0);
   std::fill(best_.begin(), best_.end(), 0);
+  std::fill(runner_up_.begin(), runner_up_.end(), actions_ > 1 ? 1 : 0);
   updates_ = 0;
 }
 

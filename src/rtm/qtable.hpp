@@ -93,20 +93,29 @@ class QTable {
   void load_state(common::StateReader& in);
 
  private:
-  /// \brief First argmax of row \p s by a full scan: the best index moves
-  ///        only to an entry `>` the best so far (so a NaN at index 0 wins
-  ///        and NaNs elsewhere never do).
-  [[nodiscard]] std::size_t scan_row(std::size_t s) const;
-  /// \brief Rebuild every row's cached argmax.
+  /// \brief Rebuild row \p s's cached best and runner-up by full scans.
+  ///        The best is the first argmax: its index moves only to an entry
+  ///        `>` the best so far (so a NaN at index 0 wins and NaNs elsewhere
+  ///        never do). The runner-up is the same scan over the other actions.
+  void scan_row(std::size_t s);
+  /// \brief Rebuild row \p s's cached runner-up only.
+  void scan_runner_up(std::size_t s);
+  /// \brief Rebuild every row's cache.
   void rescan_all();
 
   std::size_t states_;
   std::size_t actions_;
   std::vector<double> q_;
   std::vector<std::size_t> visits_;
-  /// Cached scan_row(s) per row. update() keeps it without a scan unless
-  /// the row's best is lowered or a NaN is involved.
+  /// Cached first argmax per row.
   std::vector<std::size_t> best_;
+  /// Cached runner-up per row: an action other than the best that no other
+  /// non-NaN entry beats — the first argmax over the other actions when
+  /// the row holds no NaN (equal to best_ in a one-action table). With it,
+  /// update() rescans only when a lowered best falls below the runner-up,
+  /// the runner-up itself is lowered, or a NaN is involved (a NaN
+  /// runner-up only makes it rescan more often).
+  std::vector<std::size_t> runner_up_;
   std::size_t updates_ = 0;
 };
 

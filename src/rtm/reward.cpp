@@ -1,25 +1,8 @@
 #include "rtm/reward.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace prime::rtm {
-
-double TargetSlackReward::reward(double slack, double dslack) const {
-  // Distance from the target band, weighted asymmetrically: running below the
-  // target (towards deadline misses) is penalised `neg_penalty` times harder
-  // than the same distance of wasteful headroom above it.
-  const auto dist = [this](double l) {
-    const double d = (l - params_.target) / params_.scale;
-    return d < 0.0 ? -d * params_.neg_penalty : d;
-  };
-  const double cur_dist = dist(slack);
-  const double prev_dist = dist(slack - dslack);
-  const double level_term = params_.a * (1.0 - cur_dist);
-  const double improve_term = params_.b * (prev_dist - cur_dist);
-  return std::clamp(level_term + improve_term, -params_.clip, params_.clip);
-}
 
 RewardRegistry& reward_registry() {
   static RewardRegistry registry("reward");

@@ -15,6 +15,7 @@
 /// over-performance (wasted energy).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -55,7 +56,22 @@ class TargetSlackReward final : public RewardFunction {
   /// \brief Construct with the given parameters.
   explicit TargetSlackReward(const Params& params) noexcept : params_(params) {}
 
-  [[nodiscard]] double reward(double slack, double dslack) const override;
+  /// \brief Inline: the RTM calls it every decision epoch, through a
+  ///        TargetSlackReward pointer when this is its reward.
+  [[nodiscard]] double reward(double slack, double dslack) const override {
+    // Distance from the target band, weighted asymmetrically: running below
+    // the target (towards deadline misses) is penalised `neg_penalty` times
+    // harder than the same distance of wasteful headroom above it.
+    const auto dist = [this](double l) {
+      const double d = (l - params_.target) / params_.scale;
+      return d < 0.0 ? -d * params_.neg_penalty : d;
+    };
+    const double cur_dist = dist(slack);
+    const double prev_dist = dist(slack - dslack);
+    const double level_term = params_.a * (1.0 - cur_dist);
+    const double improve_term = params_.b * (prev_dist - cur_dist);
+    return std::clamp(level_term + improve_term, -params_.clip, params_.clip);
+  }
   [[nodiscard]] std::string name() const override { return "target-slack"; }
   /// \brief Access parameters.
   [[nodiscard]] const Params& params() const noexcept { return params_; }

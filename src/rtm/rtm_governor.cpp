@@ -14,9 +14,11 @@ namespace prime::rtm {
 RtmGovernor::RtmGovernor(const RtmParams& params)
     : params_(params), ewma_(params.ewma_gamma),
       discretizer_(params.discretizer), reward_(make_reward(params.reward)),
+      target_reward_(dynamic_cast<const TargetSlackReward*>(reward_.get())),
       epsilon_(params.epsilon),
       slack_(params.slack_mode, params.slack_ewma_alpha),
-      overhead_(params.overhead), rng_(params.seed) {
+      t_ovh_(OverheadModel(params.overhead).epoch_overhead(1)),
+      rng_(params.seed) {
   if (params.policy == "epd") {
     policy_ = std::make_unique<EpdPolicy>(params.epd_beta);
   } else {
@@ -52,14 +54,17 @@ std::size_t RtmGovernor::decide(const gov::DecisionContext& ctx,
   }
   last_period_ = ctx.period;
 
-  std::size_t state = discretizer_.state_of(1.0, 0.0);  // pessimistic default
-  if (last) {
+  std::size_t state;
+  if (!last) {
+    state = discretizer_.state_of(1.0, 0.0);  // pessimistic default
+  } else {
     // (1) Pay-off for the completed interval (eq. 4 over eq. 5's L).
-    const common::Seconds t_ovh =
-        overhead_.epoch_overhead(q_updates_per_epoch());
     const double slack_avg =
-        slack_.observe(last->period, last->frame_time, t_ovh);
-    const double payoff = reward_->reward(slack_avg, slack_.delta_slack());
+        slack_.observe(last->period, last->frame_time, t_ovh_);
+    const double payoff =
+        target_reward_ != nullptr
+            ? target_reward_->reward(slack_avg, slack_.delta_slack())
+            : reward_->reward(slack_avg, slack_.delta_slack());
 
     // (3a) Predict next workload and map (CC, L) to the next state.
     const double w01 = workload_coordinate(ctx, *last);

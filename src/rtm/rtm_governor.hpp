@@ -66,8 +66,9 @@ class RtmGovernor : public gov::Governor, public gov::Learner {
       const gov::DecisionContext& ctx,
       const std::optional<gov::EpochObservation>& last) override;
   /// \brief T_OVH processing component: one shared-table Bellman update.
+  ///        The same value decide() charges to each epoch's slack.
   [[nodiscard]] common::Seconds epoch_overhead() const override {
-    return overhead_.epoch_overhead(1);
+    return t_ovh_;
   }
   void reset() override;
   void save_state(std::ostream& out) const override;
@@ -110,11 +111,6 @@ class RtmGovernor : public gov::Governor, public gov::Learner {
   [[nodiscard]] virtual double workload_coordinate(
       const gov::DecisionContext& ctx, const gov::EpochObservation& last);
 
-  /// \brief Q updates performed per epoch (1 for the shared-table designs).
-  [[nodiscard]] virtual std::size_t q_updates_per_epoch() const noexcept {
-    return 1;
-  }
-
   RtmParams params_;
   EwmaPredictor ewma_;
   double max_cycles_seen_ = 1.0;
@@ -125,10 +121,15 @@ class RtmGovernor : public gov::Governor, public gov::Learner {
   Discretizer discretizer_;
   std::unique_ptr<QTable> qtable_;
   std::unique_ptr<RewardFunction> reward_;
+  /// reward_ when it is the built-in target-slack reward, else null: decide()
+  /// then calls its inline reward() directly instead of through the vtable.
+  const TargetSlackReward* target_reward_ = nullptr;
   std::unique_ptr<ExplorationPolicy> policy_;
   EpsilonSchedule epsilon_;
   SlackMonitor slack_;
-  OverheadModel overhead_;
+  /// T_OVH of one epoch (one shared-table Bellman update), fixed at
+  /// construction.
+  common::Seconds t_ovh_;
   common::Rng rng_;
   std::size_t actions_ = 0;
   std::size_t last_state_ = 0;

@@ -13,28 +13,6 @@ SlackMonitor::SlackMonitor(SlackAveraging mode, double ewma_alpha)
   }
 }
 
-double SlackMonitor::observe(common::Seconds t_ref, common::Seconds t_exec,
-                             common::Seconds t_ovh) {
-  if (t_ref <= 0.0) return average_;
-  const double slack = (t_ref - t_exec - t_ovh) / t_ref;
-  last_ = slack;
-  const double previous = average_;
-  ++epochs_;
-  switch (mode_) {
-    case SlackAveraging::kCumulative:
-      sum_ += slack;
-      average_ = sum_ / static_cast<double>(epochs_);
-      break;
-    case SlackAveraging::kExponential:
-      average_ = epochs_ == 1
-                     ? slack
-                     : ewma_alpha_ * slack + (1.0 - ewma_alpha_) * average_;
-      break;
-  }
-  delta_ = average_ - previous;
-  return average_;
-}
-
 void SlackMonitor::reset() noexcept {
   average_ = 0.0;
   delta_ = 0.0;

@@ -43,7 +43,26 @@ class SlackMonitor {
   /// \param t_ovh  Learning/adaptation overhead charged to the epoch.
   /// \return The updated average slack ratio L_i.
   double observe(common::Seconds t_ref, common::Seconds t_exec,
-                 common::Seconds t_ovh);
+                 common::Seconds t_ovh) {
+    if (t_ref <= 0.0) return average_;
+    const double slack = (t_ref - t_exec - t_ovh) / t_ref;
+    last_ = slack;
+    const double previous = average_;
+    ++epochs_;
+    switch (mode_) {
+      case SlackAveraging::kCumulative:
+        sum_ += slack;
+        average_ = sum_ / static_cast<double>(epochs_);
+        break;
+      case SlackAveraging::kExponential:
+        average_ = epochs_ == 1
+                       ? slack
+                       : ewma_alpha_ * slack + (1.0 - ewma_alpha_) * average_;
+        break;
+    }
+    delta_ = average_ - previous;
+    return average_;
+  }
 
   /// \brief Current average slack ratio L (0 before any observation).
   [[nodiscard]] double average_slack() const noexcept { return average_; }

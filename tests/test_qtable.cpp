@@ -167,8 +167,9 @@ TEST(QTable, LoadCsvFailureLeavesTableUnchanged) {
 
 /// Property: the cached argmax answers exactly what a full first-argmax scan
 /// (the `>` test, lowest index on ties) answers, bit for bit, across random
-/// update/set_q/load_state/reset sequences drawn from a value pool full of
-/// ties, signed zeros and NaNs.
+/// update/set_q/load_state/load_csv/reset sequences drawn from a value pool
+/// full of ties, signed zeros and NaNs. About half the updates lower the
+/// row's current best or runner-up, the cases the cache rescans for.
 TEST(QTable, CachedArgmaxMatchesBruteForceScan) {
   constexpr std::size_t kStates = 4;
   constexpr std::size_t kActions = 5;
@@ -182,6 +183,15 @@ TEST(QTable, CachedArgmaxMatchesBruteForceScan) {
       if (t.q(s, a) > t.q(s, best)) best = a;
     }
     return best;
+  };
+  // The same scan over every action but the best.
+  const auto runner_up = [&](const QTable& t, std::size_t s) {
+    const std::size_t best = scan(t, s);
+    std::size_t second = best == 0 ? 1 : 0;
+    for (std::size_t a = second + 1; a < kActions; ++a) {
+      if (a != best && t.q(s, a) > t.q(s, second)) second = a;
+    }
+    return second;
   };
   const auto check = [&](const QTable& t, int step) {
     for (std::size_t s = 0; s < kStates; ++s) {
@@ -206,12 +216,20 @@ TEST(QTable, CachedArgmaxMatchesBruteForceScan) {
       const std::size_t op = draw(100);
       const std::size_t s = draw(kStates);
       const std::size_t a = draw(kActions);
-      if (op < 70) {
+      if (op < 35) {
         // alpha = 1 and discount = 0 store the pooled reward exactly (up to
         // 0 * q, which keeps NaNs and flips zero signs), so ties are common.
         const bool exact = draw(2) == 0;
         table.update(s, a, pool[draw(kPool)], draw(kStates),
                      exact ? 1.0 : 0.5, exact ? 0.0 : 0.9);
+      } else if (op < 70) {
+        // Lower the best or the runner-up by a pooled magnitude (0 keeps
+        // it, NaN poisons it), landing on or between its neighbours.
+        const std::size_t target =
+            draw(2) == 0 ? scan(table, s) : runner_up(table, s);
+        const double lowered =
+            table.q(s, target) - std::abs(pool[draw(kPool)]);
+        table.update(s, target, lowered, draw(kStates), 1.0, 0.0);
       } else if (op < 90) {
         table.set_q(s, a, pool[draw(kPool)]);
       } else if (op < 95) {
