@@ -44,14 +44,42 @@ void StateWriter::str(const std::string& v) {
   out_->write(v.data(), static_cast<std::streamsize>(v.size()));
 }
 
+namespace {
+
+/// Elements encoded or decoded per stream call by the vector codecs.
+constexpr std::size_t kVecChunk = 512;
+
+/// Count, then the elements 8 bytes each, encoded a chunk at a time into a
+/// stack buffer (the count rides with the first chunk), so a Q-table costs
+/// one stream write instead of one per cell.
+template <typename T, typename Store>
+void write_vec(std::ostream& out, const std::vector<T>& v, Store store) {
+  unsigned char buf[8 + kVecChunk * 8];
+  store_u64(buf, v.size());
+  std::size_t used = 8;
+  std::size_t at = 0;
+  do {
+    const std::size_t take = std::min(v.size() - at, kVecChunk);
+    for (std::size_t i = 0; i < take; ++i) {
+      store(buf + used + 8 * i, v[at + i]);
+    }
+    out.write(reinterpret_cast<const char*>(buf),
+              static_cast<std::streamsize>(used + 8 * take));
+    at += take;
+    used = 0;
+  } while (at < v.size());
+}
+
+}  // namespace
+
 void StateWriter::vec_f64(const std::vector<double>& v) {
-  u64(v.size());
-  for (const double x : v) f64(x);
+  write_vec(*out_, v,
+            [](unsigned char* p, double x) { store_f64(p, x); });
 }
 
 void StateWriter::vec_u64(const std::vector<std::uint64_t>& v) {
-  u64(v.size());
-  for (const std::uint64_t x : v) u64(x);
+  write_vec(*out_, v,
+            [](unsigned char* p, std::uint64_t x) { store_u64(p, x); });
 }
 
 // --- StateReader -------------------------------------------------------------
@@ -129,25 +157,32 @@ std::string StateReader::read_counted(std::uint64_t max, const char* what) {
   return out;
 }
 
-std::vector<double> StateReader::vec_f64() {
+template <typename T, typename Load>
+std::vector<T> StateReader::read_vec(Load load) {
   const std::uint64_t n = u64();
-  // Each element costs 8 bytes in the stream; a count the stream cannot
-  // physically hold is corruption, caught element-by-element below without
-  // an eager mega-allocation only when the count is plausible.
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
+  // Decode a chunk per stream read, growing the vector as the chunks
+  // arrive: a count the stream cannot back fails at the stream's end
+  // instead of after allocating the claimed size.
+  std::vector<T> out;
+  unsigned char buf[kVecChunk * 8];
+  while (out.size() < n) {
+    const std::size_t at = out.size();
+    const auto take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(n - at, kVecChunk));
+    read_bytes(buf, 8 * take);
+    out.resize(at + take);
+    for (std::size_t i = 0; i < take; ++i) out[at + i] = load(buf + 8 * i);
+  }
   return out;
 }
 
+std::vector<double> StateReader::vec_f64() {
+  return read_vec<double>([](const unsigned char* p) { return load_f64(p); });
+}
+
 std::vector<std::uint64_t> StateReader::vec_u64() {
-  const std::uint64_t n = u64();
-  std::vector<std::uint64_t> out;
-  out.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(u64());
-  return out;
+  return read_vec<std::uint64_t>(
+      [](const unsigned char* p) { return load_u64(p); });
 }
 
 }  // namespace prime::common

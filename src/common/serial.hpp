@@ -89,6 +89,9 @@ class StateReader {
 
  private:
   void read_bytes(unsigned char* out, std::size_t n);
+  /// Count, then that many 8-byte elements decoded by \p load.
+  template <typename T, typename Load>
+  std::vector<T> read_vec(Load load);
   /// Length prefix plus that many bytes, the length capped at \p max.
   std::string read_counted(std::uint64_t max, const char* what);
 

@@ -183,6 +183,72 @@ TEST(Serial, TruncationAndCorruptionThrow) {
   }
 }
 
+TEST(Serial, VectorCountBeyondTheStreamThrowsWithoutAllocating) {
+  // Two elements follow each count. Reserving or resizing to the claimed
+  // count would throw std::length_error or std::bad_alloc, not SerialError.
+  for (const std::uint64_t count :
+       {std::uint64_t{3}, std::uint64_t{1} << 40, std::uint64_t{1} << 61,
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    std::stringstream f64s;
+    common::StateWriter wf(f64s);
+    wf.u64(count);
+    wf.f64(1.0);
+    wf.f64(2.0);
+    common::StateReader rf(f64s);
+    EXPECT_THROW((void)rf.vec_f64(), common::SerialError);
+
+    std::stringstream u64s;
+    common::StateWriter wu(u64s);
+    wu.u64(count);
+    wu.u64(1);
+    wu.u64(2);
+    common::StateReader ru(u64s);
+    EXPECT_THROW((void)ru.vec_u64(), common::SerialError);
+  }
+}
+
+TEST(Serial, VectorsRoundTripAcrossChunksAndRejectATruncatedLastElement) {
+  for (const std::size_t n : {0, 1, 511, 512, 513, 1500}) {
+    SCOPED_TRACE(n);
+    std::vector<double> doubles(n);
+    std::vector<std::uint64_t> words(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      doubles[i] = i % 3 == 0 ? -0.0 : 0.1 * static_cast<double>(i);
+      words[i] = ~std::uint64_t{0} - i;
+    }
+    std::stringstream buf;
+    common::StateWriter w(buf);
+    w.vec_f64(doubles);
+    w.vec_u64(words);
+    const std::string bytes = buf.str();
+    ASSERT_EQ(bytes.size(), 16 + 16 * n);
+
+    std::istringstream whole(bytes);
+    common::StateReader r(whole);
+    const std::vector<double> back = r.vec_f64();
+    ASSERT_EQ(back.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+                std::bit_cast<std::uint64_t>(doubles[i]));
+    }
+    EXPECT_EQ(r.vec_u64(), words);
+
+    if (n == 0) continue;
+    for (std::size_t cut = 1; cut < 8; ++cut) {
+      SCOPED_TRACE(cut);
+      // Truncate the last element of the u64 vector, then of the f64 one.
+      std::istringstream short_u64(bytes.substr(0, bytes.size() - cut));
+      common::StateReader ru(short_u64);
+      (void)ru.vec_f64();
+      EXPECT_THROW((void)ru.vec_u64(), common::SerialError);
+      std::istringstream short_f64(bytes.substr(0, 8 + 8 * n - cut));
+      common::StateReader rf(short_f64);
+      EXPECT_THROW((void)rf.vec_f64(), common::SerialError);
+    }
+  }
+}
+
 // --- FrameSource::skip_to ----------------------------------------------------
 
 TEST(FrameSourceSkip, TraceSourceSkipsInConstantTime) {
