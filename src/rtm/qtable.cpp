@@ -76,8 +76,9 @@ void QTable::update(std::size_t s, std::size_t a, double reward,
   }
   double* row = q_.data() + s * actions_;
   const double old = row[a];
+  const double next_best = q_[s_next * actions_ + best_[s_next]];
   const double q =
-      (1.0 - alpha) * old + alpha * (reward + discount * best_value(s_next));
+      (1.0 - alpha) * old + alpha * (reward + discount * next_best);
   row[a] = q;
   ++visits_[s * actions_ + a];
   ++updates_;
