@@ -198,16 +198,13 @@ void CheckpointSink::on_run_begin(const RunContext&) {
         "single-app engine (run_simulation), which binds attached checkpoint "
         "sinks at run begin");
   }
-  until_snapshot_ = every_;
+  seen_ = 0;
   written_ = 0;
 }
 
 void CheckpointSink::on_epoch(const EpochRecord&, gov::Governor&) {
-  // A countdown instead of a division per epoch.
-  if (every_ > 0 && --until_snapshot_ == 0) {
-    until_snapshot_ = every_;
-    write_snapshot(true);
-  }
+  ++seen_;
+  if (every_ > 0 && seen_ % every_ == 0) write_snapshot(true);
 }
 
 void CheckpointSink::on_run_end(const RunResult&) {

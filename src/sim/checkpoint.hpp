@@ -179,7 +179,7 @@ class CheckpointSink : public TelemetrySink {
   std::string path_;
   std::size_t every_;
   const RunBinding* run_ = nullptr;
-  std::size_t until_snapshot_ = 0;  ///< Epochs left to the next snapshot.
+  std::size_t seen_ = 0;
   std::size_t written_ = 0;
 
   // Engine -> writer handoff. `busy_` is true from post() until the

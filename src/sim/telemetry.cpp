@@ -157,15 +157,11 @@ void SampleSink::bind(RunBinding* run) { inner_->bind(run); }
 void SampleSink::on_run_begin(const RunContext& ctx) {
   seen_ = 0;
   forwarded_ = 0;
-  until_forward_ = 1;
   inner_->on_run_begin(ctx);
 }
 
 void SampleSink::on_epoch(const EpochRecord& record, gov::Governor& governor) {
-  // Forward epochs 0, every, 2*every, ... by a countdown, not a division.
-  ++seen_;
-  if (--until_forward_ == 0) {
-    until_forward_ = every_;
+  if (seen_++ % every_ == 0) {
     inner_->on_epoch(record, governor);
     ++forwarded_;
   }

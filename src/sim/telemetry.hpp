@@ -273,7 +273,6 @@ class SampleSink : public TelemetrySink {
   std::unique_ptr<TelemetrySink> inner_;
   std::size_t seen_ = 0;
   std::size_t forwarded_ = 0;
-  std::size_t until_forward_ = 1;  ///< Epochs left to the next forward.
 };
 
 /// \brief Adapter running an arbitrary callback per epoch — the migration
