@@ -93,7 +93,8 @@ class Rng {
   [[nodiscard]] bool bernoulli(double p) noexcept;
   /// \brief Sample an index from an (unnormalised, non-negative) weight
   ///        vector. Returns weights.size()-1 on degenerate input.
-  [[nodiscard]] std::size_t discrete(const std::vector<double>& weights) noexcept {
+  [[nodiscard]] std::size_t discrete(
+      const std::vector<double>& weights) noexcept {
     return discrete(weights.data(), weights.size());
   }
   /// \brief discrete() over the \p count weights at \p weights, so callers

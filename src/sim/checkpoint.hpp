@@ -132,7 +132,8 @@ void load_aggregates(common::StateReader& in, RunResult& r);
 /// and joins it. At most one write is in flight: the next snapshot, run end
 /// and bind() wait for it, and a failed write's CheckpointError is rethrown
 /// on the engine thread there (bind() and the destructor log it instead: a
-/// write is still in flight there only when the run has already thrown).
+/// write is still in flight there only when the run has already thrown or
+/// never ended).
 /// When no thread can be started the snapshot is sealed inline. The run-end
 /// checkpoint is written synchronously, so a returned run's file is sealed
 /// and can be resumed at once.
@@ -170,8 +171,8 @@ class CheckpointSink : public TelemetrySink {
   void write_snapshot(bool background);
   /// Wait for the write in flight, if any; rethrow its error.
   void await_pending();
-  /// Hand \p ck to the writer thread, starting it if need be. False when
-  /// no thread can be started.
+  /// Hand \p ck to the writer thread, starting it if need be. False, with
+  /// \p ck untouched, when no thread can be started.
   bool post(Checkpoint&& ck);
   /// The writer thread: seal each posted snapshot until told to stop.
   void writer_loop();
@@ -183,7 +184,8 @@ class CheckpointSink : public TelemetrySink {
   std::size_t written_ = 0;
 
   // Engine -> writer handoff. `busy_` is true from post() until the
-  // writer has sealed `job_`; only the side `busy_` names touches `job_`.
+  // writer has sealed `job_`; meanwhile `job_` belongs to the writer, and
+  // otherwise to the engine thread.
   std::mutex mutex_;
   std::condition_variable posted_;  ///< A job or stop for the writer.
   std::condition_variable sealed_;  ///< The job is done.

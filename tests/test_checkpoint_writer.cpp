@@ -49,6 +49,28 @@ std::size_t thread_count() {
   return n;
 }
 
+/// thread_count() once it reaches \p expected, or after a second. A joined
+/// thread can linger in /proc/self/task until the kernel reaps it.
+std::size_t thread_count_settling_at(std::size_t expected) {
+  for (int i = 0; i < 1000 && thread_count() != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return thread_count();
+}
+
+/// thread_count() once two reads 5 ms apart agree: earlier tests' joined
+/// threads must not count into a baseline.
+std::size_t settled_thread_count() {
+  std::size_t n = thread_count();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t again = thread_count();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
+}
+
 /// A live run to bind a sink to by hand: board, governor, application,
 /// aggregates and pending observation, as run_simulation would lend them.
 struct Rig {
@@ -101,7 +123,7 @@ class BlockingTarget {
 
 TEST(CheckpointWriter, OneThreadServesASinkReusedAcrossRuns) {
   const std::string path = fresh_path("reused.ckpt");
-  const std::size_t threads = thread_count();
+  const std::size_t threads = settled_thread_count();
   {
     CheckpointSink sink(path, 7);
     for (const std::size_t frames : {40, 100, 70}) {
@@ -123,12 +145,12 @@ TEST(CheckpointWriter, OneThreadServesASinkReusedAcrossRuns) {
       if (threads != 0) EXPECT_EQ(thread_count(), threads + 1);
     }
   }
-  EXPECT_EQ(thread_count(), threads);
+  EXPECT_EQ(thread_count_settling_at(threads), threads);
 }
 
 TEST(CheckpointWriter, DestroyingTheSinkFinishesTheWriteInFlight) {
   const std::string path = fresh_path("destroyed.ckpt");
-  const std::size_t threads = thread_count();
+  const std::size_t threads = settled_thread_count();
   for (std::size_t at = 1; at <= 20; ++at) {
     SCOPED_TRACE(at);
     Rig rig;
@@ -137,7 +159,7 @@ TEST(CheckpointWriter, DestroyingTheSinkFinishesTheWriteInFlight) {
     sink.reset();  // bound, with the write just posted
     EXPECT_EQ(Checkpoint::load_file(path).frame_position, at);
     EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-    EXPECT_EQ(thread_count(), threads);
+    EXPECT_EQ(thread_count_settling_at(threads), threads);
   }
 }
 

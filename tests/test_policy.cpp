@@ -70,6 +70,26 @@ TEST(EpdPolicy, SamplingFollowsDistribution) {
   EXPECT_GT(slow, fast * 3 / 2);
 }
 
+// sample() draws from a stack buffer up to 64 OPPs and from the heap above:
+// either way it picks exactly what the documented distribution would, draw
+// for draw.
+TEST(EpdPolicy, SampleMatchesDiscreteOverProbabilities) {
+  const EpdPolicy epd(4.0);
+  for (const std::size_t n : {1, 19, 64, 65, 100}) {
+    SCOPED_TRACE(n);
+    const hw::OppTable opps =
+        hw::OppTable::linear(n, 200.0e6, 2000.0e6, 0.9, 1.3);
+    common::Rng sampled(11);
+    common::Rng reference(11);
+    for (int i = 0; i < 500; ++i) {
+      const double slack = -0.5 + 0.002 * i;
+      ASSERT_EQ(epd.sample(opps, slack, sampled),
+                reference.discrete(epd.probabilities(opps, slack)))
+          << "draw " << i;
+    }
+  }
+}
+
 TEST(UpdPolicy, UniformRegardlessOfSlack) {
   const UpdPolicy upd;
   const hw::OppTable opps = hw::OppTable::odroid_xu3_a15();
