@@ -28,11 +28,8 @@ double ManycoreRtmGovernor::workload_coordinate(
   // reflects the total workload as well.
   const common::Cycles total_predicted = ewma_.observe(last.total_cycles);
 
-  // Round-robin learner core: one core's state per decision epoch. A
-  // power-of-two core count takes a mask instead of the 64-bit division.
-  const std::size_t cores = std::max<std::size_t>(1, ctx.cores);
-  learner_ = (cores & (cores - 1)) == 0 ? ctx.epoch & (cores - 1)
-                                        : ctx.epoch % cores;
+  // Round-robin learner core: one core's state per decision epoch.
+  learner_ = ctx.epoch % std::max<std::size_t>(1, ctx.cores);
   const double learner_pred =
       static_cast<double>(predictors_[learner_].prediction());
 

@@ -38,14 +38,11 @@ std::vector<double> EpdPolicy::probabilities(const hw::OppTable& opps,
 
 std::size_t EpdPolicy::sample(const hw::OppTable& opps, double slack,
                               common::Rng& rng) const {
-  // Explorations happen every epoch early in a run: sample from a stack
-  // buffer, falling back to the heap only for an unusually long OPP table.
-  constexpr std::size_t kInline = 64;
-  const std::size_t n = opps.size();
-  if (n > kInline) return rng.discrete(probabilities(opps, slack));
-  double p[kInline];
-  epd_probabilities(opps, beta_, slack, p);
-  return rng.discrete(p, n);
+  // Explorations happen every epoch early in a run: reuse the scratch
+  // buffer, which allocates only when the table grows past its size.
+  scratch_.resize(opps.size());
+  epd_probabilities(opps, beta_, slack, scratch_.data());
+  return rng.discrete(scratch_.data(), scratch_.size());
 }
 
 std::vector<double> UpdPolicy::probabilities(const hw::OppTable& opps,

@@ -42,6 +42,9 @@ class ExplorationPolicy {
 };
 
 /// \brief The paper's slack-directed exponential distribution (eq. 2).
+///
+/// sample() writes the distribution into a scratch buffer the policy owns,
+/// so one policy must not be sampled from two threads at once.
 class EpdPolicy final : public ExplorationPolicy {
  public:
   /// \brief Construct with exponent constant \p beta (eq. 2's beta). Larger
@@ -58,6 +61,7 @@ class EpdPolicy final : public ExplorationPolicy {
 
  private:
   double beta_;
+  mutable std::vector<double> scratch_;  ///< sample()'s distribution.
 };
 
 /// \brief Prior work's uniform random selection (UPD) [19][21].

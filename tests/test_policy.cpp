@@ -70,12 +70,11 @@ TEST(EpdPolicy, SamplingFollowsDistribution) {
   EXPECT_GT(slow, fast * 3 / 2);
 }
 
-// sample() draws from a stack buffer up to 64 OPPs and from the heap above:
-// either way it picks exactly what the documented distribution would, draw
-// for draw.
+// sample() reuses one scratch buffer across tables that grow and shrink,
+// and picks exactly what the documented distribution would, draw for draw.
 TEST(EpdPolicy, SampleMatchesDiscreteOverProbabilities) {
   const EpdPolicy epd(4.0);
-  for (const std::size_t n : {1, 19, 64, 65, 100}) {
+  for (const std::size_t n : {1, 19, 4, 100, 19}) {
     SCOPED_TRACE(n);
     const hw::OppTable opps =
         hw::OppTable::linear(n, 200.0e6, 2000.0e6, 0.9, 1.3);
