@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hpp"
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <system_error>
 #include <utility>
@@ -150,23 +151,6 @@ CheckpointSink::CheckpointSink(std::string path, std::size_t every)
   }
 }
 
-CheckpointSink::~CheckpointSink() {
-  if (!writer_.joinable()) return;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  posted_.notify_one();
-  writer_.join();
-  if (error_) {
-    try {
-      std::rethrow_exception(error_);
-    } catch (const std::exception& e) {
-      common::log_warn() << e.what() << " (no run awaited this write)";
-    }
-  }
-}
-
 void CheckpointSink::bind(RunBinding* run) {
   // Only a run that already threw leaves a write in flight here. Its own
   // exception is the one propagating, so a failed write is logged instead.
@@ -215,51 +199,23 @@ void CheckpointSink::on_run_end(const RunResult&) {
 
 void CheckpointSink::write_snapshot(bool background) {
   await_pending();
-  Checkpoint ck = snapshot_of(*run_);
-  if (!background || !post(std::move(ck))) ck.save_file(path_);
+  const auto ck = std::make_shared<const Checkpoint>(snapshot_of(*run_));
+  if (background) {
+    try {
+      pending_ = std::async(std::launch::async,
+                            [ck, path = path_] { ck->save_file(path); });
+      ++written_;
+      return;
+    } catch (const std::system_error&) {
+      // No thread to be had (EAGAIN): seal it here instead.
+    }
+  }
+  ck->save_file(path_);
   ++written_;
 }
 
-bool CheckpointSink::post(Checkpoint&& ck) {
-  if (!writer_.joinable()) {
-    try {
-      writer_ = std::thread([this] { writer_loop(); });
-    } catch (const std::system_error&) {
-      return false;  // no thread to be had (EAGAIN): seal it inline
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    job_ = std::move(ck);
-    busy_ = true;
-  }
-  posted_.notify_one();
-  return true;
-}
-
-void CheckpointSink::writer_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    posted_.wait(lock, [this] { return busy_ || stop_; });
-    if (!busy_) return;  // stopped with no write in flight
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      job_.save_file(path_);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    error_ = error;
-    busy_ = false;
-    sealed_.notify_one();
-  }
-}
-
 void CheckpointSink::await_pending() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  sealed_.wait(lock, [this] { return !busy_; });
-  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  if (pending_.valid()) pending_.get();  // get() leaves pending_ empty
 }
 
 // --- Registry entry ----------------------------------------------------------

@@ -31,14 +31,11 @@
 #pragma once
 
 #include <array>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
+#include <future>
 #include <iosfwd>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "gov/governor.hpp"
 #include "sim/telemetry.hpp"
@@ -126,17 +123,13 @@ void load_aggregates(common::StateReader& in, RunResult& r);
 /// checkpoint.
 ///
 /// Periodic snapshots are taken on the engine thread at their epoch, then
-/// sealed into the file by the sink's writer thread while the run goes on.
-/// The thread starts with the first periodic snapshot and lives as long as
-/// the sink, across runs; the destructor lets it finish the write in flight
-/// and joins it. At most one write is in flight: the next snapshot, run end
-/// and bind() wait for it, and a failed write's CheckpointError is rethrown
-/// on the engine thread there (bind() and the destructor log it instead: a
-/// write is still in flight there only when the run has already thrown or
-/// never ended).
-/// When no thread can be started the snapshot is sealed inline. The run-end
-/// checkpoint is written synchronously, so a returned run's file is sealed
-/// and can be resumed at once.
+/// sealed into the file on a background thread while the run goes on. At
+/// most one write is in flight: the next snapshot, run end and bind() wait
+/// for it, and a failed write's CheckpointError is rethrown on the engine
+/// thread there (bind() logs it instead: a write is still in flight there
+/// only when the run has already thrown). The run-end checkpoint is written
+/// synchronously, so a returned run's file is sealed and can be resumed at
+/// once.
 ///
 /// bind() rejects a multi-domain board with std::invalid_argument: the
 /// format stores one pending observation, and such runs carry one per
@@ -147,10 +140,6 @@ class CheckpointSink : public TelemetrySink {
  public:
   /// \brief Write to \p path every \p every epochs (0 = run end only).
   explicit CheckpointSink(std::string path, std::size_t every = 0);
-  /// \brief Waits for the write in flight and joins the writer thread.
-  ~CheckpointSink() override;
-  CheckpointSink(const CheckpointSink&) = delete;
-  CheckpointSink& operator=(const CheckpointSink&) = delete;
 
   /// \brief Bind \p run (or unbind with nullptr); either waits for a
   ///        write in flight. Throws std::invalid_argument on a multi-domain
@@ -171,29 +160,13 @@ class CheckpointSink : public TelemetrySink {
   void write_snapshot(bool background);
   /// Wait for the write in flight, if any; rethrow its error.
   void await_pending();
-  /// Hand \p ck to the writer thread, starting it if need be. False, with
-  /// \p ck untouched, when no thread can be started.
-  bool post(Checkpoint&& ck);
-  /// The writer thread: seal each posted snapshot until told to stop.
-  void writer_loop();
 
   std::string path_;
   std::size_t every_;
   const RunBinding* run_ = nullptr;
+  std::future<void> pending_;  ///< The background write in flight.
   std::size_t seen_ = 0;
   std::size_t written_ = 0;
-
-  // Engine -> writer handoff. `busy_` is true from post() until the
-  // writer has sealed `job_`; meanwhile `job_` belongs to the writer, and
-  // otherwise to the engine thread.
-  std::mutex mutex_;
-  std::condition_variable posted_;  ///< A job or stop for the writer.
-  std::condition_variable sealed_;  ///< The job is done.
-  Checkpoint job_;
-  bool busy_ = false;
-  bool stop_ = false;
-  std::exception_ptr error_;  ///< The failed write's error, until awaited.
-  std::thread writer_;
 };
 
 }  // namespace prime::sim

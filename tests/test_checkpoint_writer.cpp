@@ -1,10 +1,9 @@
 /// \file test_checkpoint_writer.cpp
-/// \brief The CheckpointSink's long-lived writer thread: one thread per sink
-///        across runs, a destructor that finishes the write in flight, a
-///        failed background write surfacing at the next snapshot and at run
-///        end, and unbinding that waits for the write. The sink is driven
-///        through run_simulation where a whole run is wanted, and through
-///        its hooks directly where a test must hold a write in flight.
+/// \brief The CheckpointSink's background snapshot write: destroying the
+///        sink finishes the write in flight, a failed write surfaces at the
+///        next snapshot and at run end, and unbinding waits for the write.
+///        The sink is driven through its hooks directly, so a test can hold
+///        a write in flight.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -120,33 +119,6 @@ class BlockingTarget {
  private:
   std::string fifo_;
 };
-
-TEST(CheckpointWriter, OneThreadServesASinkReusedAcrossRuns) {
-  const std::string path = fresh_path("reused.ckpt");
-  const std::size_t threads = settled_thread_count();
-  {
-    CheckpointSink sink(path, 7);
-    for (const std::size_t frames : {40, 100, 70}) {
-      SCOPED_TRACE(frames);
-      const auto platform = hw::Platform::odroid_xu3_a15();
-      const auto governor = make_governor("rtm");
-      ExperimentSpec spec;
-      spec.workload = "h264";
-      spec.fps = 30.0;
-      spec.frames = frames;
-      const wl::Application app = make_application(spec, *platform);
-      RunOptions options;
-      options.sinks = {&sink};
-      (void)run_simulation(*platform, app, *governor, options);
-      EXPECT_EQ(sink.snapshots_written(), frames / 7 + 1);
-      EXPECT_EQ(Checkpoint::load_file(path).frame_position, frames);
-      EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-      // The writer started with the first run and serves every later one.
-      if (threads != 0) EXPECT_EQ(thread_count(), threads + 1);
-    }
-  }
-  EXPECT_EQ(thread_count_settling_at(threads), threads);
-}
 
 TEST(CheckpointWriter, DestroyingTheSinkFinishesTheWriteInFlight) {
   const std::string path = fresh_path("destroyed.ckpt");
