@@ -98,7 +98,7 @@ class Rng {
     return discrete(weights.data(), weights.size());
   }
   /// \brief discrete() over the \p count weights at \p weights, so callers
-  ///        can sample from a stack buffer.
+  ///        can sample from a buffer they own.
   [[nodiscard]] std::size_t discrete(const double* weights,
                                      std::size_t count) noexcept;
 
