@@ -233,37 +233,6 @@ void MovingAverage::reset() noexcept {
   sum_ = 0.0;
 }
 
-namespace {
-
-/// Interpolated rank lookup over an already-sorted sample vector — the one
-/// percentile definition percentile_of and percentiles_of share.
-double percentile_of_sorted(const std::vector<double>& sorted, double p) {
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-}  // namespace
-
-double percentile_of(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  return percentile_of_sorted(samples, p);
-}
-
-std::vector<double> percentiles_of(std::vector<double> samples,
-                                   const std::vector<double>& ps) {
-  if (samples.empty()) return std::vector<double>(ps.size(), 0.0);
-  std::sort(samples.begin(), samples.end());
-  std::vector<double> out;
-  out.reserve(ps.size());
-  for (const double p : ps) out.push_back(percentile_of_sorted(samples, p));
-  return out;
-}
-
 double mape(const std::vector<double>& actual,
             const std::vector<double>& predicted) {
   const std::size_t n = std::min(actual.size(), predicted.size());

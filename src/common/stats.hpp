@@ -184,17 +184,6 @@ class MovingAverage {
   double sum_ = 0.0;
 };
 
-/// \brief Exact percentile of a copied sample vector (nearest-rank with
-///        linear interpolation). Returns 0 on empty input.
-[[nodiscard]] double percentile_of(std::vector<double> samples, double p);
-
-/// \brief Several exact percentiles from one sort: equivalent to calling
-///        percentile_of once per entry of \p ps, but the samples are sorted
-///        once instead of once per percentile — what report paths asking for
-///        p50/p95/p99 in one row should use. Returns zeros on empty input.
-[[nodiscard]] std::vector<double> percentiles_of(std::vector<double> samples,
-                                                 const std::vector<double>& ps);
-
 /// \brief Mean absolute percentage error between two equally-sized series,
 ///        skipping entries where the reference is zero. Returns 0 if nothing
 ///        comparable.

@@ -6,6 +6,10 @@
 /// full-length numbers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
+#include "common/hash.hpp"
 #include "gov/mcdvfs.hpp"
 #include "gov/shen_rl.hpp"
 #include "hw/platform.hpp"
@@ -51,6 +55,39 @@ TEST(Integration, TableOneShape_ProposedClosestToRequiredPerformance) {
   EXPECT_LT(ondemand, 1.0);
   EXPECT_LT(proposed, 1.0);
   EXPECT_GT(proposed, ondemand);
+}
+
+/// FNV-1a over a run's aggregates, counts as integers and sums as their
+/// IEEE-754 bits, so any drift in a governor or the hw model moves it.
+std::uint64_t digest_of(const RunResult& run) {
+  common::Fnv1a64 h;
+  h.u64(run.epoch_count);
+  h.u64(run.deadline_misses);
+  h.f64(run.total_energy);
+  h.f64(run.measured_energy);
+  h.f64(run.total_time);
+  h.f64(run.performance_sum);
+  h.f64(run.power_sum);
+  return h.value();
+}
+
+// Committed digests of the reproduced Table I runs; the shape tests above
+// pass under silent drift, these do not.
+TEST(Integration, TableOneNumbersArePinned) {
+  const Comparison cmp = run_h264({"ondemand", "mcdvfs", "rtm-manycore"});
+  const std::pair<const char*, std::uint64_t> pins[] = {
+      {"ondemand", 0x2bb66fa217cbc831ULL},
+      {"mcdvfs", 0xf4293ccf81d48a30ULL},
+      {"rtm-manycore", 0x9d5b48a90ffa8fbeULL},
+      {"oracle", 0x09b7ce00a684e9fdULL},
+  };
+  ASSERT_EQ(cmp.runs.size(), 3u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const RunResult& run = i < 3 ? cmp.runs[i] : cmp.oracle_run;
+    const std::uint64_t digest = digest_of(run);
+    EXPECT_EQ(digest, pins[i].second)
+        << pins[i].first << ": Table I digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(Integration, OracleIsTheLowerBound) {

@@ -173,18 +173,6 @@ TEST(MovingAverage, ResetEmpties) {
   EXPECT_DOUBLE_EQ(m.mean(), 0.0);
 }
 
-TEST(PercentileOf, InterpolatesSortedSamples) {
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(percentile_of(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile_of(v, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile_of(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile_of(v, 25.0), 2.0);
-}
-
-TEST(PercentileOf, EmptyReturnsZero) {
-  EXPECT_DOUBLE_EQ(percentile_of({}, 50.0), 0.0);
-}
-
 TEST(Mape, BasicRelativeError) {
   EXPECT_NEAR(mape({100.0, 200.0}, {110.0, 180.0}), (0.10 + 0.10) / 2.0, 1e-12);
 }
@@ -375,27 +363,6 @@ TEST(ExactSum, SerialRoundTripsBitExact) {
   restored.load_state(r);
   EXPECT_TRUE(restored == s);
   EXPECT_EQ(restored.value(), s.value());
-}
-
-// --- percentiles_of ----------------------------------------------------------
-
-TEST(PercentilesOf, MatchesRepeatedPercentileOf) {
-  Rng rng(14);
-  std::vector<double> samples;
-  for (int i = 0; i < 777; ++i) samples.push_back(rng.uniform(-5.0, 5.0));
-  const std::vector<double> ps = {0.0, 25.0, 50.0, 95.0, 99.0, 100.0};
-  const std::vector<double> batch = percentiles_of(samples, ps);
-  ASSERT_EQ(batch.size(), ps.size());
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], percentile_of(samples, ps[i])) << "p" << ps[i];
-  }
-}
-
-TEST(PercentilesOf, EmptyInputYieldsZeros) {
-  const std::vector<double> out = percentiles_of({}, {50.0, 95.0});
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
 }  // namespace
