@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -22,6 +23,7 @@
 #include "common/serial.hpp"
 #include "gov/governor.hpp"
 #include "hw/platform.hpp"
+#include "qlib/policy.hpp"
 #include "sim/bintrace.hpp"
 #include "sim/builder.hpp"
 #include "sim/checkpoint.hpp"
@@ -611,6 +613,86 @@ TEST(CheckpointResume, DifferentPlatformShapeFailsLoudly) {
   EXPECT_THROW((void)run_simulation(*other, run_app, *governor, options),
                CheckpointError);
 }
+
+// Resume and warm start both carry learned state onto a board, and both
+// refuse a board of another shape: another OPP count, another core count,
+// or the same counts over different V-F points (only the fingerprint
+// differs). Each refusal is the path's own error type and names the file.
+enum class Carry { kResume, kWarmStart };
+enum class Shape { kOppCount, kCoreCount, kOperatingPoints };
+
+class PlatformShapeCheck
+    : public testing::TestWithParam<std::tuple<Carry, Shape>> {};
+
+TEST_P(PlatformShapeCheck, MismatchNamesTheFileInItsOwnError) {
+  const auto [carry, shape] = GetParam();
+  const auto saved_board = hw::Platform::odroid_xu3_a15();  // 19 OPPs, 4 cores
+  const wl::Application app = make_streaming_app(*saved_board, 60);
+  const auto trained = make_governor("shen-rl");
+  RunOptions options;
+  options.max_frames = 60;
+  std::string path;
+  if (carry == Carry::kResume) {
+    path = temp_path("shape-check.ckpt");
+    RunOptions save = options;
+    save.checkpoint_path = path;
+    const wl::Application run_app(app);
+    (void)run_simulation(*saved_board, run_app, *trained, save);
+    options.resume_from = path;
+    options.max_frames = 100;
+  } else {
+    path = temp_path("shape-check.qpol");
+    const wl::Application run_app(app);
+    const RunResult run =
+        run_simulation(*saved_board, run_app, *trained, options);
+    qlib::make_leaf_entry(*saved_board, *trained, "h264", 30.0, "shen-rl",
+                          run.epoch_count)
+        .save_file(path);
+    options.warm_start_from = path;
+  }
+
+  common::Config cfg;
+  switch (shape) {
+    case Shape::kOppCount:
+      cfg.set_int("hw.opps", 10);
+      break;
+    case Shape::kCoreCount:
+      cfg.set_int("hw.cores", 8);
+      break;
+    case Shape::kOperatingPoints:
+      cfg.set_double("hw.fmax_mhz", 1800.0);  // 19 OPPs, another V-F ladder
+      break;
+  }
+  const auto other = hw::Platform::from_config(cfg);
+  const auto governor = make_governor("shen-rl");
+  const wl::Application run_app(app);
+  try {
+    (void)run_simulation(*other, run_app, *governor, options);
+    ADD_FAILURE() << "a board of another shape was accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(carry, Carry::kResume) << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  } catch (const qlib::QlibError& e) {
+    EXPECT_EQ(carry, Carry::kWarmStart) << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+}
+
+std::string shape_check_name(
+    const testing::TestParamInfo<PlatformShapeCheck::ParamType>& info) {
+  static constexpr const char* kCarry[] = {"Resume", "WarmStart"};
+  static constexpr const char* kShape[] = {"OppCount", "CoreCount",
+                                           "OperatingPoints"};
+  return std::string(kCarry[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kShape[static_cast<int>(std::get<1>(info.param))];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ResumeAndWarmStart, PlatformShapeCheck,
+    testing::Combine(testing::Values(Carry::kResume, Carry::kWarmStart),
+                     testing::Values(Shape::kOppCount, Shape::kCoreCount,
+                                     Shape::kOperatingPoints)),
+    shape_check_name);
 
 TEST(CheckpointResume, PositionBeyondRunLengthRejected) {
   const auto calibration = hw::Platform::odroid_xu3_a15();

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hpp"
-#include "common/hash.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/telemetry.hpp"
+#include "run_digest.hpp"
 
 namespace prime::sim {
 namespace {
@@ -22,38 +22,6 @@ wl::Application make_app(const char* workload, double fps, std::size_t frames,
   spec.threads = 2;  // each app gets a 2-core partition
   spec.target_utilisation = utilisation;
   return make_application(spec, platform);
-}
-
-/// Fold every field of \p r and of each record in \p records, doubles by bit
-/// pattern, into one digest.
-std::uint64_t digest(const RunResult& r,
-                     const std::vector<EpochRecord>& records) {
-  common::Fnv1a64 h;
-  h.token(r.governor);
-  h.token(r.application);
-  h.u64(r.epoch_count);
-  h.f64(r.total_energy);
-  h.f64(r.measured_energy);
-  h.f64(r.total_time);
-  h.u64(r.deadline_misses);
-  h.f64(r.performance_sum);
-  h.f64(r.power_sum);
-  for (const EpochRecord& rec : records) {
-    h.u64(rec.epoch);
-    h.f64(rec.period);
-    h.u64(rec.opp_index);
-    h.f64(rec.frequency);
-    h.u64(rec.demand);
-    h.u64(rec.executed);
-    h.f64(rec.frame_time);
-    h.f64(rec.window);
-    h.f64(rec.energy);
-    h.f64(rec.sensor_power);
-    h.f64(rec.temperature);
-    h.f64(rec.slack);
-    h.u64(rec.deadline_met ? 1 : 0);
-  }
-  return h.value();
 }
 
 /// Two rtm-governed apps (mpeg4 on \p cores_a, fft on \p cores_b) for 200
@@ -74,8 +42,8 @@ std::vector<std::uint64_t> pinned_run_digests(
   options.app_sinks = {{&trace_a}, {&trace_b}};
   const MultiAppResult r =
       run_multi_simulation(platform, placements, governors, options);
-  return {digest(r.per_app[0], trace_a.records()),
-          digest(r.per_app[1], trace_b.records())};
+  return {testing_util::run_digest(r.per_app[0], trace_a.records()),
+          testing_util::run_digest(r.per_app[1], trace_b.records())};
 }
 
 // Pins every per-app result and record bit of one run per board shape, so a

@@ -1,0 +1,174 @@
+/// \file test_multidomain_pin.cpp
+/// \brief Bit-identity pins of the engine's multi-domain epoch loop: per
+///        board x placement x governor, one FNV-1a digest over the
+///        `RunResult` and every `EpochRecord` of a fixed-seed run. The other
+///        multi-domain tests compare the loop only against itself (repeat
+///        runs, block sizes), so a change that moved every run alike would
+///        pass them; these digests were committed before the loop was
+///        reworked and fail it, naming the board, placement and governor.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <ios>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+
+#include "common/config.hpp"
+#include "hw/platform.hpp"
+#include "sim/block_prefetch.hpp"
+#include "sim/engine.hpp"
+#include "sim/experiment.hpp"
+#include "sim/telemetry.hpp"
+#include "run_digest.hpp"
+
+namespace prime::sim {
+namespace {
+
+/// A board as "<domains>x<cores per domain>".
+struct Board {
+  std::size_t domains;
+  std::size_t cores;
+};
+
+std::string board_name(const Board& b) {
+  return std::to_string(b.domains) + "x" + std::to_string(b.cores);
+}
+
+struct Pin {
+  const char* board;
+  const char* placement;
+  const char* governor;
+  std::uint64_t digest;
+};
+
+// Committed digests of 200-frame runs. Where two policies map this app's
+// work identically (2x2 packed and rect, 4x4 spread and rect, 16x1 packed
+// and spread with one core per domain), their digests coincide.
+constexpr Pin kPins[] = {
+    {"2x2", "packed", "ondemand", 0x96f9455a11516911ULL},
+    {"2x2", "packed", "rtm-manycore", 0x669011732ef5b69ULL},
+    {"2x2", "packed", "oracle", 0xad5b58d60cae7a03ULL},
+    {"2x2", "spread", "ondemand", 0xedc6a1c9c8b83d4cULL},
+    {"2x2", "spread", "rtm-manycore", 0x60d6d02d1217b0b1ULL},
+    {"2x2", "spread", "oracle", 0x9cb477257bf66a9eULL},
+    {"2x2", "rect", "ondemand", 0x96f9455a11516911ULL},
+    {"2x2", "rect", "rtm-manycore", 0x669011732ef5b69ULL},
+    {"2x2", "rect", "oracle", 0xad5b58d60cae7a03ULL},
+    {"4x4", "packed", "ondemand", 0xdef61e99544772ffULL},
+    {"4x4", "packed", "rtm-manycore", 0xfd83d75768b336e8ULL},
+    {"4x4", "packed", "oracle", 0xcca07f680ac143a5ULL},
+    {"4x4", "spread", "ondemand", 0x398d225befc43913ULL},
+    {"4x4", "spread", "rtm-manycore", 0x8957c63fbfa00339ULL},
+    {"4x4", "spread", "oracle", 0x7eaf0082314e216fULL},
+    {"4x4", "rect", "ondemand", 0x398d225befc43913ULL},
+    {"4x4", "rect", "rtm-manycore", 0x8957c63fbfa00339ULL},
+    {"4x4", "rect", "oracle", 0x7eaf0082314e216fULL},
+    {"16x1", "packed", "ondemand", 0xd5ab80508915e87ULL},
+    {"16x1", "packed", "rtm-manycore", 0x72454185f7d2a1daULL},
+    {"16x1", "packed", "oracle", 0xa12428d849636676ULL},
+    {"16x1", "spread", "ondemand", 0xd5ab80508915e87ULL},
+    {"16x1", "spread", "rtm-manycore", 0x72454185f7d2a1daULL},
+    {"16x1", "spread", "oracle", 0xa12428d849636676ULL},
+    {"16x1", "rect", "ondemand", 0xc929b90483026db5ULL},
+    {"16x1", "rect", "rtm-manycore", 0x591896a13eb2a9e4ULL},
+    {"16x1", "rect", "oracle", 0xdd7fc29b6cb640e9ULL},
+};
+
+// The committed digest of the long run: long enough for the prefetch helper.
+constexpr std::size_t kLongFrames = 1200;
+static_assert(kLongFrames >= kMinPrefetchFrames);
+constexpr std::uint64_t kLongPin = 0x3ea2d30431f17062ULL;
+
+std::uint64_t pin_for(const std::string& board, const std::string& placement,
+                      const std::string& governor) {
+  for (const Pin& p : kPins) {
+    if (board == p.board && placement == p.placement &&
+        governor == p.governor) {
+      return p.digest;
+    }
+  }
+  throw std::logic_error("no pin for " + board + " " + placement + " " +
+                         governor);
+}
+
+/// Run h264 at 30 fps for \p frames on a fresh \p board with \p placement
+/// and \p governor; returns the result-and-records digest.
+std::uint64_t run_digest_of(const Board& board, const std::string& placement,
+                            const std::string& governor, std::size_t frames) {
+  common::Config cfg;
+  cfg.set_int("hw.clusters", static_cast<long long>(board.domains));
+  cfg.set_int("hw.cores", static_cast<long long>(board.cores));
+  cfg.set_int("hw.sensor_seed", 31);
+  const auto platform = hw::Platform::from_config(cfg);
+  ExperimentSpec spec;
+  spec.workload = "h264";
+  spec.fps = 30.0;
+  spec.frames = frames;
+  spec.seed = 7;
+  const wl::Application app = make_application(spec, *platform);
+  const auto gov = make_governor(governor, 0x5EED);
+  TraceSink trace;
+  RunOptions options;
+  options.placement = placement;
+  options.sinks = {&trace};
+  const RunResult run = run_simulation(*platform, app, *gov, options);
+  EXPECT_EQ(run.epoch_count, frames);
+  return testing_util::run_digest(run, trace.records());
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream out;
+  out << "0x" << std::hex << v << "ULL";
+  return out.str();
+}
+
+class MultiDomainPin
+    : public testing::TestWithParam<std::tuple<Board, std::string, std::string>> {
+};
+
+TEST_P(MultiDomainPin, RunAndRecordsArePinned) {
+  const auto& [board, placement, governor] = GetParam();
+  const std::string where = "board " + board_name(board) + ", placement " +
+                            placement + ", governor " + governor;
+  const std::uint64_t got = run_digest_of(board, placement, governor, 200);
+  EXPECT_EQ(got, pin_for(board_name(board), placement, governor))
+      << where << ": digest " << hex(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MultiDomainPin,
+    testing::Combine(testing::Values(Board{2, 2}, Board{4, 4}, Board{16, 1}),
+                     testing::Values(std::string("packed"),
+                                     std::string("spread"),
+                                     std::string("rect")),
+                     testing::Values(std::string("ondemand"),
+                                     std::string("rtm-manycore"),
+                                     std::string("oracle"))),
+    [](const testing::TestParamInfo<MultiDomainPin::ParamType>& info) {
+      std::string name = board_name(std::get<0>(info.param)) + "_" +
+                         std::get<1>(info.param) + "_" +
+                         std::get<2>(info.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+// The long run goes through the prefetch helper wherever the host has a
+// second hardware thread; its digest is the same either way.
+TEST(MultiDomainPinLong, HelperRunIsPinned) {
+  const std::size_t before = BlockPrefetcher::threaded_runs();
+  const std::uint64_t got =
+      run_digest_of(Board{4, 4}, "rect", "rtm-manycore", kLongFrames);
+  EXPECT_EQ(got, kLongPin) << "board 4x4, placement rect, governor "
+                              "rtm-manycore, "
+                           << kLongFrames << " frames: digest " << hex(got);
+  EXPECT_EQ(BlockPrefetcher::threaded_runs() - before,
+            std::thread::hardware_concurrency() >= 2 ? 1u : 0u);
+}
+
+}  // namespace
+}  // namespace prime::sim
