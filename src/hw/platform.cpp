@@ -1,5 +1,7 @@
 #include "hw/platform.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -80,6 +82,66 @@ std::uint64_t Platform::shape_fingerprint() const noexcept {
     }
   }
   return h.value();
+}
+
+void BoardEpoch::scatter(const common::Cycles* row) {
+  for (auto& w : work) std::fill(w.begin(), w.end(), common::Cycles{0});
+  for (std::size_t j = 0; j < slot_domain.size(); ++j) {
+    work[slot_domain[j]][slot_local[j]] += row[j];
+  }
+}
+
+BoardEpoch Platform::make_epoch(std::vector<std::size_t> slot_domain,
+                                std::vector<std::size_t> slot_local) const {
+  BoardEpoch epoch;
+  epoch.slot_domain = std::move(slot_domain);
+  epoch.slot_local = std::move(slot_local);
+  for (const auto& c : clusters_) {
+    epoch.work.emplace_back(c->core_count(), common::Cycles{0});
+  }
+  epoch.domains.resize(clusters_.size());
+  epoch.domain_executed.resize(clusters_.size());
+  return epoch;
+}
+
+void Platform::inject_overhead(BoardEpoch& epoch,
+                               common::Seconds overhead) const {
+  if (epoch.slot_domain.empty() || overhead <= 0.0) return;
+  const std::size_t d = epoch.slot_domain[0];
+  epoch.work[d][epoch.slot_local[0]] += common::cycles_at(
+      clusters_[d]->current_opp().frequency, overhead);
+}
+
+void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
+                              double mem_fraction) {
+  common::Seconds frame_time = 0.0;
+  common::Seconds window = 0.0;
+  common::Joule energy = 0.0;
+  common::Celsius temperature = 0.0;
+  common::Cycles executed = 0;
+  std::size_t bottleneck = 0;
+  for (std::size_t d = 0; d < clusters_.size(); ++d) {
+    EpochScratch& sc = epoch.domains[d];
+    clusters_[d]->run_epoch_into(epoch.work[d].data(), epoch.work[d].size(),
+                                 period, mem_fraction, 1.0e9, sc);
+    if (sc.frame_time > frame_time) {
+      frame_time = sc.frame_time;
+      bottleneck = d;
+    }
+    window = std::max(window, sc.window);
+    temperature = std::max(temperature, sc.temperature);
+    energy += sc.energy;
+    epoch.domain_executed[d] = std::accumulate(
+        sc.core_cycles.begin(), sc.core_cycles.end(), common::Cycles{0});
+    executed += epoch.domain_executed[d];
+  }
+  epoch.frame_time = frame_time;
+  epoch.bottleneck = bottleneck;
+  epoch.window = window;
+  epoch.energy = energy;
+  epoch.avg_power = window > 0.0 ? energy / window : 0.0;
+  epoch.temperature = temperature;
+  epoch.executed = executed;
 }
 
 void Platform::reset() {

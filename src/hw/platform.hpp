@@ -14,6 +14,11 @@
 /// The default N=1 configuration is bit-identical to the historical
 /// single-cluster platform in construction, state serialisation and shape
 /// fingerprint.
+///
+/// This module owns the rule that combines per-domain epochs into one board
+/// epoch (`BoardEpoch`, `Platform::run_epoch_into`); the engine's
+/// multi-domain loop and the multi-app engine both run their epochs through
+/// it, and integrate the sensor over its result themselves.
 #pragma once
 
 #include <iosfwd>
@@ -27,6 +32,28 @@
 #include "hw/power_sensor.hpp"
 
 namespace prime::hw {
+
+/// \brief One board epoch: the slot map and per-domain work rows in, each
+///        domain's result and their combination out. Platform::make_epoch()
+///        sizes it once per run; reusing it, an epoch allocates nothing.
+struct BoardEpoch {
+  std::vector<std::size_t> slot_domain;  ///< Work slot -> DVFS domain.
+  std::vector<std::size_t> slot_local;   ///< Work slot -> core in its domain.
+  std::vector<std::vector<common::Cycles>> work;  ///< Per-domain work rows.
+  std::vector<EpochScratch> domains;              ///< Per-domain results.
+  std::vector<common::Cycles> domain_executed;    ///< Per-domain cycle sums.
+
+  common::Seconds frame_time = 0.0;   ///< The slowest domain's frame time.
+  std::size_t bottleneck = 0;         ///< That domain (lowest index on ties).
+  common::Seconds window = 0.0;       ///< The longest domain window.
+  common::Joule energy = 0.0;         ///< Summed in domain order.
+  common::Watt avg_power = 0.0;       ///< energy / window (0 for no window).
+  common::Celsius temperature = 0.0;  ///< The hottest domain's.
+  common::Cycles executed = 0;        ///< Summed in domain order.
+
+  /// \brief Zero every work row, then add `row[j]` to slot j's core.
+  void scatter(const common::Cycles* row);
+};
 
 /// \brief A simulated board: OPP table + clusters (DVFS domains) + sensor.
 ///
@@ -81,6 +108,19 @@ class Platform {
   [[nodiscard]] std::size_t local_of_core(std::size_t core) const noexcept {
     return core % clusters_.front()->core_count();
   }
+
+  /// \brief A BoardEpoch over a slot map the caller has validated (in
+  ///        bounds, no core twice), with a zeroed work row per domain.
+  [[nodiscard]] BoardEpoch make_epoch(std::vector<std::size_t> slot_domain,
+                                      std::vector<std::size_t> slot_local) const;
+  /// \brief Charge \p overhead seconds of governor processing (T_OVH) as
+  ///        cycles on slot 0's core at its domain's current frequency: the
+  ///        RTM runs on the core hosting the first worker.
+  void inject_overhead(BoardEpoch& epoch, common::Seconds overhead) const;
+  /// \brief The board-epoch kernel: run every domain's epoch on its work row
+  ///        (1 GHz reference frequency) and combine the results into \p epoch.
+  void run_epoch_into(BoardEpoch& epoch, common::Seconds period,
+                      double mem_fraction);
 
   /// \brief The first (for single-domain platforms: the only) cluster. The
   ///        historical accessor — single-domain code paths drive the board

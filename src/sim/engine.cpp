@@ -270,21 +270,14 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   hw::EpochScratch scratch;
 
   if (domains > 1) {
-    // Multi-domain path: the placement layer maps the frame's work slots onto
-    // (domain, local core) pairs once up front; each epoch then runs one
-    // decision + one run_epoch_into per domain, and the per-domain outcomes
-    // combine into a single EpochRecord (the frame completes when the slowest
-    // domain does). Always batched — single-domain runs never reach here, so
-    // the historical paths below stay bit-identical.
+    // Multi-domain path: one decision per domain, then the board-epoch
+    // kernel (hw::Platform::run_epoch_into) runs the placement's scatter and
+    // every domain, combined into one EpochRecord. Always batched; single-
+    // domain runs never reach here, so the paths below stay bit-identical.
     const std::size_t total = platform.total_cores();
-    std::vector<std::size_t> dcores(domains);
-    std::vector<std::vector<common::Cycles>> dwork(domains);
-    std::vector<hw::EpochScratch> dscratch(domains);
+    hw::BoardEpoch board = platform.make_epoch(place.slot_domain,
+                                               place.slot_local);
     std::vector<std::optional<gov::EpochObservation>> dlast(domains);
-    for (std::size_t d = 0; d < domains; ++d) {
-      dcores[d] = platform.domain(d).core_count();
-      dwork[d].resize(dcores[d]);
-    }
     // block_frames=0 runs one-frame blocks here, all filled on the engine
     // thread like the single-domain reference loop.
     hw::PowerSensor& sensor = platform.power_sensor();
@@ -299,7 +292,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       std::size_t i = block.start;
       for (std::size_t b = 0; b < block.count; ++b, ++i) {
         const common::Seconds period = block.periods[b];
-        common::Cycles* row = block.row(b);
+        const common::Cycles* row = block.row(b);
         const common::Cycles demand = block.demand[b];
 
         if (clairvoyant != nullptr) {
@@ -311,99 +304,58 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
           clairvoyant->preview_next_frame(preview);
         }
 
-        // Scatter the frame's work slots onto their physical cores.
-        for (std::size_t d = 0; d < domains; ++d) {
-          std::fill(dwork[d].begin(), dwork[d].end(), common::Cycles{0});
-        }
-        for (std::size_t j = 0; j < total; ++j) {
-          dwork[place.slot_domain[j]][place.slot_local[j]] += row[j];
-        }
-
         // One decision per domain (shared governor instance: learning state
         // interleaves the per-domain observation streams).
         for (std::size_t d = 0; d < domains; ++d) {
           gov::DecisionContext dctx;
           dctx.epoch = i;
           dctx.period = period;
-          dctx.cores = dcores[d];
+          dctx.cores = board.work[d].size();
           dctx.opps = &opps;
           dctx.domain = d;
           dctx.domains = domains;
           platform.domain(d).set_opp(governor.decide(dctx, dlast[d]));
         }
 
-        // T_OVH executes where slot 0 was placed, at that domain's chosen
-        // frequency — the RTM runs on the core hosting the first worker.
-        const common::Seconds ovh = governor.epoch_overhead();
-        if (total != 0 && ovh > 0.0) {
-          const std::size_t hd = place.slot_domain[0];
-          dwork[hd][place.slot_local[0]] += common::cycles_at(
-              platform.domain(hd).current_opp().frequency, ovh);
-        }
-
-        // Execute every domain's epoch and combine: frame time / window /
-        // temperature take the max, energy and cycles sum, and the OPP
-        // reported for the epoch is the bottleneck domain's (largest frame
-        // time, lowest index on ties).
-        common::Seconds frame_time = 0.0;
-        common::Seconds window = 0.0;
-        common::Joule energy = 0.0;
-        common::Cycles executed = 0;
-        common::Celsius temperature = 0.0;
-        std::size_t bottleneck = 0;
-        for (std::size_t d = 0; d < domains; ++d) {
-          hw::EpochScratch& sc = dscratch[d];
-          platform.domain(d).run_epoch_into(dwork[d].data(), dcores[d], period,
-                                            block.mem_fraction, 1.0e9, sc);
-          if (sc.frame_time > frame_time) {
-            frame_time = sc.frame_time;
-            bottleneck = d;
-          }
-          window = std::max(window, sc.window);
-          temperature = std::max(temperature, sc.temperature);
-          energy += sc.energy;
-          executed += std::accumulate(sc.core_cycles.begin(),
-                                      sc.core_cycles.end(), common::Cycles{0});
-        }
-
-        // One board-level sensor reading over the combined epoch: total
-        // energy spread over the longest domain window.
-        const common::Watt avg_power = window > 0.0 ? energy / window : 0.0;
+        board.scatter(row);
+        platform.inject_overhead(board, governor.epoch_overhead());
+        platform.run_epoch_into(board, period, block.mem_fraction);
         const common::Watt reading =
-            sensor.integrate(avg_power, window, noise[b]);
+            sensor.integrate(board.avg_power, board.window, noise[b]);
 
+        // The OPP reported for the epoch is the bottleneck domain's.
+        const hw::Cluster& slowest = platform.domain(board.bottleneck);
         rec.epoch = i;
         rec.period = period;
-        rec.opp_index = platform.domain(bottleneck).current_opp_index();
-        rec.frequency = platform.domain(bottleneck).current_opp().frequency;
+        rec.opp_index = slowest.current_opp_index();
+        rec.frequency = slowest.current_opp().frequency;
         rec.demand = demand;
-        rec.executed = executed;
-        rec.frame_time = frame_time;
-        rec.window = window;
-        rec.energy = energy;
+        rec.executed = board.executed;
+        rec.frame_time = board.frame_time;
+        rec.window = board.window;
+        rec.energy = board.energy;
         rec.sensor_power = reading;
-        rec.temperature = temperature;
-        rec.slack = period > 0.0 ? (period - frame_time) / period : 0.0;
-        rec.deadline_met = frame_time <= period;
+        rec.temperature = board.temperature;
+        rec.slack =
+            period > 0.0 ? (period - board.frame_time) / period : 0.0;
+        rec.deadline_met = board.frame_time <= period;
 
         // Per-domain feedback: each domain's next decision sees its own
         // frame time, cycles and deadline outcome, with the board reading
         // attributed by energy share (every domain shares one sensor).
         for (std::size_t d = 0; d < domains; ++d) {
-          hw::EpochScratch& sc = dscratch[d];
+          const hw::EpochScratch& sc = board.domains[d];
           if (!dlast[d]) dlast[d].emplace();
           gov::EpochObservation& obs = *dlast[d];
           obs.epoch = i;
           obs.period = period;
           obs.frame_time = sc.frame_time;
           obs.window = sc.window;
-          obs.total_cycles =
-              std::accumulate(sc.core_cycles.begin(), sc.core_cycles.end(),
-                              common::Cycles{0});
+          obs.total_cycles = board.domain_executed[d];
           obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
           obs.opp_index = platform.domain(d).current_opp_index();
-          obs.avg_power = energy > 0.0
-                              ? reading * (sc.energy / energy)
+          obs.avg_power = board.energy > 0.0
+                              ? reading * (sc.energy / board.energy)
                               : reading / static_cast<double>(domains);
           obs.temperature = sc.temperature;
           obs.deadline_met = sc.deadline_met;

@@ -38,11 +38,11 @@ void validate(const hw::Platform& platform,
   }
   // The shared decision cadence requires equal rates over the *whole* run,
   // not just frame 0: add_requirement_change can fork the rates mid-run,
-  // which this formulation cannot express (DESIGN.md). Checking the full
-  // schedules up front fails loudly instead of silently mis-cadencing after
-  // the first divergent breakpoint. Schedules may differ in representation
-  // (redundant breakpoints), so compare the rate in force at every
-  // breakpoint any application declares rather than the breakpoint lists.
+  // which this formulation cannot express. Checking the full schedules up
+  // front fails loudly instead of silently mis-cadencing after the first
+  // divergent breakpoint. Schedules may differ in representation (redundant
+  // breakpoints), so compare the rate in force at every breakpoint any
+  // application declares rather than the breakpoint lists.
   std::set<std::size_t> breakpoints;
   for (const auto& p : placements) {
     for (const auto& [frame, fps] : p.app->requirement_schedule()) {
@@ -130,32 +130,32 @@ MultiAppResult run_multi_simulation(
   std::vector<std::optional<gov::EpochObservation>> last(n_apps);
 
   const std::size_t domains = platform.domain_count();
-  // Placements address the board through global core indices; each app's
-  // request is arbitrated per V-F domain (max among the apps occupying it —
-  // domains hosting no app keep their OPP), each domain runs its own epoch,
-  // and per-app accounting reads the (domain, local) cores the app owns. A
-  // single-domain board is the one-domain case of the same loop.
-  std::vector<std::size_t> requests(n_apps, 0);
-  std::vector<std::size_t> applied(domains, 0);
-  std::vector<std::size_t> dcores(domains);
-  std::vector<std::vector<common::Cycles>> dwork(domains);
-  std::vector<hw::EpochScratch> dscratch(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    dcores[d] = platform.domain(d).core_count();
-    dwork[d].resize(dcores[d]);
-  }
-  std::vector<std::vector<common::Cycles>> app_work(n_apps);
-  std::vector<std::vector<common::Cycles>> app_cycles_buf(n_apps);
-  // Which domains each app occupies (its requests arbitrate only there).
+  // The placements' global core indices become one slot map (app order,
+  // then core order): app a's work sits at slots [offset[a], offset[a] +
+  // cores) and its home domain hosts its first core. Requests arbitrate per
+  // V-F domain: the max among the apps occupying it (app_in_domain); domains
+  // hosting no app keep their OPP.
+  std::vector<std::size_t> offset(n_apps);
+  std::vector<std::size_t> slot_domain;
+  std::vector<std::size_t> slot_local;
   std::vector<std::vector<char>> app_in_domain(n_apps);
   for (std::size_t a = 0; a < n_apps; ++a) {
-    app_work[a].resize(placements[a].cores.size(), 0);
-    app_cycles_buf[a].resize(placements[a].cores.size(), 0);
+    offset[a] = slot_domain.size();
     app_in_domain[a].assign(domains, 0);
     for (const std::size_t c : placements[a].cores) {
-      app_in_domain[a][platform.domain_of_core(c)] = 1;
+      slot_domain.push_back(platform.domain_of_core(c));
+      slot_local.push_back(platform.local_of_core(c));
+      app_in_domain[a][slot_domain.back()] = 1;
     }
   }
+  // The board's work row and executed cycles, one entry per slot; each app's
+  // observation views its own stretch of slot_cycles.
+  std::vector<common::Cycles> row(slot_domain.size(), 0);
+  std::vector<common::Cycles> slot_cycles(slot_domain.size(), 0);
+  hw::BoardEpoch board =
+      platform.make_epoch(std::move(slot_domain), std::move(slot_local));
+  std::vector<std::size_t> requests(n_apps, 0);
+  std::vector<std::size_t> applied(domains, 0);
 
   for (std::size_t i = 0; i < frames; ++i) {
     // --- Per-app decisions, arbitrated per domain.
@@ -166,7 +166,7 @@ MultiAppResult run_multi_simulation(
       ctx.period = placements[a].app->deadline_at(i);
       ctx.cores = placements[a].cores.size();
       ctx.opps = &opps;
-      ctx.domain = platform.domain_of_core(placements[a].cores.front());
+      ctx.domain = board.slot_domain[offset[a]];
       ctx.domains = domains;
       requests[a] = governors[a]->decide(ctx, last[a]);
       ovh_total += governors[a]->epoch_overhead();
@@ -183,85 +183,54 @@ MultiAppResult run_multi_simulation(
       applied[d] = platform.domain(d).current_opp_index();
     }
 
-    // --- Assemble per-domain work vectors.
-    for (std::size_t d = 0; d < domains; ++d) {
-      std::fill(dwork[d].begin(), dwork[d].end(), common::Cycles{0});
-    }
+    // --- Every app's work row at its offset; the frame's memory fraction is
+    // the apps' demand-weighted mean.
     double mem_weighted = 0.0;
     double demand_total = 0.0;
     for (std::size_t a = 0; a < n_apps; ++a) {
-      placements[a].app->core_work_into(i, placements[a].cores.size(),
-                                        app_work[a].data());
-      for (std::size_t j = 0; j < placements[a].cores.size(); ++j) {
-        const std::size_t c = placements[a].cores[j];
-        dwork[platform.domain_of_core(c)][platform.local_of_core(c)] =
-            app_work[a][j];
-      }
+      const std::size_t n = placements[a].cores.size();
+      common::Cycles* app_row = row.data() + offset[a];
+      placements[a].app->core_work_into(i, n, app_row);
       const double d = static_cast<double>(
-          std::accumulate(app_work[a].begin(), app_work[a].end(),
-                          common::Cycles{0}));
+          std::accumulate(app_row, app_row + n, common::Cycles{0}));
       mem_weighted += placements[a].app->mem_fraction() * d;
       demand_total += d;
     }
     const double mem_fraction =
         demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
 
-    // All governors' processing runs on the first app's first core, at
-    // that core's domain frequency.
-    if (!placements.front().cores.empty() && ovh_total > 0.0) {
-      const std::size_t c0 = placements.front().cores.front();
-      const std::size_t hd = platform.domain_of_core(c0);
-      dwork[hd][platform.local_of_core(c0)] += common::cycles_at(
-          platform.domain(hd).current_opp().frequency, ovh_total);
-    }
-
-    // --- Execute every domain's epoch; board-level quantities combine as
-    // in the single-app engine (windows/temperatures max, energy sums, one
-    // sensor reading over the combined epoch).
+    // --- The board-epoch kernel; every governor's processing runs on the
+    // first app's first core.
     const common::Seconds period = placements.front().app->deadline_at(i);
-    common::Seconds window = 0.0;
-    common::Joule energy = 0.0;
-    common::Celsius temperature = 0.0;
-    common::Cycles executed_total = 0;
-    for (std::size_t d = 0; d < domains; ++d) {
-      platform.domain(d).run_epoch_into(dwork[d].data(), dcores[d], period,
-                                        mem_fraction, 1.0e9, dscratch[d]);
-      window = std::max(window, dscratch[d].window);
-      temperature = std::max(temperature, dscratch[d].temperature);
-      energy += dscratch[d].energy;
-      executed_total +=
-          std::accumulate(dscratch[d].core_cycles.begin(),
-                          dscratch[d].core_cycles.end(), common::Cycles{0});
-    }
-    const common::Watt avg_power = window > 0.0 ? energy / window : 0.0;
+    board.scatter(row.data());
+    platform.inject_overhead(board, ovh_total);
+    platform.run_epoch_into(board, period, mem_fraction);
     const common::Watt reading =
-        platform.power_sensor().integrate(avg_power, window);
-
-    result.total_energy += energy;
-    result.total_time += window;
+        platform.power_sensor().integrate(board.avg_power, board.window);
+    result.total_energy += board.energy;
+    result.total_time += board.window;
 
     // --- Per-app accounting and observations.
     for (std::size_t a = 0; a < n_apps; ++a) {
       const auto& p = placements[a];
       common::Seconds app_frame_time = 0.0;
       common::Cycles app_cycles = 0;
-      for (std::size_t j = 0; j < p.cores.size(); ++j) {
-        const std::size_t c = p.cores[j];
-        const std::size_t d = platform.domain_of_core(c);
-        const std::size_t l = platform.local_of_core(c);
+      for (std::size_t s = offset[a]; s < offset[a] + p.cores.size(); ++s) {
+        const hw::EpochScratch& sc = board.domains[board.slot_domain[s]];
+        const std::size_t l = board.slot_local[s];
         // Each core's completion includes its own domain's DVFS stall.
-        app_frame_time = std::max(
-            app_frame_time, dscratch[d].core_busy[l] + dscratch[d].dvfs_stall);
-        app_cycles += dscratch[d].core_cycles[l];
-        app_cycles_buf[a][j] = dscratch[d].core_cycles[l];
+        app_frame_time =
+            std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
+        app_cycles += sc.core_cycles[l];
+        slot_cycles[s] = sc.core_cycles[l];
       }
       const common::Seconds app_period = p.app->deadline_at(i);
       const bool met = app_frame_time <= app_period;
       const double share =
-          executed_total == 0 ? 0.0
+          board.executed == 0 ? 0.0
                               : static_cast<double>(app_cycles) /
-                                    static_cast<double>(executed_total);
-      const std::size_t home = platform.domain_of_core(p.cores.front());
+                                    static_cast<double>(board.executed);
+      const std::size_t home = board.slot_domain[offset[a]];
 
       EpochRecord rec;
       rec.epoch = i;
@@ -271,10 +240,10 @@ MultiAppResult run_multi_simulation(
       rec.demand = app_cycles;
       rec.executed = app_cycles;
       rec.frame_time = app_frame_time;
-      rec.window = window;
-      rec.energy = energy * share;
+      rec.window = board.window;
+      rec.energy = board.energy * share;
       rec.sensor_power = reading * share;
-      rec.temperature = temperature;
+      rec.temperature = board.temperature;
       rec.slack = app_period > 0.0
                       ? (app_period - app_frame_time) / app_period
                       : 0.0;
@@ -294,13 +263,12 @@ MultiAppResult run_multi_simulation(
       obs.epoch = i;
       obs.period = app_period;
       obs.frame_time = app_frame_time;
-      obs.window = window;
+      obs.window = board.window;
       obs.total_cycles = app_cycles;
-      obs.core_cycles.bind(app_cycles_buf[a].data(),
-                           app_cycles_buf[a].size());
+      obs.core_cycles.bind(slot_cycles.data() + offset[a], p.cores.size());
       obs.opp_index = rec.opp_index;
       obs.avg_power = rec.sensor_power;
-      obs.temperature = temperature;
+      obs.temperature = board.temperature;
       obs.deadline_met = met;
 
       emitters[a].emit(rec, *governors[a]);

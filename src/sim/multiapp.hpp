@@ -3,16 +3,17 @@
 ///        future work, Section IV).
 ///
 /// Several periodic applications run simultaneously on disjoint core subsets
-/// of the shared-V-F cluster. Each application keeps its own governor (its
-/// own Q-table, predictor and slack monitor); because the A15 cluster has a
-/// single V-F domain, the per-application OPP requests are arbitrated by
-/// taking the fastest — the only choice that can satisfy every deadline.
-/// Per-application performance is tracked independently, so benches can show
-/// each application holding its own requirement while sharing the rail.
+/// of the board. Each application keeps its own governor (its own Q-table,
+/// predictor and slack monitor); the per-application OPP requests are
+/// arbitrated per V-F domain by taking the fastest — the only choice that
+/// can satisfy every deadline. The epoch itself (scatter, T_OVH, execute,
+/// combine) is the board-epoch kernel that hw/platform.hpp owns, the same one
+/// the single-app engine runs on multi-domain boards; this module keeps the
+/// arbitration, the overridden-epoch count and the per-app attribution.
 ///
-/// Restrictions of this first formulation (documented in DESIGN.md): all
-/// applications share the decision-epoch cadence (equal fps), and energy is
-/// attributed to applications in proportion to their executed cycles.
+/// Restrictions of this first formulation: all applications share the
+/// decision-epoch cadence (equal fps), and energy is attributed to
+/// applications in proportion to their executed cycles.
 #pragma once
 
 #include <memory>
@@ -28,7 +29,7 @@ namespace prime::sim {
 /// \brief One application pinned to a set of cores.
 struct AppPlacement {
   const wl::Application* app = nullptr;  ///< The application (not owned).
-  std::vector<std::size_t> cores;        ///< Cluster core indices it may use.
+  std::vector<std::size_t> cores;        ///< Global core indices it may use.
 };
 
 /// \brief Outcome of a concurrent multi-application run.
@@ -37,7 +38,7 @@ struct MultiAppResult {
   /// own cores; energy attributed by executed-cycle share). Per-epoch
   /// records flow through the per-app telemetry sinks instead.
   std::vector<RunResult> per_app;
-  common::Joule total_energy = 0.0;  ///< Exact cluster energy.
+  common::Joule total_energy = 0.0;  ///< Exact board energy.
   common::Seconds total_time = 0.0;  ///< Wall-clock simulated.
   /// Epochs in which the applied OPP exceeded an app's own request (it was
   /// dragged faster by a co-runner) — the sharing cost this mode quantifies.
