@@ -2,6 +2,7 @@
 /// \brief Small string utilities shared by config/CSV parsing and reporting.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,9 @@ namespace prime::common {
 
 /// \brief printf-style double formatting (e.g. format_double(1.234, 2) == "1.23").
 [[nodiscard]] std::string format_double(double value, int precision);
+
+/// \brief Sixteen lower-case hex digits (fingerprints and keys in messages).
+[[nodiscard]] std::string hex16(std::uint64_t value);
 
 /// \brief Left-pad/truncate to a fixed width (for plain-text tables).
 [[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);

@@ -1,7 +1,6 @@
 #include "qlib/policy.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -10,6 +9,7 @@
 #include "common/sealed.hpp"
 #include "common/serial.hpp"
 #include "common/spec.hpp"
+#include "common/strings.hpp"
 #include "gov/merge.hpp"
 #include "gov/registry.hpp"
 #include "hw/platform.hpp"
@@ -19,13 +19,6 @@ namespace prime::qlib {
 namespace {
 
 constexpr common::SealedFormat kFormat{kQpolMagic, kQpolVersion, "policy"};
-
-std::string hex16(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
 
 }  // namespace
 
@@ -70,7 +63,7 @@ PolicyKey PolicyKey::make(const hw::Platform& platform,
 }
 
 std::string PolicyKey::canonical() const {
-  return "platform=" + hex16(platform_fingerprint) +
+  return "platform=" + common::hex16(platform_fingerprint) +
          " workload=" + workload_class + " fps=" + std::to_string(fps_band) +
          " governor=" + governor_spec;
 }
@@ -98,7 +91,7 @@ std::string PolicyKey::filename() const {
     return out;
   };
   return sanitize(governor_spec) + "-" + sanitize(workload_class) + "-fps" +
-         std::to_string(fps_band) + "-" + hex16(fingerprint()) + ".qpol";
+         std::to_string(fps_band) + "-" + common::hex16(fingerprint()) + ".qpol";
 }
 
 // --- PolicyEntry -------------------------------------------------------------
@@ -147,8 +140,8 @@ PolicyEntry PolicyEntry::read(std::istream& in, const std::string& label) {
       });
   if (words[0] != entry.key.fingerprint()) {
     throw QlibError("policy '" + label + "': header key fingerprint " +
-                    hex16(words[0]) + " does not match the payload key " +
-                    hex16(entry.key.fingerprint()) +
+                    common::hex16(words[0]) + " does not match the payload key " +
+                    common::hex16(entry.key.fingerprint()) +
                     " — corrupt or hand-edited entry");
   }
   return entry;
@@ -255,8 +248,8 @@ PolicyEntry merge_entries(const std::vector<PolicyEntry>& entries) {
     }
     if (e.key.platform_fingerprint != first.key.platform_fingerprint) {
       throw QlibError("policy merge: platform shape mismatch (" +
-                      hex16(first.key.platform_fingerprint) + " vs " +
-                      hex16(e.key.platform_fingerprint) +
+                      common::hex16(first.key.platform_fingerprint) + " vs " +
+                      common::hex16(e.key.platform_fingerprint) +
                       ") — same table size but different operating points");
     }
     if (e.key != first.key) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/strings.hpp"
 #include "qlib/library.hpp"
 #include "sim/block_prefetch.hpp"
 #include "sim/checkpoint.hpp"
@@ -88,6 +89,31 @@ qlib::PolicyEntry resolve_warm_start(const std::string& from,
   return std::move(matches.front());
 }
 
+/// Refuse learned state saved on a board of another shape (governors size
+/// their tables lazily, so a mismatch would silently re-initialise it): the
+/// counts first, then the fingerprint, which alone tells apart the same
+/// counts over other V-F points. \p what names the file.
+template <typename Error>
+void check_platform_shape(const std::string& what, std::uint64_t opp_count,
+                          std::uint64_t core_count, std::uint64_t fingerprint,
+                          const hw::Platform& platform) {
+  const std::size_t opps = platform.opp_table().size();
+  const std::size_t cores = platform.total_cores();
+  if (opp_count != opps || core_count != cores) {
+    throw Error(what + ": saved on a platform with " +
+                std::to_string(opp_count) + " OPPs and " +
+                std::to_string(core_count) + " cores, this one has " +
+                std::to_string(opps) + " OPPs and " + std::to_string(cores) +
+                " cores");
+  }
+  if (fingerprint != platform.shape_fingerprint()) {
+    throw Error(what + ": saved on a platform with shape fingerprint " +
+                common::hex16(fingerprint) + ", this one has " +
+                common::hex16(platform.shape_fingerprint()) +
+                " (same OPP and core counts, different operating points)");
+  }
+}
+
 }  // namespace
 
 RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
@@ -112,8 +138,8 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   // domain leaves only the identity mapping to run.
   const Placement place = make_placement(options.placement, platform, &app);
 
-  // Resume first: the restored state supersedes the reset_* flags (resetting
-  // after loading would discard exactly the state the caller asked to keep).
+  // Resume first: the restored state supersedes the resets (resetting after
+  // loading would discard exactly the state the caller asked to keep).
   std::optional<Checkpoint> resume;
   if (!options.resume_from.empty()) {
     resume = Checkpoint::load_file(options.resume_from);
@@ -125,26 +151,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
           "', cannot resume governor '" + governor.name() +
           "' on application '" + app.name() + "'");
     }
-    // Governors size their learning tables lazily from the action/core
-    // space; a shape mismatch would silently re-initialise the restored
-    // state on the first decision, so reject it up front.
-    if (resume->opp_count != platform.opp_table().size() ||
-        resume->core_count != platform.total_cores()) {
-      throw CheckpointError(
-          "checkpoint '" + options.resume_from + "': saved on a platform "
-          "with " + std::to_string(resume->opp_count) + " OPPs and " +
-          std::to_string(resume->core_count) + " cores, cannot resume on " +
-          std::to_string(platform.opp_table().size()) + " OPPs and " +
-          std::to_string(platform.total_cores()) + " cores");
-    }
-    // Same table *size* is not same table: the V-F points themselves shape
-    // what the learned state means, so the full shape fingerprint must match.
-    if (resume->platform_fingerprint != platform.shape_fingerprint()) {
-      throw CheckpointError(
-          "checkpoint '" + options.resume_from +
-          "': platform shape fingerprint mismatch — saved on a platform with "
-          "the same OPP/core counts but different operating points");
-    }
+    check_platform_shape<CheckpointError>(
+        "checkpoint '" + options.resume_from + "'", resume->opp_count,
+        resume->core_count, resume->platform_fingerprint, platform);
     {
       std::istringstream in(resume->governor_state);
       governor.load_state(in);
@@ -154,7 +163,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       platform.load_state(in);
     }
   } else {
-    if (options.reset_platform) platform.reset();
+    platform.reset();
     if (options.reset_governor) governor.reset();
     if (!options.warm_start_from.empty()) {
       // After the resets: a warm start is a fresh run that begins having
@@ -168,23 +177,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
             "': entry trained for governor '" + entry.governor_name +
             "', cannot warm-start '" + governor.name() + "'");
       }
-      if (entry.opp_count != platform.opp_table().size() ||
-          entry.core_count != platform.total_cores()) {
-        throw qlib::QlibError(
-            "warm start '" + options.warm_start_from +
-            "': entry trained on a platform with " +
-            std::to_string(entry.opp_count) + " OPPs and " +
-            std::to_string(entry.core_count) + " cores, cannot apply on " +
-            std::to_string(platform.opp_table().size()) + " OPPs and " +
-            std::to_string(platform.total_cores()) + " cores");
-      }
-      if (entry.key.platform_fingerprint != platform.shape_fingerprint()) {
-        throw qlib::QlibError(
-            "warm start '" + options.warm_start_from +
-            "': platform shape fingerprint mismatch — the entry was trained "
-            "on a platform with the same OPP/core counts but different "
-            "operating points");
-      }
+      check_platform_shape<qlib::QlibError>(
+          "warm start '" + options.warm_start_from + "'", entry.opp_count,
+          entry.core_count, entry.key.platform_fingerprint, platform);
       const std::string state = entry.state_for(governor);
       std::istringstream in(state);
       governor.load_state(in);

@@ -99,8 +99,7 @@ struct RunOptions {
   /// Telemetry sinks (not owned; must outlive the run) receiving run-begin,
   /// every epoch in order, and run-end. See sim/telemetry.hpp.
   std::vector<TelemetrySink*> sinks;
-  bool reset_platform = true;   ///< Reset hardware state before the run.
-  bool reset_governor = true;   ///< Reset governor learning before the run.
+  bool reset_governor = true;  ///< Reset governor learning before the run.
 
   /// Frames pulled per wl::FrameBlock batch in the zero-allocation hot loop.
   /// Purely an execution-strategy knob: every block size (and the scalar
@@ -136,7 +135,7 @@ struct RunOptions {
   /// and continues at the stored frame position — bit-identical to a run that
   /// never stopped. The checkpoint's governor/application names must match
   /// (CheckpointError otherwise), its frame position must not exceed the run
-  /// length, and the reset_* flags are ignored (the restored state *is* the
+  /// length, and reset_governor is ignored (the restored state *is* the
   /// pre-run state). Empty disables resume.
   std::string resume_from;
 
