@@ -152,6 +152,7 @@ MultiAppResult run_multi_simulation(
   // observation views its own stretch of slot_cycles.
   std::vector<common::Cycles> row(slot_domain.size(), 0);
   std::vector<common::Cycles> slot_cycles(slot_domain.size(), 0);
+  std::vector<common::Cycles> demand(n_apps, 0);
   hw::BoardEpoch board =
       platform.make_epoch(std::move(slot_domain), std::move(slot_local));
   std::vector<std::size_t> requests(n_apps, 0);
@@ -191,8 +192,8 @@ MultiAppResult run_multi_simulation(
       const std::size_t n = placements[a].cores.size();
       common::Cycles* app_row = row.data() + offset[a];
       placements[a].app->core_work_into(i, n, app_row);
-      const double d = static_cast<double>(
-          std::accumulate(app_row, app_row + n, common::Cycles{0}));
+      demand[a] = std::accumulate(app_row, app_row + n, common::Cycles{0});
+      const double d = static_cast<double>(demand[a]);
       mem_weighted += placements[a].app->mem_fraction() * d;
       demand_total += d;
     }
@@ -237,7 +238,7 @@ MultiAppResult run_multi_simulation(
       rec.period = app_period;
       rec.opp_index = applied[home];
       rec.frequency = platform.domain(home).current_opp().frequency;
-      rec.demand = app_cycles;
+      rec.demand = demand[a];
       rec.executed = app_cycles;
       rec.frame_time = app_frame_time;
       rec.window = board.window;

@@ -24,44 +24,102 @@ wl::Application make_app(const char* workload, double fps, std::size_t frames,
   return make_application(spec, platform);
 }
 
+/// One traced application stream of a multi-app run.
+struct TracedApp {
+  RunResult result;
+  std::vector<EpochRecord> records;
+};
+
 /// Two rtm-governed apps (mpeg4 on \p cores_a, fft on \p cores_b) for 200
-/// frames on \p platform; returns each app's result-and-records digest.
-std::vector<std::uint64_t> pinned_run_digests(
-    hw::Platform& platform, std::vector<std::size_t> cores_a,
-    std::vector<std::size_t> cores_b) {
-  const wl::Application a = make_app("mpeg4", 25.0, 200, 1, platform);
-  const wl::Application b = make_app("fft", 25.0, 200, 2, platform);
+/// frames on \p platform, each app's epochs traced. \p apps receives the
+/// two applications, so a test can ask them for their own frames.
+std::vector<TracedApp> run_pinned_pair(hw::Platform& platform,
+                                       std::vector<std::size_t> cores_a,
+                                       std::vector<std::size_t> cores_b,
+                                       std::vector<wl::Application>& apps) {
+  apps = {make_app("mpeg4", 25.0, 200, 1, platform),
+          make_app("fft", 25.0, 200, 2, platform)};
   std::vector<std::unique_ptr<gov::Governor>> governors;
   governors.push_back(make_governor("rtm", 11));
   governors.push_back(make_governor("rtm", 22));
-  const std::vector<AppPlacement> placements = {{&a, std::move(cores_a)},
-                                                {&b, std::move(cores_b)}};
+  const std::vector<AppPlacement> placements = {{&apps[0], std::move(cores_a)},
+                                                {&apps[1], std::move(cores_b)}};
   TraceSink trace_a;
   TraceSink trace_b;
   MultiAppOptions options;
   options.app_sinks = {{&trace_a}, {&trace_b}};
   const MultiAppResult r =
       run_multi_simulation(platform, placements, governors, options);
-  return {testing_util::run_digest(r.per_app[0], trace_a.records()),
-          testing_util::run_digest(r.per_app[1], trace_b.records())};
+  return {{r.per_app[0], trace_a.records()}, {r.per_app[1], trace_b.records()}};
+}
+
+/// run_pinned_pair(), reduced to each app's result-and-records digest.
+std::vector<std::uint64_t> pinned_run_digests(
+    hw::Platform& platform, std::vector<std::size_t> cores_a,
+    std::vector<std::size_t> cores_b) {
+  std::vector<wl::Application> apps;
+  std::vector<std::uint64_t> digests;
+  for (const TracedApp& t : run_pinned_pair(platform, std::move(cores_a),
+                                            std::move(cores_b), apps)) {
+    digests.push_back(testing_util::run_digest(t.result, t.records));
+  }
+  return digests;
+}
+
+/// A board of the pinned runs, with the core set of each of its two apps.
+struct PinnedBoard {
+  std::unique_ptr<hw::Platform> platform;
+  std::vector<std::size_t> cores_a;
+  std::vector<std::size_t> cores_b;
+};
+
+/// The one-domain 1x4 board and the two-domain 2x2 board.
+std::vector<PinnedBoard> pinned_boards() {
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 2);
+  std::vector<PinnedBoard> boards;
+  boards.push_back({hw::Platform::odroid_xu3_a15(), {0, 1}, {2, 3}});
+  boards.push_back({hw::Platform::from_config(cfg), {0, 2}, {1, 3}});
+  return boards;
 }
 
 // Pins every per-app result and record bit of one run per board shape, so a
 // change to the multi-app epoch loop cannot move them unnoticed.
 TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
-  auto one = hw::Platform::odroid_xu3_a15();
-  EXPECT_EQ(pinned_run_digests(*one, {0, 1}, {2, 3}),
-            (std::vector<std::uint64_t>{0x39c567e3ed515095ULL,
-                                        0x2ea4d253eae93fffULL}));
+  std::vector<PinnedBoard> boards = pinned_boards();
+  EXPECT_EQ(pinned_run_digests(*boards[0].platform, boards[0].cores_a,
+                               boards[0].cores_b),
+            (std::vector<std::uint64_t>{0x2baac7aa21b3319cULL,
+                                        0x0f37034de1f127ecULL}));
+  ASSERT_EQ(boards[1].platform->domain_count(), 2u);
+  EXPECT_EQ(pinned_run_digests(*boards[1].platform, boards[1].cores_a,
+                               boards[1].cores_b),
+            (std::vector<std::uint64_t>{0x60e6062bead2c2c3ULL,
+                                        0xbdab107920cb11adULL}));
+}
 
-  common::Config cfg;
-  cfg.set_int("hw.clusters", 2);
-  cfg.set_int("hw.cores", 2);
-  auto two = hw::Platform::from_config(cfg);
-  ASSERT_EQ(two->domain_count(), 2u);
-  EXPECT_EQ(pinned_run_digests(*two, {0, 2}, {1, 3}),
-            (std::vector<std::uint64_t>{0x80aa56727553f50aULL,
-                                        0xe57c1f6cdc773dbaULL}));
+// EpochRecord::demand is the application's demand, excluding overhead, as
+// the single-app engine records it: the sum of the app's own work row. The
+// executed cycles differ from it by memory scaling and, for the first app,
+// by every governor's T_OVH.
+TEST(MultiApp, DemandIsTheSumOfTheAppsWorkRow) {
+  for (PinnedBoard& board : pinned_boards()) {
+    SCOPED_TRACE(std::to_string(board.platform->domain_count()) +
+                 "-domain board");
+    std::vector<wl::Application> apps;
+    const std::vector<TracedApp> runs = run_pinned_pair(
+        *board.platform, board.cores_a, board.cores_b, apps);
+    for (std::size_t a = 0; a < runs.size(); ++a) {
+      ASSERT_EQ(runs[a].records.size(), 200u);
+      std::vector<common::Cycles> row(2);
+      for (const EpochRecord& rec : runs[a].records) {
+        apps[a].core_work_into(rec.epoch, row.size(), row.data());
+        ASSERT_EQ(rec.demand, row[0] + row[1])
+            << "app " << a << ", epoch " << rec.epoch;
+      }
+    }
+  }
 }
 
 /// Requests \p over OPPs past the top of the table every epoch.
