@@ -36,6 +36,7 @@
 #include "wl/video.hpp"
 #include "sealed_fixtures.hpp"
 #include "short_write.hpp"
+#include "thread_count.hpp"
 
 namespace prime::sim {
 namespace {
@@ -855,17 +856,6 @@ TEST(CheckpointSinkTest, EngineThrowOutranksAFailedBackgroundWrite) {
   EXPECT_NE(log.str().find(path), std::string::npos) << log.str();
 }
 
-/// Threads of this process (0 where /proc/self/task is unavailable).
-std::size_t thread_count() {
-  std::error_code ec;
-  std::size_t n = 0;
-  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    ++n;
-  }
-  return n;
-}
-
 TEST(CheckpointSinkTest, FailedWriteFailsTheRunByRunEnd) {
   // A checkpoint path under a missing directory. Whether the first failing
   // write is a periodic one sealed in the background or the synchronous
@@ -877,7 +867,7 @@ TEST(CheckpointSinkTest, FailedWriteFailsTheRunByRunEnd) {
   const wl::Application app = make_streaming_app(*calibration, kFrames);
   for (const std::size_t every : {1, 7, 0}) {
     SCOPED_TRACE(every);
-    const std::size_t threads = thread_count();
+    const std::size_t threads = testing_util::settled_thread_count();
     const auto platform = hw::Platform::odroid_xu3_a15();
     const auto governor = make_governor("rtm");
     RunOptions options;
@@ -892,7 +882,7 @@ TEST(CheckpointSinkTest, FailedWriteFailsTheRunByRunEnd) {
       EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(thread_count(), threads);
+    EXPECT_EQ(testing_util::thread_count_settling_at(threads), threads);
   }
 }
 

@@ -26,6 +26,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/telemetry.hpp"
+#include "thread_count.hpp"
 
 namespace prime::sim {
 namespace {
@@ -37,38 +38,9 @@ std::string fresh_path(const std::string& name) {
   return path;
 }
 
-/// Threads of this process (0 where /proc/self/task is unavailable).
-std::size_t thread_count() {
-  std::error_code ec;
-  std::size_t n = 0;
-  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    ++n;
-  }
-  return n;
-}
-
-/// thread_count() once it reaches \p expected, or after a second. A joined
-/// thread can linger in /proc/self/task until the kernel reaps it.
-std::size_t thread_count_settling_at(std::size_t expected) {
-  for (int i = 0; i < 1000 && thread_count() != expected; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return thread_count();
-}
-
-/// thread_count() once two reads 5 ms apart agree: earlier tests' joined
-/// threads must not count into a baseline.
-std::size_t settled_thread_count() {
-  std::size_t n = thread_count();
-  for (int i = 0; i < 200; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    const std::size_t again = thread_count();
-    if (again == n) break;
-    n = again;
-  }
-  return n;
-}
+using testing_util::settled_thread_count;
+using testing_util::thread_count;
+using testing_util::thread_count_settling_at;
 
 /// A live run to bind a sink to by hand: board, governor, application,
 /// aggregates and pending observation, as run_simulation would lend them.
