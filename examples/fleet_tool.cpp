@@ -19,10 +19,12 @@
 ///                                     loopback port base+i (dash_tool reads
 ///                                     them; 0 = off)
 ///
-/// Internal worker invocation (what the driver execs; not for direct use):
-///   fleet_tool mode=worker <population args> shard=I shards=N out=DIR
-///              checkpoint-every=K attempt=A [fail-after=D]
-///              [dashboard-port=P] [dashboard-every=N]
+/// Internal worker invocation (what the driver execs; not for direct use).
+/// One worker process runs a batch of shards in order, stopping at the first
+/// that fails; shard I serves its dashboard on port P+I while it runs:
+///   fleet_tool mode=worker <population args> shard=I,J,... shards=N
+///              out=DIR checkpoint-every=K attempt=A,B,... [fail-after=D]
+///              [dashboard-port-base=P] [dashboard-every=N]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -51,25 +53,8 @@ long peak_rss_mb() {
 
 int worker_main(const prime::common::Config& cfg) {
   using namespace prime;
-  const fleet::PopulationSpec pop = fleet::PopulationSpec::from_config(cfg);
-  const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 1));
-  const auto shard_index = static_cast<std::size_t>(cfg.get_int("shard", 0));
-  const std::string out_dir = cfg.get_string("out", "fleet-out");
-  const fleet::ShardPlan plan(pop.device_count(), shards);
-
-  fleet::ShardRunnerOptions opts;
-  opts.summary_path = fleet::shard_summary_path(out_dir, shard_index);
-  opts.checkpoint_path = fleet::shard_checkpoint_path(out_dir, shard_index);
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
-  opts.attempt = static_cast<std::size_t>(cfg.get_int("attempt", 0));
-  opts.fail_after_devices =
-      static_cast<std::size_t>(cfg.get_int("fail-after", 0));
-  opts.dashboard_port =
-      static_cast<std::uint16_t>(cfg.get_int("dashboard-port", 0));
-  opts.dashboard_every =
-      static_cast<std::size_t>(cfg.get_int("dashboard-every", 1000));
-  return fleet::run_worker(pop, plan.shard(shard_index), opts);
+  return fleet::run_worker(fleet::PopulationSpec::from_config(cfg),
+                           fleet::WorkerBatch::from_config(cfg));
 }
 
 }  // namespace

@@ -131,22 +131,24 @@ Histogram& Histogram::operator+=(const Histogram& other) {
 void Histogram::save_state(StateWriter& out) const {
   out.f64(lo_);
   out.f64(hi_);
-  out.size(counts_.size());
-  for (const std::size_t c : counts_) out.u64(static_cast<std::uint64_t>(c));
+  out.vec_u64(counts_);
   out.size(total_);
 }
 
 void Histogram::load_state(StateReader& in) {
   const double lo = in.f64();
   const double hi = in.f64();
-  const std::size_t bins = in.size();
-  if (bins == 0 || !(hi > lo)) {
+  // vec_u64 grows the counts as the stream backs them, so a corrupt bin
+  // count fails at the stream's end instead of allocating the claimed size.
+  std::vector<std::uint64_t> counts = in.vec_u64();
+  if (counts.empty() || !(hi > lo)) {
     throw SerialError("Histogram::load_state: invalid range/bin count");
   }
-  std::vector<std::size_t> counts(bins, 0);
-  std::size_t total = 0;
-  for (auto& c : counts) {
-    c = static_cast<std::size_t>(in.u64());
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : counts) {
+    if (c > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw SerialError("Histogram::load_state: bin counts overflow");
+    }
     total += c;
   }
   const std::size_t stored_total = in.size();
@@ -155,7 +157,7 @@ void Histogram::load_state(StateReader& in) {
   }
   lo_ = lo;
   hi_ = hi;
-  width_ = (hi - lo) / static_cast<double>(bins);
+  width_ = (hi - lo) / static_cast<double>(counts.size());
   counts_ = std::move(counts);
   total_ = total;
 }

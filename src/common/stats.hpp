@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace prime::common {
@@ -113,7 +114,7 @@ class Histogram {
   double lo_;
   double hi_;
   double width_;
-  std::vector<std::size_t> counts_;
+  std::vector<std::uint64_t> counts_;
   std::size_t total_ = 0;
 };
 

@@ -3,15 +3,17 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -54,46 +56,23 @@ bool shard_already_done(const std::string& path, std::uint64_t fingerprint,
   }
 }
 
-ShardRunnerOptions worker_options(const FleetOptions& fleet,
-                                  std::size_t shard_index,
-                                  std::size_t attempt) {
-  ShardRunnerOptions opts;
-  opts.summary_path = shard_summary_path(fleet.out_dir, shard_index);
-  opts.checkpoint_path = shard_checkpoint_path(fleet.out_dir, shard_index);
-  opts.checkpoint_every = fleet.checkpoint_every;
-  opts.attempt = attempt;
-  opts.fail_after_devices = fleet.fail_first_attempt_after;
-  if (fleet.dashboard_port_base != 0) {
-    opts.dashboard_port =
-        static_cast<std::uint16_t>(fleet.dashboard_port_base + shard_index);
+/// The batch of \p shards, each at its attempt in \p attempts (0 when
+/// absent), with the fleet's per-shard settings.
+WorkerBatch worker_batch(const FleetOptions& fleet,
+                         std::vector<std::size_t> shards,
+                         const std::map<std::size_t, std::size_t>& attempts) {
+  WorkerBatch batch;
+  batch.out_dir = fleet.out_dir;
+  batch.shard_count = fleet.shards;
+  for (const std::size_t shard_index : shards) {
+    const auto it = attempts.find(shard_index);
+    batch.attempts.push_back(it == attempts.end() ? 0 : it->second);
   }
-  return opts;
-}
-
-[[noreturn]] void exec_worker(const FleetOptions& fleet,
-                              std::size_t shard_index, std::size_t attempt) {
-  std::vector<std::string> argv = fleet.worker_argv;
-  argv.push_back("shard=" + std::to_string(shard_index));
-  argv.push_back("shards=" + std::to_string(fleet.shards));
-  argv.push_back("out=" + fleet.out_dir);
-  argv.push_back("checkpoint-every=" + std::to_string(fleet.checkpoint_every));
-  argv.push_back("attempt=" + std::to_string(attempt));
-  if (fleet.fail_first_attempt_after > 0) {
-    argv.push_back("fail-after=" +
-                   std::to_string(fleet.fail_first_attempt_after));
-  }
-  if (fleet.dashboard_port_base != 0) {
-    argv.push_back("dashboard-port=" +
-                   std::to_string(fleet.dashboard_port_base + shard_index));
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (auto& arg : argv) cargv.push_back(arg.data());
-  cargv.push_back(nullptr);
-  ::execv(cargv[0], cargv.data());
-  std::cerr << "fleet: execv '" << argv[0] << "' failed: "
-            << std::strerror(errno) << "\n";
-  std::_Exit(127);
+  batch.shards = std::move(shards);
+  batch.checkpoint_every = fleet.checkpoint_every;
+  batch.fail_after_devices = fleet.fail_first_attempt_after;
+  batch.dashboard_port_base = fleet.dashboard_port_base;
+  return batch;
 }
 
 /// Fold one cell's per-shard policy records into a fleet `.qpol` entry in
@@ -223,11 +202,13 @@ PopulationReport FleetDriver::run(const PopulationSpec& pop) {
   if (options_.workers == 0) {
     // Sequential in-process reference: no fork, so the crash-injection hook
     // (which _Exits the calling process) is deliberately not forwarded.
+    std::vector<std::size_t> all(plan.shard_count());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    WorkerBatch batch = worker_batch(options_, std::move(all), {});
+    batch.fail_after_devices = 0;
     for (const Shard& shard : plan.shards()) {
-      ShardRunnerOptions opts = worker_options(options_, shard.index, 0);
-      opts.fail_after_devices = 0;
       ++launches_;
-      (void)run_shard(pop, shard, opts);
+      (void)run_shard(pop, shard, batch.shard_options(shard.index));
     }
   } else {
     run_processes(pop, plan);
@@ -238,21 +219,24 @@ PopulationReport FleetDriver::run(const PopulationSpec& pop) {
 void FleetDriver::run_processes(const PopulationSpec& pop,
                                 const ShardPlan& plan) {
   const std::uint64_t fingerprint = pop.fingerprint();
+  const auto done = [&](std::size_t shard_index) {
+    return shard_already_done(shard_summary_path(options_.out_dir, shard_index),
+                              fingerprint, plan.shard(shard_index));
+  };
 
-  std::deque<std::size_t> pending;
+  std::vector<std::size_t> pending;
   for (const Shard& shard : plan.shards()) {
-    if (!shard_already_done(shard_summary_path(options_.out_dir, shard.index),
-                            fingerprint, shard)) {
-      pending.push_back(shard.index);
-    }
+    if (!done(shard.index)) pending.push_back(shard.index);
   }
 
-  std::map<pid_t, std::size_t> running;   // pid -> shard index
-  std::map<std::size_t, std::size_t> attempts;  // shard -> launches so far
+  // pid -> the shards its batch runs, in order.
+  std::map<pid_t, std::vector<std::size_t>> running;
+  // shard -> attempts that started and failed (the retry budget's count).
+  std::map<std::size_t, std::size_t> attempts;
 
   const auto kill_all = [&running]() {
-    for (const auto& [pid, shard] : running) {
-      (void)shard;
+    for (const auto& [pid, batch] : running) {
+      (void)batch;
       ::kill(pid, SIGKILL);
       int status = 0;
       while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
@@ -261,8 +245,17 @@ void FleetDriver::run_processes(const PopulationSpec& pop,
     running.clear();
   };
 
-  const auto spawn = [&](std::size_t shard_index) {
-    const std::size_t attempt = attempts[shard_index]++;
+  const auto spawn = [&](std::vector<std::size_t> shards) {
+    const WorkerBatch batch = worker_batch(options_, shards, attempts);
+    // Exec mode's argv is built before the fork: the child only execs.
+    std::vector<std::string> argv;
+    std::vector<char*> cargv;
+    if (!options_.worker_argv.empty()) {
+      argv = options_.worker_argv;
+      for (auto& arg : batch.to_args()) argv.push_back(std::move(arg));
+      for (auto& arg : argv) cargv.push_back(arg.data());
+      cargv.push_back(nullptr);
+    }
     ++launches_;
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -270,26 +263,34 @@ void FleetDriver::run_processes(const PopulationSpec& pop,
                        std::strerror(errno));
     }
     if (pid == 0) {
-      // Child. Either become the worker binary or run the worker in-process;
+      // Child. Either become the worker binary or run the batch in-process;
       // _Exit either way — the child must never unwind into the parent's
       // stack (gtest, buffered streams, atexit handlers).
-      if (!options_.worker_argv.empty()) {
-        exec_worker(options_, shard_index, attempt);
+      if (!cargv.empty()) {
+        ::execv(cargv[0], cargv.data());
+        std::cerr << "fleet: execv '" << argv[0] << "' failed: "
+                  << std::strerror(errno) << "\n";
+        std::_Exit(127);
       }
-      const int code = run_worker(pop, plan.shard(shard_index),
-                                  worker_options(options_, shard_index,
-                                                 attempt));
-      std::_Exit(code);
+      std::_Exit(run_worker(pop, batch));
     }
-    running.emplace(pid, shard_index);
+    running.emplace(pid, std::move(shards));
   };
 
   try {
     while (!pending.empty() || !running.empty()) {
-      while (!pending.empty() && running.size() < options_.workers) {
-        const std::size_t shard_index = pending.front();
-        pending.pop_front();
-        spawn(shard_index);
+      // One process per free worker slot, each taking a balanced, in-order
+      // run of the pending shards (ShardPlan's split of the queue).
+      const std::size_t slots =
+          std::min(options_.workers - running.size(), pending.size());
+      if (slots > 0) {
+        for (const Shard& run : ShardPlan(pending.size(), slots).shards()) {
+          const auto first = pending.begin();
+          spawn(std::vector<std::size_t>(
+              first + static_cast<std::ptrdiff_t>(run.device_begin),
+              first + static_cast<std::ptrdiff_t>(run.device_end)));
+        }
+        pending.clear();
       }
       int status = 0;
       const pid_t pid = ::waitpid(-1, &status, 0);
@@ -300,27 +301,30 @@ void FleetDriver::run_processes(const PopulationSpec& pop,
       }
       const auto it = running.find(pid);
       if (it == running.end()) continue;  // not one of ours
-      const std::size_t shard_index = it->second;
+      const std::vector<std::size_t> batch = std::move(it->second);
       running.erase(it);
 
-      const bool clean_exit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-      const bool done =
-          clean_exit &&
-          shard_already_done(shard_summary_path(options_.out_dir, shard_index),
-                             fingerprint, plan.shard(shard_index));
-      if (done) continue;
-
-      // Failure: a crash, a nonzero exit, or a "clean" exit that left no
-      // usable summary (all retried the same way — relaunch resumes from the
-      // shard checkpoint when one exists).
-      if (attempts[shard_index] > options_.retries) {
-        throw FleetError("fleet: shard " + std::to_string(shard_index) +
-                         " failed (" + describe_exit(status) + ") after " +
-                         std::to_string(attempts[shard_index]) +
-                         " attempt(s) — retry budget exhausted");
+      // A batch runs in order and stops at its first failure: shards with a
+      // sealed summary are done, the first without one failed (a crash, a
+      // nonzero exit, or a "clean" exit that left no usable summary) and
+      // spends an attempt, and the shards after it never started, so they
+      // go back to pending without spending one. A relaunch resumes from
+      // the shard checkpoint when one exists.
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        const std::size_t shard_index = batch[k];
+        if (done(shard_index)) continue;
+        if (++attempts[shard_index] > options_.retries) {
+          throw FleetError("fleet: shard " + std::to_string(shard_index) +
+                           " failed (" + describe_exit(status) + ") after " +
+                           std::to_string(attempts[shard_index]) +
+                           " attempt(s) — retry budget exhausted");
+        }
+        ++retries_;
+        pending.insert(pending.end(),
+                       batch.begin() + static_cast<std::ptrdiff_t>(k),
+                       batch.end());
+        break;
       }
-      ++retries_;
-      pending.push_back(shard_index);
     }
   } catch (...) {
     kill_all();

@@ -4,23 +4,30 @@
 ///        distributional population report.
 ///
 /// FleetDriver is the parent-side half of population mode. It partitions the
-/// population with a ShardPlan, runs up to `workers` shard workers
-/// concurrently, and watches their exits: a worker that fails (nonzero exit
-/// or a signal) is relaunched up to `retries` times, resuming from the
-/// shard's checkpoint. When every shard's sealed summary exists, the driver
+/// population with a ShardPlan and runs it on up to `workers` concurrent
+/// worker processes, one per worker slot: each scheduling round splits the
+/// pending shards into at most `workers - running` balanced, in-order
+/// batches and starts one process per batch, which runs its shards one after
+/// another through run_worker and exits nonzero at the first that fails.
+/// When a process exits, the driver checks each shard of its batch for a
+/// sealed summary: the first shard without one spends an attempt against
+/// the `retries` budget and is relaunched, resuming from its checkpoint; the
+/// shards after it never started, so they return to pending without
+/// spending one. When every shard's sealed summary exists, the driver
 /// merges them — in shard-index order, with CellStats' exact merge — into a
 /// PopulationReport whose numbers are bit-identical no matter how the
-/// population was sharded or how often workers died.
+/// population was sharded or batched or how often workers died.
 ///
 /// Two worker mechanisms share that control loop:
 ///
 ///   - **exec mode** (worker_argv non-empty): fork + execv of the given argv
-///     (fleet_tool re-invoking itself with `mode=worker`) plus per-shard
-///     arguments. What production population runs use — workers are real
-///     isolated processes.
+///     (fleet_tool re-invoking itself with `mode=worker`) plus the batch's
+///     WorkerBatch::to_args(). What production population runs use —
+///     workers are real isolated processes.
 ///   - **fork mode** (worker_argv empty): fork without exec; the child runs
-///     run_worker in-process and _exits. What tests use — no dependency on
-///     a binary's on-disk location, same process-failure semantics.
+///     run_worker on its batch in-process and _exits. What tests use — no
+///     dependency on a binary's on-disk location, same process-failure
+///     semantics.
 ///
 /// `workers == 0` degenerates to sequential in-process execution of every
 /// shard (no fork at all) — the reference the differential tests compare
@@ -40,8 +47,9 @@ namespace prime::fleet {
 /// \brief Orchestration options (the population itself is passed to run()).
 struct FleetOptions {
   std::size_t shards = 1;       ///< Shard count (>= 1).
-  /// Maximum concurrent worker processes; 0 = run every shard sequentially
-  /// in-process (no fork).
+  /// Maximum concurrent worker processes; each serves a batch of shards,
+  /// so a run with no failures starts min(workers, shards) processes.
+  /// 0 = run every shard sequentially in-process (no fork).
   std::size_t workers = 1;
   std::size_t retries = 2;      ///< Relaunch budget per shard.
   std::string out_dir = "fleet-out";  ///< Shard artifact directory (created).
@@ -49,14 +57,14 @@ struct FleetOptions {
   /// shard attempt).
   std::size_t checkpoint_every = 0;
   /// Worker command line for exec mode: typically {argv0, "mode=worker"} plus
-  /// the population's to_args(); the driver appends shard=, shards=, out=,
-  /// checkpoint-every= and attempt=. Empty selects fork mode.
+  /// the population's to_args(); the driver appends each batch's
+  /// WorkerBatch::to_args(). Empty selects fork mode.
   std::vector<std::string> worker_argv;
   /// Test hook, forwarded to every shard's first attempt (see
   /// ShardRunnerOptions::fail_after_devices).
   std::size_t fail_first_attempt_after = 0;
-  /// Live progress dashboards: worker for shard i serves snapshots on
-  /// loopback port base + i (see ShardRunnerOptions::dashboard_port), so a
+  /// Live progress dashboards: shard i serves snapshots on loopback port
+  /// base + i while it runs (see ShardRunnerOptions::dashboard_port), so a
   /// driver-side poller can watch every shard in flight. 0 disables. run()
   /// rejects a base whose highest shard port would exceed 65535.
   std::uint32_t dashboard_port_base = 0;
@@ -111,9 +119,12 @@ class FleetDriver {
   ///        finds missing/foreign/overlapping summaries.
   PopulationReport run(const PopulationSpec& pop);
 
-  /// \brief Worker launches performed by the last run() (includes retries).
+  /// \brief Worker processes started by the last run(), one per batch,
+  ///        relaunches included; the in-process `workers == 0` path counts
+  ///        one per shard it runs.
   [[nodiscard]] std::size_t launches() const noexcept { return launches_; }
-  /// \brief Relaunches after failures during the last run().
+  /// \brief Attempts spent by failed shards during the last run() (each
+  ///        failed batch spends one, for its first unfinished shard).
   [[nodiscard]] std::size_t retries_used() const noexcept { return retries_; }
 
   /// \brief Merge the sealed summaries of \p plan's shards from \p out_dir

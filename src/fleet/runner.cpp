@@ -1,5 +1,7 @@
 #include "fleet/runner.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <exception>
 #include <iostream>
@@ -7,9 +9,11 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "common/hash.hpp"
+#include "common/strings.hpp"
 #include "gov/merge.hpp"
 #include "sim/dashboard.hpp"
 #include "sim/engine.hpp"
@@ -205,20 +209,116 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
   return summary;
 }
 
-int run_worker(const PopulationSpec& pop, const Shard& shard,
-               const ShardRunnerOptions& opts) noexcept {
-  try {
-    (void)run_shard(pop, shard, opts);
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "fleet worker (shard " << shard.index << "): " << e.what()
-              << "\n";
-    return kWorkerFailureExit;
-  } catch (...) {
-    std::cerr << "fleet worker (shard " << shard.index
-              << "): unknown error\n";
-    return kWorkerFailureExit;
+ShardRunnerOptions WorkerBatch::shard_options(std::size_t position) const {
+  const std::size_t shard_index = shards.at(position);
+  ShardRunnerOptions opts;
+  opts.summary_path = shard_summary_path(out_dir, shard_index);
+  opts.checkpoint_path = shard_checkpoint_path(out_dir, shard_index);
+  opts.checkpoint_every = checkpoint_every;
+  opts.attempt = attempts.at(position);
+  opts.fail_after_devices = fail_after_devices;
+  if (dashboard_port_base != 0) {
+    opts.dashboard_port =
+        static_cast<std::uint16_t>(dashboard_port_base + shard_index);
   }
+  opts.dashboard_every = dashboard_every;
+  return opts;
+}
+
+std::vector<std::string> WorkerBatch::to_args() const {
+  const auto list = [](const std::vector<std::size_t>& values) {
+    std::vector<std::string> fields;
+    fields.reserve(values.size());
+    for (const std::size_t v : values) fields.push_back(std::to_string(v));
+    return common::join(fields, ",");
+  };
+  std::vector<std::string> args = {
+      "shard=" + list(shards),
+      "shards=" + std::to_string(shard_count),
+      "out=" + out_dir,
+      "checkpoint-every=" + std::to_string(checkpoint_every),
+      "attempt=" + list(attempts)};
+  if (fail_after_devices > 0) {
+    args.push_back("fail-after=" + std::to_string(fail_after_devices));
+  }
+  if (dashboard_port_base != 0) {
+    args.push_back("dashboard-port-base=" +
+                   std::to_string(dashboard_port_base));
+  }
+  return args;
+}
+
+WorkerBatch WorkerBatch::from_config(const common::Config& cfg) {
+  const auto list = [&cfg](const char* key) {
+    std::vector<std::size_t> out;
+    for (const auto& field : common::split(cfg.get_string(key, ""), ',')) {
+      const std::string token = common::trim(field);
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long value =
+          std::strtoull(token.c_str(), &end, 10);
+      if (token.empty() || token.front() == '-' || *end != '\0' ||
+          errno == ERANGE) {
+        throw std::invalid_argument("fleet worker: cannot parse '" + token +
+                                    "' in " + key + "=");
+      }
+      out.push_back(static_cast<std::size_t>(value));
+    }
+    return out;
+  };
+  WorkerBatch batch;
+  batch.out_dir = cfg.get_string("out", batch.out_dir);
+  batch.shard_count = static_cast<std::size_t>(cfg.get_int("shards", 1));
+  batch.shards = list("shard");
+  if (batch.shards.empty()) {
+    throw std::invalid_argument("fleet worker: shard= names no shard");
+  }
+  batch.attempts = cfg.has("attempt")
+                       ? list("attempt")
+                       : std::vector<std::size_t>(batch.shards.size(), 0);
+  if (batch.attempts.size() != batch.shards.size()) {
+    throw std::invalid_argument(
+        "fleet worker: attempt= lists " +
+        std::to_string(batch.attempts.size()) + " attempts for " +
+        std::to_string(batch.shards.size()) + " shards");
+  }
+  batch.checkpoint_every =
+      static_cast<std::size_t>(cfg.get_int("checkpoint-every", 0));
+  batch.fail_after_devices =
+      static_cast<std::size_t>(cfg.get_int("fail-after", 0));
+  batch.dashboard_port_base =
+      static_cast<std::uint32_t>(cfg.get_int("dashboard-port-base", 0));
+  const std::size_t last_shard =
+      *std::max_element(batch.shards.begin(), batch.shards.end());
+  if (batch.dashboard_port_base != 0 &&
+      batch.dashboard_port_base + last_shard > 65535) {
+    throw std::invalid_argument(
+        "fleet worker: dashboard-port-base " +
+        std::to_string(batch.dashboard_port_base) + " + shard " +
+        std::to_string(last_shard) + " exceeds port 65535");
+  }
+  batch.dashboard_every = static_cast<std::size_t>(cfg.get_int(
+      "dashboard-every", static_cast<long long>(batch.dashboard_every)));
+  return batch;
+}
+
+int run_worker(const PopulationSpec& pop, const WorkerBatch& batch) noexcept {
+  for (std::size_t i = 0; i < batch.shards.size(); ++i) {
+    try {
+      const ShardPlan plan(pop.device_count(), batch.shard_count);
+      (void)run_shard(pop, plan.shard(batch.shards[i]),
+                      batch.shard_options(i));
+    } catch (const std::exception& e) {
+      std::cerr << "fleet worker (shard " << batch.shards[i] << "): "
+                << e.what() << "\n";
+      return kWorkerFailureExit;
+    } catch (...) {
+      std::cerr << "fleet worker (shard " << batch.shards[i]
+                << "): unknown error\n";
+      return kWorkerFailureExit;
+    }
+  }
+  return 0;
 }
 
 }  // namespace prime::fleet

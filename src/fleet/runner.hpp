@@ -4,7 +4,9 @@
 ///
 /// run_shard is the body of a fleet worker process (fleet_tool's internal
 /// `mode=worker`), but it is an ordinary function — tests run it in-process
-/// and the driver's fork-mode runs it in a forked child without exec.
+/// and the driver's fork-mode runs it in a forked child without exec. One
+/// worker process serves a WorkerBatch: run_worker runs the batch's shards
+/// in order and stops at the first that fails.
 ///
 /// Resume semantics: when a shard checkpoint exists (a mid-shard
 /// ShardSummary at checkpoint_path) and matches this population's
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "fleet/population.hpp"
 #include "fleet/summary.hpp"
 
@@ -88,11 +91,45 @@ struct DeviceOutcome {
 ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
                        const ShardRunnerOptions& opts);
 
-/// \brief Process-boundary wrapper around run_shard: catches every error,
-///        reports it on stderr, and returns an exit code (0 ok,
-///        kWorkerFailureExit on failure) instead of throwing. What worker
-///        children — forked or exec'd — should call.
-int run_worker(const PopulationSpec& pop, const Shard& shard,
-               const ShardRunnerOptions& opts) noexcept;
+/// \brief The shards one worker process runs, in order, and how: what the
+///        driver hands a forked child and, through to_args(), puts on an
+///        exec'd worker's command line. Shard i's files and dashboard port
+///        are derived from out_dir and dashboard_port_base exactly as for a
+///        lone shard, so batching changes which process runs a shard, never
+///        what the shard writes.
+struct WorkerBatch {
+  std::string out_dir = "fleet-out";  ///< Shard artifact directory.
+  std::size_t shard_count = 1;        ///< Shards in the population's plan.
+  std::vector<std::size_t> shards;    ///< Shard indices, run in this order.
+  /// Launch attempt of each shard (same length as shards): how many of the
+  /// shard's earlier attempts started and failed.
+  std::vector<std::size_t> attempts;
+  std::size_t checkpoint_every = 0;   ///< See ShardRunnerOptions.
+  std::size_t fail_after_devices = 0; ///< See ShardRunnerOptions.
+  /// Shard i serves its dashboard on base + i while it runs (0 = off).
+  std::uint32_t dashboard_port_base = 0;
+  std::size_t dashboard_every = 1000; ///< See ShardRunnerOptions.
+
+  /// \brief Runner options for the \p position-th shard of the batch.
+  [[nodiscard]] ShardRunnerOptions shard_options(std::size_t position) const;
+  /// \brief The worker command-line arguments (`shard=` and `attempt=` as
+  ///        comma lists, `shards=`, `out=`, `checkpoint-every=`, and
+  ///        `fail-after=`/`dashboard-port-base=` when set). from_config also
+  ///        reads `dashboard-every=`, which the driver leaves at its default.
+  [[nodiscard]] std::vector<std::string> to_args() const;
+  /// \brief Parse what to_args() wrote. Throws std::invalid_argument on an
+  ///        empty or malformed shard list, an attempt list of another
+  ///        length, or a dashboard port base whose highest shard port
+  ///        exceeds 65535; a missing `attempt=` means attempt 0 for every
+  ///        shard.
+  static WorkerBatch from_config(const common::Config& cfg);
+};
+
+/// \brief Process-boundary loop over a batch: runs each shard of \p batch
+///        through run_shard in order, catching every error. Returns 0 when
+///        every shard completed, or reports the first failure on stderr and
+///        returns kWorkerFailureExit without starting the shards after it.
+///        What worker processes — forked or exec'd — should call.
+int run_worker(const PopulationSpec& pop, const WorkerBatch& batch) noexcept;
 
 }  // namespace prime::fleet

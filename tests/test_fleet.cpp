@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -345,6 +346,38 @@ TEST(ShardSummaryFile, RejectsInconsistentProgress) {
   EXPECT_THROW((void)ShardSummary::load_file(path), FleetError);
 }
 
+TEST(ShardSummaryFile, OversizedHistogramBinCountNamesTheFile) {
+  // The energy histogram's bin count follows its range (lo = 0, hi); forge
+  // it so the file claims far more bins than it holds.
+  const PopulationSpec pop = tiny_population();
+  const std::string path = temp_dir("fsum-bins") + "/s.fsum";
+  sample_summary(pop).save_file(path);
+  const std::string bytes = testing_util::read_bytes(path);
+  std::string range(24, '\0');
+  auto* range_at = reinterpret_cast<unsigned char*>(range.data());
+  common::store_f64(range_at + 8, pop.resolved_energy_hi());
+  common::store_u64(range_at + 16, pop.energy_bins);
+  const std::size_t found = bytes.find(range);
+  ASSERT_NE(found, std::string::npos);
+  ASSERT_EQ(bytes.find(range, found + 1), std::string::npos);
+  for (const std::uint64_t bins :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 61,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(bins);
+    std::string forged = bytes;
+    common::store_u64(
+        reinterpret_cast<unsigned char*>(forged.data()) + found + 16, bins);
+    testing_util::write_bytes(path, forged);
+    try {
+      (void)ShardSummary::load_file(path);
+      ADD_FAILURE() << "accepted a forged bin count";
+    } catch (const FleetError& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- Runner + driver differentials -------------------------------------------
 
 TEST(FleetDifferential, OneShardEqualsManyShardsEqualsManyProcesses) {
@@ -375,8 +408,27 @@ TEST(FleetDifferential, OneShardEqualsManyShardsEqualsManyProcesses) {
   forked.out_dir = temp_dir("fleet-forked");
   FleetDriver forked_driver(forked);
   EXPECT_EQ(report_csv(forked_driver.run(pop)), reference);
-  EXPECT_EQ(forked_driver.launches(), 4u);
+  EXPECT_EQ(forked_driver.launches(), 2u);  // one process per worker slot
   EXPECT_EQ(forked_driver.retries_used(), 0u);
+}
+
+TEST(FleetDifferential, OneWorkerRunsEveryShardInOneProcess) {
+  const PopulationSpec pop = tiny_population();
+  FleetOptions seq;
+  seq.shards = 1;
+  seq.workers = 0;
+  seq.out_dir = temp_dir("fleet-batch-seq");
+  FleetDriver seq_driver(seq);
+  const std::string reference = report_csv(seq_driver.run(pop));
+
+  FleetOptions batched;
+  batched.shards = 4;
+  batched.workers = 1;
+  batched.out_dir = temp_dir("fleet-batch");
+  FleetDriver batched_driver(batched);
+  EXPECT_EQ(report_csv(batched_driver.run(pop)), reference);
+  EXPECT_EQ(batched_driver.launches(), 1u);
+  EXPECT_EQ(batched_driver.retries_used(), 0u);
 }
 
 TEST(FleetDifferential, CompletedShardsAreNotRelaunched) {
@@ -432,6 +484,40 @@ TEST(FleetFailureInjection, RetryResumesFromCheckpointBitIdentically) {
   }
 }
 
+TEST(FleetFailureInjection, ShardsAfterTheFailureInABatchSpendNoAttempt) {
+  const PopulationSpec pop = tiny_population();
+  FleetOptions clean;
+  clean.shards = 1;
+  clean.workers = 0;
+  clean.out_dir = temp_dir("fleet-batch-clean");
+  FleetDriver clean_driver(clean);
+  const std::string reference = report_csv(clean_driver.run(pop));
+
+  // One worker runs the batch {0, 1, 2}; each shard's first attempt dies
+  // after one device. Process 1 fails in shard 0, process 2 finishes 0 and
+  // fails in 1, process 3 finishes 1 and fails in 2, process 4 finishes 2.
+  // Each shard spends one attempt, so retries = 1 suffices only because the
+  // shards queued behind a failure are not charged for it.
+  FleetOptions faulty;
+  faulty.shards = 3;
+  faulty.workers = 1;
+  faulty.retries = 1;
+  faulty.out_dir = temp_dir("fleet-batch-faulty");
+  faulty.checkpoint_every = 1;
+  faulty.fail_first_attempt_after = 1;
+  FleetDriver faulty_driver(faulty);
+  EXPECT_EQ(report_csv(faulty_driver.run(pop)), reference);
+  EXPECT_EQ(faulty_driver.retries_used(), 3u);
+  EXPECT_EQ(faulty_driver.launches(), 4u);
+  for (std::size_t i = 0; i < faulty.shards; ++i) {
+    const ShardSummary s =
+        ShardSummary::load_file(shard_summary_path(faulty.out_dir, i));
+    EXPECT_TRUE(s.complete());
+    EXPECT_GT(s.started_at_device, s.shard.device_begin)
+        << "shard " << i << " restarted from scratch instead of resuming";
+  }
+}
+
 TEST(FleetFailureInjection, RetryBudgetExhaustionThrows) {
   const PopulationSpec pop = tiny_population();
   FleetOptions options;
@@ -474,6 +560,58 @@ TEST(FleetMerge, RejectsIncompleteCoverage) {
   opts.summary_path = shard_summary_path(dir, 0);
   (void)run_shard(pop, plan.shard(0), opts);
   EXPECT_THROW((void)FleetDriver::merge_shards(pop, plan, dir), FleetError);
+}
+
+TEST(WorkerBatch, ArgsRoundTrip) {
+  WorkerBatch batch;
+  batch.out_dir = "some/dir";
+  batch.shard_count = 8;
+  batch.shards = {4, 5, 7};
+  batch.attempts = {1, 0, 2};
+  batch.checkpoint_every = 3;
+  batch.fail_after_devices = 2;
+  batch.dashboard_port_base = 9100;
+  common::Config cfg;
+  for (const auto& arg : batch.to_args()) {
+    ASSERT_TRUE(cfg.parse_assignment(arg)) << arg;
+  }
+  EXPECT_EQ(cfg.get_string("shard", ""), "4,5,7");
+  EXPECT_EQ(cfg.get_string("attempt", ""), "1,0,2");
+  const WorkerBatch parsed = WorkerBatch::from_config(cfg);
+  EXPECT_EQ(parsed.out_dir, batch.out_dir);
+  EXPECT_EQ(parsed.shard_count, batch.shard_count);
+  EXPECT_EQ(parsed.shards, batch.shards);
+  EXPECT_EQ(parsed.attempts, batch.attempts);
+  EXPECT_EQ(parsed.checkpoint_every, batch.checkpoint_every);
+  EXPECT_EQ(parsed.fail_after_devices, batch.fail_after_devices);
+  EXPECT_EQ(parsed.dashboard_port_base, batch.dashboard_port_base);
+  // Shard 7 of the batch (position 2) serves on base + 7.
+  const ShardRunnerOptions opts = parsed.shard_options(2);
+  EXPECT_EQ(opts.summary_path, shard_summary_path("some/dir", 7));
+  EXPECT_EQ(opts.checkpoint_path, shard_checkpoint_path("some/dir", 7));
+  EXPECT_EQ(opts.attempt, 2u);
+  EXPECT_EQ(opts.dashboard_port, 9107);
+}
+
+TEST(WorkerBatch, RejectsMalformedLists) {
+  const auto parse = [](const std::vector<std::string>& args) {
+    common::Config cfg;
+    for (const auto& arg : args) cfg.parse_assignment(arg);
+    return WorkerBatch::from_config(cfg);
+  };
+  EXPECT_THROW((void)parse({"shards=4"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=1,x"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=1,,2"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=-1"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=0,1", "attempt=0"}), std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=99999999999999999999"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)parse({"shard=0,3", "dashboard-port-base=65533"}),
+               std::invalid_argument);
+  // A lone shard with no attempt= is a one-shard batch at attempt 0.
+  const WorkerBatch one = parse({"shard=3", "shards=4"});
+  EXPECT_EQ(one.shards, std::vector<std::size_t>{3});
+  EXPECT_EQ(one.attempts, std::vector<std::size_t>{0});
 }
 
 TEST(FleetRunner, CorruptCheckpointFallsBackToAFreshStart) {

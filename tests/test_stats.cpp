@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -287,6 +288,50 @@ TEST(HistogramSerial, CorruptTotalRejected) {
   bytes[bytes.size() - 8] ^= 1;
   std::stringstream bad(bytes);
   StateReader r(bad);
+  Histogram target(0.0, 1.0, 1);
+  EXPECT_THROW(target.load_state(r), SerialError);
+}
+
+/// A histogram payload claiming \p bins bins but carrying \p counts.
+std::string histogram_payload(std::uint64_t bins,
+                              const std::vector<std::uint64_t>& counts,
+                              std::uint64_t total) {
+  std::stringstream buf;
+  StateWriter w(buf);
+  w.f64(0.0);
+  w.f64(1.0);
+  w.u64(bins);
+  for (const std::uint64_t c : counts) w.u64(c);
+  w.u64(total);
+  return buf.str();
+}
+
+TEST(HistogramSerial, OversizedBinCountFailsAtTheStreamEnd) {
+  // Before the chunked read, 2^40 bins threw std::bad_alloc and 2^61
+  // std::length_error: allocation came before the stream was read.
+  for (const std::uint64_t bins :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 61,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(bins);
+    std::stringstream in(histogram_payload(bins, {3, 4}, 7));
+    StateReader r(in);
+    Histogram target(0.0, 1.0, 1);
+    EXPECT_THROW(target.load_state(r), SerialError);
+    EXPECT_EQ(target.bins(), 1u);  // untouched on failure
+  }
+  std::stringstream in(histogram_payload(2, {3, 4}, 7));
+  StateReader r(in);
+  Histogram target(0.0, 1.0, 1);
+  target.load_state(r);
+  EXPECT_EQ(target.bins(), 2u);
+  EXPECT_EQ(target.count(), 7u);
+}
+
+TEST(HistogramSerial, OverflowingBinSumRejected) {
+  // 2^63 + 2^63 wraps to the stored total 0.
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  std::stringstream in(histogram_payload(2, {half, half}, 0));
+  StateReader r(in);
   Histogram target(0.0, 1.0, 1);
   EXPECT_THROW(target.load_state(r), SerialError);
 }
