@@ -175,6 +175,16 @@ std::string describe_exit(int status) {
 
 }  // namespace
 
+std::vector<std::vector<std::size_t>> deal_batches(
+    const std::vector<std::size_t>& pending, std::size_t batches) {
+  std::vector<std::vector<std::size_t>> out(
+      std::min(batches, pending.size()));
+  for (std::size_t k = 0; k < pending.size() && !out.empty(); ++k) {
+    out[k % out.size()].push_back(pending[k]);
+  }
+  return out;
+}
+
 FleetDriver::FleetDriver(FleetOptions options) : options_(std::move(options)) {
   if (options_.shards == 0) {
     throw std::invalid_argument("FleetDriver: shards must be >= 1");
@@ -206,9 +216,10 @@ PopulationReport FleetDriver::run(const PopulationSpec& pop) {
     std::iota(all.begin(), all.end(), std::size_t{0});
     WorkerBatch batch = worker_batch(options_, std::move(all), {});
     batch.fail_after_devices = 0;
-    for (const Shard& shard : plan.shards()) {
+    for (std::size_t i = 0; i < batch.shards.size(); ++i) {
       ++launches_;
-      (void)run_shard(pop, shard, batch.shard_options(shard.index));
+      (void)run_shard(pop, plan.shard(batch.shards[i]),
+                      batch.shard_options(i));
     }
   } else {
     run_processes(pop, plan);
@@ -279,16 +290,12 @@ void FleetDriver::run_processes(const PopulationSpec& pop,
 
   try {
     while (!pending.empty() || !running.empty()) {
-      // One process per free worker slot, each taking a balanced, in-order
-      // run of the pending shards (ShardPlan's split of the queue).
-      const std::size_t slots =
-          std::min(options_.workers - running.size(), pending.size());
-      if (slots > 0) {
-        for (const Shard& run : ShardPlan(pending.size(), slots).shards()) {
-          const auto first = pending.begin();
-          spawn(std::vector<std::size_t>(
-              first + static_cast<std::ptrdiff_t>(run.device_begin),
-              first + static_cast<std::ptrdiff_t>(run.device_end)));
+      // One process per free worker slot, each dealt its stride of the
+      // pending shards.
+      if (running.size() < options_.workers) {
+        for (auto& shards :
+             deal_batches(pending, options_.workers - running.size())) {
+          spawn(std::move(shards));
         }
         pending.clear();
       }

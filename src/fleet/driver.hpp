@@ -5,10 +5,14 @@
 ///
 /// FleetDriver is the parent-side half of population mode. It partitions the
 /// population with a ShardPlan and runs it on up to `workers` concurrent
-/// worker processes, one per worker slot: each scheduling round splits the
-/// pending shards into at most `workers - running` balanced, in-order
-/// batches and starts one process per batch, which runs its shards one after
-/// another through run_worker and exits nonzero at the first that fails.
+/// worker processes, one per worker slot: each scheduling round deals the
+/// pending shards into at most `workers - running` batches (deal_batches:
+/// pending shard k to batch k % batches) and starts one process per batch,
+/// which runs its shards one after another through run_worker and exits
+/// nonzero at the first that fails. A batch is fixed when its process
+/// starts, so a slot that finishes early stays idle while the others run;
+/// dealing by stride keeps neighbouring shards, which often share a
+/// governor's cost, on different slots.
 /// When a process exits, the driver checks each shard of its batch for a
 /// sealed summary: the first shard without one spends an attempt against
 /// the `retries` budget and is relaunched, resuming from its checkpoint; the
@@ -108,6 +112,16 @@ struct PopulationReport {
   /// \brief Render as an aligned text table for terminals.
   void print(std::ostream& out) const;
 };
+
+/// \brief Deal \p pending shards into min(\p batches, pending.size())
+///        batches, pending[k] to batch k % that count, each batch in pending
+///        order: what FleetDriver hands its free worker slots. By stride, not
+///        in contiguous runs, because cells are contiguous device ranges:
+///        neighbouring shards often share a governor, and a contiguous
+///        split would give one slot the cheap governor's shards and another
+///        the dear one's.
+[[nodiscard]] std::vector<std::vector<std::size_t>> deal_batches(
+    const std::vector<std::size_t>& pending, std::size_t batches);
 
 /// \brief Launches, supervises and merges shard workers (see file comment).
 class FleetDriver {

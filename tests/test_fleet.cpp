@@ -431,6 +431,20 @@ TEST(FleetDifferential, OneWorkerRunsEveryShardInOneProcess) {
   EXPECT_EQ(batched_driver.retries_used(), 0u);
 }
 
+TEST(FleetDriverBatches, DealtByStride) {
+  using Batches = std::vector<std::vector<std::size_t>>;
+  // 8 shards on 2 slots: in a 2-cell population shards 0-3 are one cell
+  // and 4-7 the other, so each slot gets half of each.
+  EXPECT_EQ(deal_batches({0, 1, 2, 3, 4, 5, 6, 7}, 2),
+            (Batches{{0, 2, 4, 6}, {1, 3, 5, 7}}));
+  // Requeued shards keep their pending order; never more batches than
+  // shards, and no empty batch.
+  EXPECT_EQ(deal_batches({5, 1, 2}, 2), (Batches{{5, 2}, {1}}));
+  EXPECT_EQ(deal_batches({3, 4}, 4), (Batches{{3}, {4}}));
+  EXPECT_EQ(deal_batches({}, 2), Batches{});
+  EXPECT_EQ(deal_batches({1, 2}, 0), Batches{});
+}
+
 TEST(FleetDifferential, CompletedShardsAreNotRelaunched) {
   const PopulationSpec pop = tiny_population();
   FleetOptions options;
