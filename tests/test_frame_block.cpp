@@ -23,6 +23,8 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/hash.hpp"
+#include "run_digest.hpp"
 #include "sim/bintrace.hpp"
 #include "sim/block_prefetch.hpp"
 #include "sim/engine.hpp"
@@ -262,6 +264,62 @@ auto expect_helper(bool expect, Run&& run) {
   return result;
 }
 
+/// Committed run_digest()s of each registered governor's block_frames=0 run
+/// (aggregates and every record) at the two lengths below. The block sizes
+/// are checked against each other; these pins catch a change to the epoch
+/// kernels that moves the same bit at every block size.
+struct BlockPin {
+  const char* governor;
+  std::size_t frames;
+  std::uint64_t digest;
+};
+
+constexpr BlockPin kBlockPins[] = {
+    {"conservative", 200, 0x16d04725068c6e5fULL},
+    {"mcdvfs", 200, 0xe3939bbbb52c454bULL},
+    {"ondemand", 200, 0x4bc9d0473f3647c1ULL},
+    {"oracle", 200, 0x2f06de1df890203fULL},
+    {"performance", 200, 0xff789ffc28dd3f61ULL},
+    {"pid", 200, 0x9dc4a1157de5a381ULL},
+    {"powersave", 200, 0xc48d45789be4dc17ULL},
+    {"rtm", 200, 0x0d5d9b08eba04853ULL},
+    {"rtm-manycore", 200, 0x9c6455aac80cab3dULL},
+    {"rtm-manycore-normalized", 200, 0x54ad0ce731034eb2ULL},
+    {"rtm-thermal", 200, 0xdbd8d5ff45c9ef20ULL},
+    {"rtm-upd", 200, 0x1c8dd0739300539fULL},
+    {"schedutil", 200, 0xa03e66812a167859ULL},
+    {"shen-rl", 200, 0xcf3787e6b03c0589ULL},
+    {"thermal-cap", 200, 0xdbd8d5ff45c9ef20ULL},
+    {"userspace", 200, 0x992741db65abe2f4ULL},
+    {"conservative", kLongRun, 0xb79f4ba4d2d2e4f8ULL},
+    {"mcdvfs", kLongRun, 0x311d061ac311bb60ULL},
+    {"ondemand", kLongRun, 0xf4208abe9fc97b6eULL},
+    {"oracle", kLongRun, 0xd43a8d62103a6ad8ULL},
+    {"performance", kLongRun, 0x711b235faca5db51ULL},
+    {"pid", kLongRun, 0xd8bab3e7ac2e08a4ULL},
+    {"powersave", kLongRun, 0xcce99d6eff9d87ccULL},
+    {"rtm", kLongRun, 0x2beee8fdd9af907fULL},
+    {"rtm-manycore", kLongRun, 0xb8469fa934c9d5caULL},
+    {"rtm-manycore-normalized", kLongRun, 0x17e6a6b601bf7effULL},
+    {"rtm-thermal", kLongRun, 0xa070dc96143420f7ULL},
+    {"rtm-upd", kLongRun, 0xb2d5aa3b3dc1ab37ULL},
+    {"schedutil", kLongRun, 0x4c3e03bd0fcc3cc6ULL},
+    {"shen-rl", kLongRun, 0x9c0595e045d58088ULL},
+    {"thermal-cap", kLongRun, 0xa070dc96143420f7ULL},
+    {"userspace", kLongRun, 0x309bff76b2c5ce13ULL},
+};
+
+/// The pin for \p governor at \p frames; a registered governor without one
+/// fails the test rather than going unpinned.
+std::uint64_t block_pin_for(const std::string& governor, std::size_t frames) {
+  for (const BlockPin& p : kBlockPins) {
+    if (governor == p.governor && frames == p.frames) return p.digest;
+  }
+  ADD_FAILURE() << "no pin for governor " << governor << " at " << frames
+                << " frames";
+  return 0;
+}
+
 TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
   // The tentpole contract: block size is an execution-strategy knob, never an
   // observable one. For every registered governor, the scalar reference path
@@ -295,6 +353,10 @@ TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
       const RunResult scalar =
           expect_helper(false, [&] { return run_at(0, scalar_trace); });
       ASSERT_EQ(scalar_trace.records().size(), frames);
+      const std::uint64_t digest =
+          testing_util::run_digest(scalar, scalar_trace.records());
+      EXPECT_EQ(digest, block_pin_for(name, frames))
+          << std::hex << "run digest 0x" << digest;
 
       for (const std::size_t block : {std::size_t{1}, std::size_t{7},
                                       std::size_t{256}, 2 * kLongRun}) {
@@ -336,6 +398,11 @@ TEST(BatchedEngine, BinTraceBytesAreIdenticalAcrossBlockSizes) {
 
   const std::string scalar = bt_at(0, temp_path("block-scalar.bt"));
   ASSERT_FALSE(scalar.empty());
+  common::Fnv1a64 bytes;
+  bytes.bytes(scalar.data(), scalar.size());
+  EXPECT_EQ(bytes.value(), 0x0ce3551071f24b9dULL)
+      << std::hex << ".bt digest 0x" << bytes.value() << std::dec << " over "
+      << scalar.size() << " bytes";
   EXPECT_EQ(bt_at(1, temp_path("block-1.bt")), scalar);
   EXPECT_EQ(bt_at(64, temp_path("block-64.bt")), scalar);
 }
@@ -523,6 +590,12 @@ TEST(PrefetchEngine, MultiDomainHelperRunsMatchEngineThreadRuns) {
     TraceSink reference_trace;
     const RunResult reference =
         expect_helper(false, [&] { return run(0, reference_trace); });
+    const std::uint64_t digest =
+        testing_util::run_digest(reference, reference_trace.records());
+    EXPECT_EQ(digest, std::string(name) == "ondemand"
+                          ? 0xdc9459dc2fca26f3ULL
+                          : 0xf52e17a20f5651b4ULL)
+        << std::hex << "reference digest 0x" << digest;
     TraceSink trace;
     const RunResult prefetched =
         expect_helper(true, [&] { return run(64, trace); });
@@ -610,19 +683,31 @@ TEST(PrefetchEngine, SinkThrowJoinsHelperAndLeavesTheAppReusable) {
 TEST(PrefetchEngine, RunShorterThanOneBlockMatchesTheScalarLoop) {
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, 10);
-  const auto run_at = [&](std::size_t block_frames) {
+  const auto run_at = [&](std::size_t block_frames, TraceSink& trace) {
     const auto platform = hw::Platform::odroid_xu3_a15();
     const auto governor = make_governor("rtm");
     RunOptions options;
     options.max_frames = 10;
     options.block_frames = block_frames;
+    options.sinks = {&trace};
     const wl::Application run_app(app);
     return run_simulation(*platform, run_app, *governor, options);
   };
-  const RunResult scalar = run_at(0);
-  const RunResult batched = expect_helper(false, [&] { return run_at(64); });
+  TraceSink scalar_trace;
+  const RunResult scalar = run_at(0, scalar_trace);
+  const std::uint64_t digest =
+      testing_util::run_digest(scalar, scalar_trace.records());
+  EXPECT_EQ(digest, 0xff757a0a67feef9cULL)
+      << std::hex << "reference digest 0x" << digest;
+  TraceSink trace;
+  const RunResult batched =
+      expect_helper(false, [&] { return run_at(64, trace); });
   EXPECT_EQ(batched.epoch_count, 10u);
   expect_results_bitequal(scalar, batched);
+  ASSERT_EQ(trace.records().size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    expect_records_bitequal(scalar_trace.records()[i], trace.records()[i]);
+  }
 }
 
 TEST(PrefetchEngine, RepeatRunsOnOneAppRewindTheCursor) {

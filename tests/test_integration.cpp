@@ -109,10 +109,17 @@ TEST(Integration, TableTwoShape_EpdExploresLessThanUpd) {
   const wl::Application app = make_application(spec, *platform);
 
   gov::ShenRlGovernor upd;
-  (void)run_simulation(*platform, app, upd);
+  const RunResult upd_run = run_simulation(*platform, app, upd);
 
   rtm::ManycoreRtmGovernor epd;
-  (void)run_simulation(*platform, app, epd);
+  const RunResult epd_run = run_simulation(*platform, app, epd);
+
+  // Committed digests of both runs: the shape checks below pass under
+  // silent drift, these do not.
+  EXPECT_EQ(digest_of(upd_run), 0x16821cb239c9b021ULL)
+      << "upd: Table II digest 0x" << std::hex << digest_of(upd_run);
+  EXPECT_EQ(digest_of(epd_run), 0xc1c19c19bdcabcecULL)
+      << "epd: Table II digest 0x" << std::hex << digest_of(epd_run);
 
   // Paper Table II: the EPD cuts explorations roughly in half vs UPD [21].
   EXPECT_LT(epd.exploration_count() * 3 / 2, upd.exploration_count());
@@ -129,10 +136,15 @@ TEST(Integration, TableThreeShape_SharedTableConvergesFaster) {
   const wl::Application app = make_application(spec, *platform);
 
   gov::MulticoreDvfsGovernor percore;
-  (void)run_simulation(*platform, app, percore);
+  const RunResult percore_run = run_simulation(*platform, app, percore);
 
   rtm::ManycoreRtmGovernor shared;
-  (void)run_simulation(*platform, app, shared);
+  const RunResult shared_run = run_simulation(*platform, app, shared);
+
+  EXPECT_EQ(digest_of(percore_run), 0x53e0c2e452916fbaULL)
+      << "per-core: Table III digest 0x" << std::hex << digest_of(percore_run);
+  EXPECT_EQ(digest_of(shared_run), 0x78786e450cb08296ULL)
+      << "shared: Table III digest 0x" << std::hex << digest_of(shared_run);
 
   ASSERT_GT(percore.learning_complete_epoch(), 0u);
   ASSERT_GT(shared.learning_complete_epoch(), 0u);
@@ -160,7 +172,9 @@ TEST(Integration, Fig3Shape_MispredictionShrinksAfterLearning) {
   });
   RunOptions opt;
   opt.sinks = {&probe};
-  (void)run_simulation(*platform, app, rtm, opt);
+  const RunResult run = run_simulation(*platform, app, rtm, opt);
+  EXPECT_EQ(digest_of(run), 0x5f3cf22399c67710ULL)
+      << "Fig. 3 digest 0x" << std::hex << digest_of(run);
 
   // Align: prediction captured after epoch i is for epoch i+1.
   std::vector<double> aligned_actual(actual.begin() + 1, actual.end());
