@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -206,6 +207,13 @@ ShardSummary run_shard(const PopulationSpec& pop, const Shard& shard,
   }
 
   summary.save_file(opts.summary_path);
+  // The sealed summary supersedes the progress file (shard_already_done
+  // reads only the .fsum). A shard that finished before its first
+  // checkpoint boundary never wrote one, which remove() does not count as
+  // an error.
+  if (!opts.checkpoint_path.empty()) {
+    std::filesystem::remove(opts.checkpoint_path);
+  }
   return summary;
 }
 

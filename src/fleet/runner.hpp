@@ -35,7 +35,9 @@ inline constexpr int kWorkerFailureExit = 1;
 /// \brief Options for one shard worker session.
 struct ShardRunnerOptions {
   std::string summary_path;     ///< Where the sealed .fsum lands (required).
-  std::string checkpoint_path;  ///< Mid-shard progress file ("" = disabled).
+  /// Mid-shard progress file ("" = disabled), removed once the summary is
+  /// sealed.
+  std::string checkpoint_path;
   /// Checkpoint cadence in devices (0 = never mid-shard). The final summary
   /// is always written regardless.
   std::size_t checkpoint_every = 0;

@@ -18,7 +18,8 @@
 ///   - `shard-<i>.fsum` — the finished shard (next_device == device_end),
 ///     what the driver merges into the PopulationReport;
 ///   - `shard-<i>.ckpt` — mid-shard progress at a device boundary, what a
-///     relaunched worker resumes from after a crash or kill.
+///     relaunched worker resumes from after a crash or kill; removed once
+///     the shard's `.fsum` is sealed.
 ///
 /// On-disk format (version 2): the sealed envelope of common/sealed.hpp —
 /// magic "PRIMEFS\0", header words 0 and 1 (offsets 24, 32) the shard index

@@ -14,7 +14,7 @@ Cluster::Cluster(const OppTable& table, const ClusterParams& params)
       dvfs_(table, params.initial_opp, params.dvfs),
       initial_opp_(params.initial_opp) {
   cores_.reserve(params.cores);
-  for (std::size_t i = 0; i < params.cores; ++i) cores_.emplace_back(i, power_);
+  for (std::size_t i = 0; i < params.cores; ++i) cores_.emplace_back(i);
   coeffs_.reserve(table.size());
   for (std::size_t i = 0; i < table.size(); ++i) {
     const Opp& opp = table.at(i);
@@ -31,16 +31,6 @@ common::Seconds Cluster::set_opp(std::size_t index) noexcept {
   const common::Seconds stall = dvfs_.set_opp(index);
   pending_stall_ += stall;
   return stall;
-}
-
-ClusterEpochResult Cluster::run_epoch(const std::vector<common::Cycles>& work,
-                                      common::Seconds period,
-                                      double mem_fraction,
-                                      common::Hertz ref_frequency) {
-  ClusterEpochResult r;
-  run_epoch_into(work.data(), work.size(), period, mem_fraction, ref_frequency,
-                 r);
-  return r;
 }
 
 void Cluster::run_epoch_into(const common::Cycles* work,
@@ -81,9 +71,9 @@ void Cluster::run_epoch_into(const common::Cycles* work,
 
   // Second pass: account cores within the window and accumulate energy. All
   // cores share one rail and one die temperature, so the per-core power terms
-  // Core::run_epoch would derive are epoch constants — taken from the per-OPP
-  // table (active/idle/leak_base) with only the leakage temperature factor
-  // evaluated here. Same expressions, same association order, same bits.
+  // are epoch constants — taken from the per-OPP table (active/idle/leak_base)
+  // with only the leakage temperature factor evaluated here. Same bits as
+  // PowerModel's active_power/idle_power/leakage_power per core.
   const common::Watt p_leak = co.leak_base * power_.leakage_tempf(temp_before);
   common::Joule energy = 0.0;
   for (std::size_t i = 0; i < cores_.size(); ++i) {

@@ -22,8 +22,11 @@
 
 namespace prime::hw {
 
-/// \brief Everything the platform reports about one executed epoch.
-struct ClusterEpochResult {
+/// \brief Everything the platform reports about one executed epoch. The
+///        per-core vectors keep their capacity across epochs, so
+///        Cluster::run_epoch_into() does no allocation after the first call:
+///        declare one outside the loop and pass it to every epoch.
+struct EpochScratch {
   /// Time from epoch start until the slowest core finished its work,
   /// including any DVFS transition stall at the epoch boundary.
   common::Seconds frame_time = 0.0;
@@ -44,12 +47,6 @@ struct ClusterEpochResult {
   /// True when frame_time <= period (the deadline was met).
   bool deadline_met = true;
 };
-
-/// \brief Reusable epoch output: same fields as a fresh ClusterEpochResult,
-///        but the per-core vectors keep their capacity across epochs, so
-///        run_epoch_into() does no allocation after the first call. Declare
-///        one outside the loop and pass it to every epoch.
-using EpochScratch = ClusterEpochResult;
 
 /// \brief Per-OPP coefficients hoisted out of the per-frame path: every term
 ///        of the power model that depends only on the operating point is
@@ -82,28 +79,19 @@ class Cluster {
   ///        charged to that epoch's frame time. Returns the stall incurred.
   common::Seconds set_opp(std::size_t index) noexcept;
 
-  /// \brief Execute one epoch: each core runs `work[i]` cycles (missing
-  ///        entries mean idle), within a nominal \p period. Returns full
-  ///        accounting. The epoch window extends beyond the period when the
-  ///        work overruns (deadline miss).
+  /// \brief Execute one epoch: each core runs `work[i]` base cycles for i <
+  ///        \p work_count (missing entries mean idle) within a nominal
+  ///        \p period, with full accounting written into \p out. The epoch
+  ///        window extends beyond the period when the work overruns
+  ///        (deadline miss).
   ///
   /// \p mem_fraction models memory-boundedness: that fraction of the frame's
   /// execution time at \p ref_frequency is memory stalls, whose wall-clock
   /// duration does not shrink at higher f. The PMU consequently counts
   /// *effective* cycles `w * ((1-m) + m * f/f_ref)` — observed workload grows
   /// with frequency, exactly as on real cores — which is what governors see.
-  [[nodiscard]] ClusterEpochResult run_epoch(
-      const std::vector<common::Cycles>& work, common::Seconds period,
-      double mem_fraction = 0.0, common::Hertz ref_frequency = 1.0e9);
-
-  /// \brief Allocation-free form of run_epoch(): identical semantics and
-  ///        bit-identical results, but reads \p work_count base cycle counts
-  ///        from a raw row (missing entries mean idle) and writes into \p out,
-  ///        whose `core_cycles`/`core_busy` buffers are reused across epochs.
-  ///        Power terms come from the per-OPP coefficient table built at
-  ///        construction instead of being re-derived per frame (only the
-  ///        leakage temperature factor is per-epoch). The batched engine loop
-  ///        calls this once per frame with one long-lived EpochScratch.
+  /// Power terms come from the per-OPP coefficient table built at
+  /// construction; only the leakage temperature factor is per-epoch.
   void run_epoch_into(const common::Cycles* work, std::size_t work_count,
                       common::Seconds period, double mem_fraction,
                       common::Hertz ref_frequency, EpochScratch& out);

@@ -1,18 +1,17 @@
 /// \file core.hpp
 /// \brief A single simulated CPU core.
 ///
-/// Cores execute per-frame cycle budgets at the cluster's operating point,
-/// accumulate busy/idle time into their PMU, and tally their own energy. The
-/// cluster (not the core) owns the V-F domain, matching the big.LITTLE A15
-/// cluster where all four cores share one rail and one PLL.
+/// Cores record the per-frame cycle budgets the cluster executes at its
+/// operating point, accumulate busy/idle time into their PMU, and tally
+/// their own energy. The cluster (not the core) owns the V-F domain and the
+/// power terms, matching the big.LITTLE A15 cluster where all four cores
+/// share one rail and one PLL.
 #pragma once
 
 #include <cstddef>
 
 #include "common/units.hpp"
-#include "hw/opp.hpp"
 #include "hw/pmu.hpp"
-#include "hw/power_model.hpp"
 
 namespace prime::common {
 class StateWriter;
@@ -21,32 +20,16 @@ class StateReader;
 
 namespace prime::hw {
 
-/// \brief Result of one core executing within one epoch window.
-struct CoreEpochResult {
-  common::Seconds busy_time = 0.0;  ///< Time spent actively executing.
-  common::Seconds idle_time = 0.0;  ///< Time spent in WFI within the window.
-  common::Joule energy = 0.0;       ///< Dynamic + idle energy (no shared terms).
-};
-
 /// \brief One simulated A15 core.
 class Core {
  public:
-  /// \brief Construct with an id and a shared power model.
-  Core(std::size_t id, const PowerModel& model) noexcept
-      : id_(id), model_(&model) {}
+  /// \brief Construct with an id.
+  explicit Core(std::size_t id) noexcept : id_(id) {}
 
-  /// \brief Execute \p work cycles at \p opp inside an epoch window of
-  ///        \p window seconds (busy first, then WFI for the remainder).
-  ///        The busy time may exceed the window when overloaded; idle is then
-  ///        zero. Updates the PMU and energy counters and returns the split.
-  CoreEpochResult run_epoch(common::Cycles work, const Opp& opp,
-                            common::Seconds window,
-                            common::Celsius temperature) noexcept;
-
-  /// \brief Record an epoch whose busy/idle/energy split was already computed
-  ///        by the caller (the cluster's coefficient-hoisted batch path):
-  ///        updates the PMU and energy counters exactly as run_epoch() would
-  ///        for the same values, without re-deriving power terms per core.
+  /// \brief Record one epoch whose busy/idle/energy split the cluster
+  ///        computed: \p work cycles over \p busy_time, WFI for
+  ///        \p idle_time, and \p energy attributed to this core. Updates the
+  ///        PMU and energy counters.
   void account(common::Cycles work, common::Seconds busy_time,
                common::Seconds idle_time, common::Joule energy) noexcept;
 
@@ -68,7 +51,6 @@ class Core {
 
  private:
   std::size_t id_;
-  const PowerModel* model_;
   Pmu pmu_;
   common::Joule energy_ = 0.0;
 };

@@ -229,12 +229,6 @@ ExperimentBuilder& ExperimentBuilder::telemetry(const std::string& spec) {
 }
 
 ExperimentBuilder& ExperimentBuilder::telemetry(
-    const std::vector<std::string>& specs) {
-  telemetry_.insert(telemetry_.end(), specs.begin(), specs.end());
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::telemetry(
     std::initializer_list<std::string> specs) {
   telemetry_.insert(telemetry_.end(), specs.begin(), specs.end());
   return *this;
@@ -307,16 +301,6 @@ ExperimentBuilder& ExperimentBuilder::governor_seed(std::uint64_t seed) {
 
 ExperimentBuilder& ExperimentBuilder::threads_per_frame(std::size_t n) {
   base_.threads = n;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::target_utilisation(double u) {
-  base_.target_utilisation = u;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::mem_fraction(double f) {
-  base_.mem_fraction = f;
   return *this;
 }
 

@@ -143,12 +143,10 @@ class ExperimentBuilder {
   ///        stdout) is rejected in multi-run sweeps, since concurrent runs
   ///        streaming into one target would interleave.
   ExperimentBuilder& telemetry(const std::string& spec);
-  /// \brief Attach several telemetry sink specs (attachment order preserved).
-  ExperimentBuilder& telemetry(const std::vector<std::string>& specs);
-  /// \brief Braced-list form: .telemetry({"trace", "tail(n=256)"}). A
-  ///        distinct overload on purpose: without it a two-element braced
-  ///        list is ambiguous between the string overload (iterator-pair
-  ///        constructor) and the vector one.
+  /// \brief Attach several telemetry sink specs (attachment order
+  ///        preserved): .telemetry({"trace", "tail(n=256)"}). Without this
+  ///        overload a two-string braced list would bind to std::string's
+  ///        iterator-pair constructor.
   ExperimentBuilder& telemetry(std::initializer_list<std::string> specs);
 
   /// \brief Write a resumable checkpoint per scenario: sugar for
@@ -202,10 +200,6 @@ class ExperimentBuilder {
   ExperimentBuilder& governor_seed(std::uint64_t seed);
   /// \brief Worker threads per frame (ExperimentSpec::threads).
   ExperimentBuilder& threads_per_frame(std::size_t n);
-  /// \brief Calibration target utilisation (0 disables calibration).
-  ExperimentBuilder& target_utilisation(double u);
-  /// \brief Memory-boundedness override (negative = per-workload default).
-  ExperimentBuilder& mem_fraction(double f);
   /// \brief Sweep worker threads (0 = hardware concurrency).
   ExperimentBuilder& parallelism(std::size_t workers);
   /// \brief Enable/disable the per-cell Oracle baseline (default on). With it

@@ -258,29 +258,35 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
   RunEmitter emitter(result, sinks, ctx);
 
-  // Epoch scratch lives at function scope, not inside the batched branch:
-  // `last` may hold a CycleSpan view into scratch.core_cycles, and the final
-  // checkpoint snapshot (emitter.finish -> on_run_end) deep-copies that
-  // observation after the loop — the viewed storage must still be alive.
+  // Epoch scratch lives at function scope, not inside the single-domain
+  // branch: `last` may hold a CycleSpan view into scratch.core_cycles, and
+  // the final checkpoint snapshot (emitter.finish -> on_run_end) deep-copies
+  // that observation after the loop — the viewed storage must still be alive.
   hw::EpochScratch scratch;
+
+  // Both loops pull frames in FrameBlock batches, each frame with its sensor
+  // noise term drawn ahead; the sensor's own generator steps in lockstep, so
+  // snapshots see the same state. Everything observable stays per-epoch —
+  // decisions, emission (and with it checkpoint cadence) — so the block size
+  // can never shift a snapshot or a record; prefetching frames (on the
+  // engine thread or the helper) only moves the stream's replay cursor,
+  // which resume re-derives from the frame position anyway. block_frames=0
+  // runs one-frame blocks, all filled on the engine thread.
+  const std::size_t total = platform.total_cores();
+  hw::PowerSensor& sensor = platform.power_sensor();
+  BlockPrefetcher prefetch(
+      app, start, frames, std::max<std::size_t>(1, options.block_frames),
+      total, options.block_frames != 0 && prefetch_pays_off(frames - start),
+      &sensor);
+  EpochRecord rec;
 
   if (domains > 1) {
     // Multi-domain path: one decision per domain, then the board-epoch
     // kernel (hw::Platform::run_epoch_into) runs the placement's scatter and
-    // every domain, combined into one EpochRecord. Always batched; single-
-    // domain runs never reach here, so the paths below stay bit-identical.
-    const std::size_t total = platform.total_cores();
+    // every domain, combined into one EpochRecord.
     hw::BoardEpoch board = platform.make_epoch(place.slot_domain,
                                                place.slot_local);
     std::vector<std::optional<gov::EpochObservation>> dlast(domains);
-    // block_frames=0 runs one-frame blocks here, all filled on the engine
-    // thread like the single-domain reference loop.
-    hw::PowerSensor& sensor = platform.power_sensor();
-    BlockPrefetcher prefetch(
-        app, start, frames, std::max<std::size_t>(1, options.block_frames),
-        total, options.block_frames != 0 && prefetch_pays_off(frames - start),
-        &sensor);
-    EpochRecord rec;
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);
       const common::NormalDraw* noise = prefetch.noise(k);
@@ -360,92 +366,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       }
       prefetch.release(k);
     }
-  } else if (options.block_frames == 0) {
-    // Per-frame reference path: the pre-batching loop, kept verbatim as the
-    // differential baseline the batched path below is pinned against.
-    for (std::size_t i = start; i < frames; ++i) {
-      const common::Seconds period = app.deadline_at(i);
-      std::vector<common::Cycles> work =
-          app.core_work(i, cluster.core_count());
-      const common::Cycles demand =
-          std::accumulate(work.begin(), work.end(), common::Cycles{0});
-
-      if (clairvoyant != nullptr) {
-        gov::FramePreview preview;
-        preview.max_core_cycles =
-            work.empty() ? 0 : *std::max_element(work.begin(), work.end());
-        preview.total_cycles = demand;
-        preview.mem_fraction = app.mem_fraction();
-        clairvoyant->preview_next_frame(preview);
-      }
-
-      gov::DecisionContext dctx;
-      dctx.epoch = i;
-      dctx.period = period;
-      dctx.cores = cluster.core_count();
-      dctx.opps = &opps;
-      const std::size_t action = governor.decide(dctx, last);
-      cluster.set_opp(action);
-
-      // The governor's processing overhead executes as cycles on core 0 at the
-      // chosen frequency, consuming both time and energy (T_OVH, Section III-D).
-      const common::Seconds ovh = governor.epoch_overhead();
-      if (!work.empty() && ovh > 0.0) {
-        work[0] += common::cycles_at(cluster.current_opp().frequency, ovh);
-      }
-
-      const hw::ClusterEpochResult epoch =
-          cluster.run_epoch(work, period, app.mem_fraction());
-      const common::Watt reading =
-          platform.power_sensor().integrate(epoch.avg_power, epoch.window);
-
-      EpochRecord rec;
-      rec.epoch = i;
-      rec.period = period;
-      rec.opp_index = cluster.current_opp_index();
-      rec.frequency = cluster.current_opp().frequency;
-      rec.demand = demand;
-      rec.executed =
-          std::accumulate(epoch.core_cycles.begin(), epoch.core_cycles.end(),
-                          common::Cycles{0});
-      rec.frame_time = epoch.frame_time;
-      rec.window = epoch.window;
-      rec.energy = epoch.energy;
-      rec.sensor_power = reading;
-      rec.temperature = epoch.temperature;
-      rec.slack = period > 0.0 ? (period - epoch.frame_time) / period : 0.0;
-      rec.deadline_met = epoch.deadline_met;
-
-      gov::EpochObservation obs;
-      obs.epoch = i;
-      obs.period = period;
-      obs.frame_time = epoch.frame_time;
-      obs.window = epoch.window;
-      obs.total_cycles = rec.executed;
-      obs.core_cycles = epoch.core_cycles;
-      obs.opp_index = rec.opp_index;
-      obs.avg_power = reading;
-      obs.temperature = epoch.temperature;
-      obs.deadline_met = epoch.deadline_met;
-      last = std::move(obs);
-
-      emitter.emit(rec, governor);
-    }
   } else {
-    // Batched zero-allocation path: pull frames in FrameBlock batches and
-    // execute each epoch against one long-lived EpochScratch, reusing one
-    // EpochRecord and one EpochObservation. Everything observable stays
-    // per-epoch — decisions, emission (and with it checkpoint cadence) — so
-    // the block size can never shift a snapshot or a record; prefetching
-    // frames (on the engine thread or the helper) only moves the stream's
-    // replay cursor, which resume re-derives from the frame position anyway.
-    // The sensor's noise terms are drawn ahead with the frames; the sensor's
-    // own generator steps in lockstep, so snapshots see the same state.
-    const std::size_t cores = cluster.core_count();
-    hw::PowerSensor& sensor = platform.power_sensor();
-    BlockPrefetcher prefetch(app, start, frames, options.block_frames, cores,
-                             prefetch_pays_off(frames - start), &sensor);
-    EpochRecord rec;
+    // Single-domain zero-allocation path: each epoch runs against one
+    // long-lived EpochScratch, reusing one EpochRecord and one
+    // EpochObservation.
     for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
       wl::FrameBlock& block = prefetch.acquire(k);
       const common::NormalDraw* noise = prefetch.noise(k);
@@ -458,7 +382,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         if (clairvoyant != nullptr) {
           gov::FramePreview preview;
           preview.max_core_cycles =
-              cores == 0 ? 0 : *std::max_element(row, row + cores);
+              total == 0 ? 0 : *std::max_element(row, row + total);
           preview.total_cycles = demand;
           preview.mem_fraction = block.mem_fraction;
           clairvoyant->preview_next_frame(preview);
@@ -467,17 +391,19 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         gov::DecisionContext dctx;
         dctx.epoch = i;
         dctx.period = period;
-        dctx.cores = cores;
+        dctx.cores = total;
         dctx.opps = &opps;
         const std::size_t action = governor.decide(dctx, last);
         cluster.set_opp(action);
 
+        // The governor's processing overhead executes as cycles on core 0 at
+        // the chosen frequency, consuming time and energy (T_OVH, Sec. III-D).
         const common::Seconds ovh = governor.epoch_overhead();
-        if (cores != 0 && ovh > 0.0) {
+        if (total != 0 && ovh > 0.0) {
           row[0] += common::cycles_at(cluster.current_opp().frequency, ovh);
         }
 
-        cluster.run_epoch_into(row, cores, period, block.mem_fraction, 1.0e9,
+        cluster.run_epoch_into(row, total, period, block.mem_fraction, 1.0e9,
                                scratch);
         const common::Watt reading =
             sensor.integrate(scratch.avg_power, scratch.window, noise[b]);
@@ -518,7 +444,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       prefetch.release(k);
     }
   }
-  emitter.finish(platform.power_sensor().measured_energy());
+  emitter.finish(sensor.measured_energy());
   return result;
 }
 

@@ -101,16 +101,14 @@ struct RunOptions {
   std::vector<TelemetrySink*> sinks;
   bool reset_governor = true;  ///< Reset governor learning before the run.
 
-  /// Frames pulled per wl::FrameBlock batch in the zero-allocation hot loop.
-  /// Purely an execution-strategy knob: every block size (and the scalar
-  /// path) produces bit-identical results, records and artifacts — governor
-  /// decisions, telemetry emission and checkpoint cadence all remain
-  /// per-epoch, pinned by the batched-vs-scalar differential tests. 0 selects
-  /// the per-frame reference path (one core_work vector and one
-  /// ClusterEpochResult allocated per frame), kept as the differential
-  /// baseline the batched path is tested against; multi-domain boards run it
-  /// as one-frame blocks. Either way no frame is generated on a helper
-  /// thread.
+  /// Frames pulled per wl::FrameBlock batch in the engine's epoch loops.
+  /// Purely an execution-strategy knob: every block size produces
+  /// bit-identical results, records and artifacts — governor decisions,
+  /// telemetry emission and checkpoint cadence all remain per-epoch, pinned
+  /// by the block-size differential tests. Runs of at least
+  /// kMinPrefetchFrames (sim/block_prefetch.hpp) fill blocks ahead on a
+  /// helper thread; 0 runs one-frame blocks, all filled on the engine
+  /// thread, on every board.
   std::size_t block_frames = 64;
 
   /// Placement policy partitioning the application's work slots across the

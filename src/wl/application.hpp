@@ -113,7 +113,8 @@ class Application {
   /// \brief Memory-boundedness: the fraction of frame execution time spent
   ///        in memory stalls at the 1 GHz reference frequency. Stall time is
   ///        frequency-independent, so the PMU-visible cycle count of a frame
-  ///        grows with the operating frequency (see hw::Cluster::run_epoch).
+  ///        grows with the operating frequency (see
+  ///        hw::Cluster::run_epoch_into).
   [[nodiscard]] double mem_fraction() const noexcept { return mem_fraction_; }
   /// \brief Set the memory-boundedness fraction (clamped to [0, 0.9]).
   void set_mem_fraction(double m) noexcept;

@@ -496,6 +496,11 @@ TEST(FleetFailureInjection, RetryResumesFromCheckpointBitIdentically) {
     EXPECT_GT(s.started_at_device, s.shard.device_begin)
         << "shard " << i << " restarted from scratch instead of resuming";
   }
+  // A sealed summary supersedes its shard's progress file: none is left.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(faulty.out_dir)) {
+    EXPECT_NE(entry.path().extension(), ".ckpt") << entry.path();
+  }
 }
 
 TEST(FleetFailureInjection, ShardsAfterTheFailureInABatchSpendNoAttempt) {
@@ -642,6 +647,7 @@ TEST(FleetRunner, CorruptCheckpointFallsBackToAFreshStart) {
   const ShardSummary s = run_shard(pop, plan.shard(0), opts);
   EXPECT_TRUE(s.complete());
   EXPECT_EQ(s.started_at_device, s.shard.device_begin);
+  EXPECT_FALSE(std::filesystem::exists(opts.checkpoint_path));
 }
 
 }  // namespace

@@ -322,9 +322,9 @@ std::uint64_t block_pin_for(const std::string& governor, std::size_t frames) {
 
 TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
   // The tentpole contract: block size is an execution-strategy knob, never an
-  // observable one. For every registered governor, the scalar reference path
-  // (block=0) and batched runs at block 1, an odd straggler-producing 7, a
-  // larger 256 and a bigger-than-the-run block must agree bit for bit —
+  // observable one. For every registered governor, block_frames=0 (one-frame
+  // blocks, never prefetched) and runs at block 1, an odd straggler-producing
+  // 7, a larger 256 and a bigger-than-the-run block must agree bit for bit —
   // aggregates and every epoch record. A 200-frame run is too short for the
   // prefetch helper, so it pins the engine-thread batched path. A
   // kLongRun-frame run engages the helper at every block size that splits
@@ -377,8 +377,8 @@ TEST(BatchedEngine, BitIdenticalAcrossBlockSizesForEveryRegisteredGovernor) {
 }
 
 TEST(BatchedEngine, BinTraceBytesAreIdenticalAcrossBlockSizes) {
-  // The on-disk form of the same contract: the `.bt` a batched run writes is
-  // byte-identical to the scalar reference's.
+  // The on-disk form of the same contract: the `.bt` a run writes is
+  // byte-identical at every block size.
   constexpr std::size_t kFrames = 150;
   const auto calibration = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_streaming_app(*calibration, kFrames);

@@ -25,7 +25,9 @@ TEST(Platform, OppTableAddressStableAndShared) {
 TEST(Platform, ResetRestoresClusterAndSensor) {
   auto p = Platform::odroid_xu3_a15();
   (void)p->cluster().set_opp(18);
-  (void)p->cluster().run_epoch({1000000, 0, 0, 0}, 0.040);
+  const common::Cycles work[] = {1000000, 0, 0, 0};
+  EpochScratch epoch;
+  p->cluster().run_epoch_into(work, 4, 0.040, 0.0, 1.0e9, epoch);
   (void)p->power_sensor().integrate(3.0, 0.040);
   p->reset();
   EXPECT_EQ(p->cluster().current_opp_index(), 9u);
