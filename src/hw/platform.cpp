@@ -114,6 +114,8 @@ void Platform::inject_overhead(BoardEpoch& epoch,
 
 void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
                               double mem_fraction) {
+  // The combine starts from domain 0's result, never from a 0 seed: a board
+  // below 0 degC must report its hottest domain, not 0 degC.
   common::Seconds frame_time = 0.0;
   common::Seconds window = 0.0;
   common::Joule energy = 0.0;
@@ -124,6 +126,16 @@ void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
     EpochScratch& sc = epoch.domains[d];
     clusters_[d]->run_epoch_into(epoch.work[d].data(), epoch.work[d].size(),
                                  period, mem_fraction, 1.0e9, sc);
+    epoch.domain_executed[d] = std::accumulate(
+        sc.core_cycles.begin(), sc.core_cycles.end(), common::Cycles{0});
+    if (d == 0) {
+      frame_time = sc.frame_time;
+      window = sc.window;
+      energy = sc.energy;
+      temperature = sc.temperature;
+      executed = epoch.domain_executed[0];
+      continue;
+    }
     if (sc.frame_time > frame_time) {
       frame_time = sc.frame_time;
       bottleneck = d;
@@ -131,8 +143,6 @@ void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
     window = std::max(window, sc.window);
     temperature = std::max(temperature, sc.temperature);
     energy += sc.energy;
-    epoch.domain_executed[d] = std::accumulate(
-        sc.core_cycles.begin(), sc.core_cycles.end(), common::Cycles{0});
     executed += epoch.domain_executed[d];
   }
   epoch.frame_time = frame_time;
