@@ -55,16 +55,19 @@ void Cluster::run_epoch_into(const common::Cycles* work,
 
   // First pass: per-core busy times determine the frame time.
   common::Seconds longest_busy = 0.0;
+  common::Cycles executed = 0;
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     const common::Cycles base = i < work_count ? work[i] : 0;
     const auto w =
         static_cast<common::Cycles>(static_cast<double>(base) * eff_scale);
     r.core_cycles[i] = w;
+    executed += w;
     const common::Seconds busy =
         w == 0 ? 0.0 : common::time_for(w, opp.frequency);
     r.core_busy[i] = busy;
     longest_busy = std::max(longest_busy, busy);
   }
+  r.executed = executed;
   r.frame_time = longest_busy + r.dvfs_stall;
   r.window = std::max(r.frame_time, period);
   r.deadline_met = r.frame_time <= period;

@@ -42,6 +42,8 @@ struct EpochScratch {
   common::Celsius temperature = 0.0;
   /// Per-core active cycles executed this epoch.
   std::vector<common::Cycles> core_cycles;
+  /// Their sum.
+  common::Cycles executed = 0;
   /// Per-core busy time this epoch.
   std::vector<common::Seconds> core_busy;
   /// True when frame_time <= period (the deadline was met).

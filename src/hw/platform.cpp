@@ -1,7 +1,6 @@
 #include "hw/platform.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -84,58 +83,60 @@ std::uint64_t Platform::shape_fingerprint() const noexcept {
   return h.value();
 }
 
-void BoardEpoch::scatter(const common::Cycles* row) {
-  for (auto& w : work) std::fill(w.begin(), w.end(), common::Cycles{0});
-  for (std::size_t j = 0; j < slot_domain.size(); ++j) {
-    work[slot_domain[j]][slot_local[j]] += row[j];
-  }
-}
-
 BoardEpoch Platform::make_epoch(std::vector<std::size_t> slot_domain,
                                 std::vector<std::size_t> slot_local) const {
   BoardEpoch epoch;
+  epoch.contiguous = slot_domain.size() == total_cores_;
+  for (std::size_t j = 0; epoch.contiguous && j < slot_domain.size(); ++j) {
+    epoch.contiguous = slot_domain[j] == domain_of_core(j) &&
+                       slot_local[j] == local_of_core(j);
+  }
   epoch.slot_domain = std::move(slot_domain);
   epoch.slot_local = std::move(slot_local);
-  for (const auto& c : clusters_) {
-    epoch.work.emplace_back(c->core_count(), common::Cycles{0});
+  if (!epoch.contiguous) {
+    for (const auto& c : clusters_) {
+      epoch.work.emplace_back(c->core_count(), common::Cycles{0});
+    }
   }
   epoch.domains.resize(clusters_.size());
-  epoch.domain_executed.resize(clusters_.size());
   return epoch;
 }
 
-void Platform::inject_overhead(BoardEpoch& epoch,
-                               common::Seconds overhead) const {
-  if (epoch.slot_domain.empty() || overhead <= 0.0) return;
-  const std::size_t d = epoch.slot_domain[0];
-  epoch.work[d][epoch.slot_local[0]] += common::cycles_at(
-      clusters_[d]->current_opp().frequency, overhead);
-}
-
-void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
+void Platform::run_epoch_into(BoardEpoch& epoch, common::Cycles* row,
+                              common::Seconds overhead, common::Seconds period,
                               double mem_fraction) {
+  // The governor's processing overhead executes as cycles on slot 0's core
+  // at its domain's frequency, consuming time and energy (T_OVH, Sec. III-D).
+  if (!epoch.slot_domain.empty() && overhead > 0.0) {
+    row[0] += common::cycles_at(
+        clusters_[epoch.slot_domain[0]]->current_opp().frequency, overhead);
+  }
+  // Assigning is enough: no core holds two slots, and a core no slot covers
+  // keeps the zero make_epoch() gave it.
+  if (!epoch.contiguous) {
+    for (std::size_t j = 0; j < epoch.slot_domain.size(); ++j) {
+      epoch.work[epoch.slot_domain[j]][epoch.slot_local[j]] = row[j];
+    }
+  }
+  const std::size_t cores = clusters_.front()->core_count();
+  for (std::size_t d = 0; d < clusters_.size(); ++d) {
+    const common::Cycles* work =
+        epoch.contiguous ? row + d * cores : epoch.work[d].data();
+    clusters_[d]->run_epoch_into(work, cores, period, mem_fraction, 1.0e9,
+                                 epoch.domains[d]);
+  }
+
   // The combine starts from domain 0's result, never from a 0 seed: a board
   // below 0 degC must report its hottest domain, not 0 degC.
-  common::Seconds frame_time = 0.0;
-  common::Seconds window = 0.0;
-  common::Joule energy = 0.0;
-  common::Celsius temperature = 0.0;
-  common::Cycles executed = 0;
+  const EpochScratch& first = epoch.domains[0];
+  common::Seconds frame_time = first.frame_time;
+  common::Seconds window = first.window;
+  common::Joule energy = first.energy;
+  common::Celsius temperature = first.temperature;
+  common::Cycles executed = first.executed;
   std::size_t bottleneck = 0;
-  for (std::size_t d = 0; d < clusters_.size(); ++d) {
-    EpochScratch& sc = epoch.domains[d];
-    clusters_[d]->run_epoch_into(epoch.work[d].data(), epoch.work[d].size(),
-                                 period, mem_fraction, 1.0e9, sc);
-    epoch.domain_executed[d] = std::accumulate(
-        sc.core_cycles.begin(), sc.core_cycles.end(), common::Cycles{0});
-    if (d == 0) {
-      frame_time = sc.frame_time;
-      window = sc.window;
-      energy = sc.energy;
-      temperature = sc.temperature;
-      executed = epoch.domain_executed[0];
-      continue;
-    }
+  for (std::size_t d = 1; d < clusters_.size(); ++d) {
+    const EpochScratch& sc = epoch.domains[d];
     if (sc.frame_time > frame_time) {
       frame_time = sc.frame_time;
       bottleneck = d;
@@ -143,13 +144,16 @@ void Platform::run_epoch_into(BoardEpoch& epoch, common::Seconds period,
     window = std::max(window, sc.window);
     temperature = std::max(temperature, sc.temperature);
     energy += sc.energy;
-    executed += epoch.domain_executed[d];
+    executed += sc.executed;
   }
   epoch.frame_time = frame_time;
   epoch.bottleneck = bottleneck;
   epoch.window = window;
   epoch.energy = energy;
-  epoch.avg_power = window > 0.0 ? energy / window : 0.0;
+  // A one-domain board's average power is its domain's: the same division.
+  epoch.avg_power = clusters_.size() == 1 ? first.avg_power
+                    : window > 0.0        ? energy / window
+                                          : 0.0;
   epoch.temperature = temperature;
   epoch.executed = executed;
 }

@@ -15,10 +15,11 @@
 /// single-cluster platform in construction, state serialisation and shape
 /// fingerprint.
 ///
-/// This module owns the rule that combines per-domain epochs into one board
-/// epoch (`BoardEpoch`, `Platform::run_epoch_into`); the engine's
-/// multi-domain loop and the multi-app engine both run their epochs through
-/// it, and integrate the sensor over its result themselves.
+/// This module owns the board epoch (`BoardEpoch`, `Platform::run_epoch_into`):
+/// T_OVH on slot 0's core, every domain's epoch, and the rule that combines
+/// them into one result. Every board, the paper's 1x4 included, runs its
+/// epochs through it, in the single-app engine and in the multi-app engine
+/// alike; both integrate the sensor over its result themselves.
 #pragma once
 
 #include <iosfwd>
@@ -33,15 +34,19 @@
 
 namespace prime::hw {
 
-/// \brief One board epoch: the slot map and per-domain work rows in, each
-///        domain's result and their combination out. Platform::make_epoch()
-///        sizes it once per run; reusing it, an epoch allocates nothing.
+/// \brief One board epoch: the slot map in, each domain's result and their
+///        combination out. Platform::make_epoch() sizes it once per run;
+///        reusing it, an epoch allocates nothing.
 struct BoardEpoch {
   std::vector<std::size_t> slot_domain;  ///< Work slot -> DVFS domain.
   std::vector<std::size_t> slot_local;   ///< Work slot -> core in its domain.
-  std::vector<std::vector<common::Cycles>> work;  ///< Per-domain work rows.
-  std::vector<EpochScratch> domains;              ///< Per-domain results.
-  std::vector<common::Cycles> domain_executed;    ///< Per-domain cycle sums.
+  /// True when the slot map is the identity (slot j on global core j): each
+  /// domain then reads its stretch of the caller's row in place.
+  bool contiguous = false;
+  /// Per-domain work rows, assigned from the caller's row when the slot map
+  /// is not the identity (empty when it is).
+  std::vector<std::vector<common::Cycles>> work;
+  std::vector<EpochScratch> domains;  ///< Per-domain results.
 
   common::Seconds frame_time = 0.0;   ///< The slowest domain's frame time.
   std::size_t bottleneck = 0;         ///< That domain (lowest index on ties).
@@ -51,8 +56,16 @@ struct BoardEpoch {
   common::Celsius temperature = 0.0;  ///< The hottest domain's.
   common::Cycles executed = 0;        ///< Summed in domain order.
 
-  /// \brief Zero every work row, then add `row[j]` to slot j's core.
-  void scatter(const common::Cycles* row);
+  /// \brief A board sensor \p reading attributed to domain \p d by its share
+  ///        of the board energy (evenly when the board used none). A domain
+  ///        holding all of it, as on a one-domain board, gets \p reading
+  ///        itself: the same bits as multiplying by a share of exactly 1.
+  [[nodiscard]] common::Watt domain_power(std::size_t d,
+                                          common::Watt reading) const {
+    if (!(energy > 0.0)) return reading / static_cast<double>(domains.size());
+    const common::Joule own = domains[d].energy;
+    return own == energy ? reading : reading * (own / energy);
+  }
 };
 
 /// \brief A simulated board: OPP table + clusters (DVFS domains) + sensor.
@@ -88,11 +101,12 @@ class Platform {
   [[nodiscard]] std::size_t domain_count() const noexcept {
     return clusters_.size();
   }
-  /// \brief DVFS domain \p d.
-  [[nodiscard]] Cluster& domain(std::size_t d) { return *clusters_.at(d); }
+  /// \brief DVFS domain \p d, for \p d < domain_count() (unchecked: the
+  ///        engines call it per epoch).
+  [[nodiscard]] Cluster& domain(std::size_t d) { return *clusters_[d]; }
   /// \brief DVFS domain \p d (read-only).
   [[nodiscard]] const Cluster& domain(std::size_t d) const {
-    return *clusters_.at(d);
+    return *clusters_[d];
   }
   /// \brief Total cores across all domains (the board's core count — what an
   ///        application's work is split across).
@@ -110,23 +124,26 @@ class Platform {
   }
 
   /// \brief A BoardEpoch over a slot map the caller has validated (in
-  ///        bounds, no core twice), with a zeroed work row per domain.
+  ///        bounds, no core twice). An identity map is marked `contiguous`;
+  ///        any other gets a zeroed work row per domain.
   [[nodiscard]] BoardEpoch make_epoch(std::vector<std::size_t> slot_domain,
                                       std::vector<std::size_t> slot_local) const;
-  /// \brief Charge \p overhead seconds of governor processing (T_OVH) as
-  ///        cycles on slot 0's core at its domain's current frequency: the
-  ///        RTM runs on the core hosting the first worker.
-  void inject_overhead(BoardEpoch& epoch, common::Seconds overhead) const;
-  /// \brief The board-epoch kernel: run every domain's epoch on its work row
-  ///        (1 GHz reference frequency) and combine the results into \p epoch.
-  void run_epoch_into(BoardEpoch& epoch, common::Seconds period,
+  /// \brief The board-epoch kernel. \p row holds one work entry per slot;
+  ///        \p overhead seconds of governor processing (T_OVH) are added to
+  ///        `row[0]` as cycles at slot 0's domain frequency (the RTM runs on
+  ///        the core hosting the first worker). A contiguous epoch's domains
+  ///        then read their stretch of \p row in place; otherwise `row[j]` is
+  ///        assigned to slot j's core. Every domain runs its epoch (1 GHz
+  ///        reference frequency) and the results combine into \p epoch.
+  void run_epoch_into(BoardEpoch& epoch, common::Cycles* row,
+                      common::Seconds overhead, common::Seconds period,
                       double mem_fraction);
 
-  /// \brief The first (for single-domain platforms: the only) cluster. The
-  ///        historical accessor — single-domain code paths drive the board
-  ///        through it unchanged.
+  /// \brief Domain 0: on the paper's single-domain board, the whole board.
+  ///        The engines drive every board through run_epoch_into(); this
+  ///        accessor is for callers that inspect a single-domain board.
   [[nodiscard]] Cluster& cluster() noexcept { return *clusters_.front(); }
-  /// \brief The managed cluster (read-only).
+  /// \brief Domain 0 (read-only).
   [[nodiscard]] const Cluster& cluster() const noexcept {
     return *clusters_.front();
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -114,6 +113,15 @@ void check_platform_shape(const std::string& what, std::uint64_t opp_count,
   }
 }
 
+/// One domain's pending observation, on cache lines of its own. The engine
+/// rewrites it every epoch; as a plain vector element it cost about 8% of
+/// the 1x4 stream's frames/s against a stack-resident one (likely false
+/// sharing with heap data the prefetch helper writes), and the alignment
+/// recovered that.
+struct alignas(64) PendingObservation {
+  std::optional<gov::EpochObservation> obs;
+};
+
 }  // namespace
 
 RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
@@ -186,7 +194,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     }
   }
 
-  hw::Cluster& cluster = platform.cluster();
   const hw::OppTable& opps = platform.opp_table();
   auto* clairvoyant = dynamic_cast<gov::Clairvoyant*>(&governor);
 
@@ -228,8 +235,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   ctx.application = app.name();
   ctx.frames = frames - start;
 
-  std::optional<gov::EpochObservation> last;
-  if (resume && resume->has_last) last = resume->last;
+  // The observation each domain's next decision sees, sized once: the
+  // binding lends last[0].obs, which a resume restores.
+  std::vector<PendingObservation> last(domains);
+  if (resume && resume->has_last) last[0].obs = resume->last;
 
   // RunOptions::checkpoint_path is sugar for attaching one more sink.
   std::vector<TelemetrySink*> sinks = options.sinks;
@@ -247,7 +256,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   // so every exit — a sink rejecting the run mid-binding, or a throw
   // mid-run that skips the sinks' own on_run_end — unbinds them all, and a
   // caller-owned sink never keeps a binding into a dead stack frame.
-  RunBinding binding{platform, governor, app, result, last, {}};
+  RunBinding binding{platform, governor, app, result, last[0].obs, {}};
   struct UnbindGuard {
     const std::vector<TelemetrySink*>& sinks;
     ~UnbindGuard() {
@@ -258,14 +267,15 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
   RunEmitter emitter(result, sinks, ctx);
 
-  // Epoch scratch lives at function scope, not inside the single-domain
-  // branch: `last` may hold a CycleSpan view into scratch.core_cycles, and
-  // the final checkpoint snapshot (emitter.finish -> on_run_end) deep-copies
-  // that observation after the loop — the viewed storage must still be alive.
-  hw::EpochScratch scratch;
+  // The board epoch lives at function scope: each last[d] holds a CycleSpan
+  // view into board.domains[d].core_cycles, and the final checkpoint
+  // snapshot (emitter.finish -> on_run_end) deep-copies last[0].obs after the
+  // loop — the viewed storage must still be alive.
+  hw::BoardEpoch board =
+      platform.make_epoch(place.slot_domain, place.slot_local);
 
-  // Both loops pull frames in FrameBlock batches, each frame with its sensor
-  // noise term drawn ahead; the sensor's own generator steps in lockstep, so
+  // Frames arrive in FrameBlock batches, each frame with its sensor noise
+  // term drawn ahead; the sensor's own generator steps in lockstep, so
   // snapshots see the same state. Everything observable stays per-epoch —
   // decisions, emission (and with it checkpoint cadence) — so the block size
   // can never shift a snapshot or a record; prefetching frames (on the
@@ -280,169 +290,83 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       &sensor);
   EpochRecord rec;
 
-  if (domains > 1) {
-    // Multi-domain path: one decision per domain, then the board-epoch
-    // kernel (hw::Platform::run_epoch_into) runs the placement's scatter and
-    // every domain, combined into one EpochRecord.
-    hw::BoardEpoch board = platform.make_epoch(place.slot_domain,
-                                               place.slot_local);
-    std::vector<std::optional<gov::EpochObservation>> dlast(domains);
-    for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
-      wl::FrameBlock& block = prefetch.acquire(k);
-      const common::NormalDraw* noise = prefetch.noise(k);
-      std::size_t i = block.start;
-      for (std::size_t b = 0; b < block.count; ++b, ++i) {
-        const common::Seconds period = block.periods[b];
-        const common::Cycles* row = block.row(b);
-        const common::Cycles demand = block.demand[b];
+  // One loop for every board: one decision per domain, then the board-epoch
+  // kernel (hw::Platform::run_epoch_into) runs T_OVH, the placement's slot
+  // map and every domain, combined into one EpochRecord.
+  for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
+    wl::FrameBlock& block = prefetch.acquire(k);
+    const common::NormalDraw* noise = prefetch.noise(k);
+    std::size_t i = block.start;
+    for (std::size_t b = 0; b < block.count; ++b, ++i) {
+      const common::Seconds period = block.periods[b];
+      common::Cycles* row = block.row(b);
+      const common::Cycles demand = block.demand[b];
 
-        if (clairvoyant != nullptr) {
-          gov::FramePreview preview;
-          preview.max_core_cycles =
-              total == 0 ? 0 : *std::max_element(row, row + total);
-          preview.total_cycles = demand;
-          preview.mem_fraction = block.mem_fraction;
-          clairvoyant->preview_next_frame(preview);
-        }
-
-        // One decision per domain (shared governor instance: learning state
-        // interleaves the per-domain observation streams).
-        for (std::size_t d = 0; d < domains; ++d) {
-          gov::DecisionContext dctx;
-          dctx.epoch = i;
-          dctx.period = period;
-          dctx.cores = board.work[d].size();
-          dctx.opps = &opps;
-          dctx.domain = d;
-          dctx.domains = domains;
-          platform.domain(d).set_opp(governor.decide(dctx, dlast[d]));
-        }
-
-        board.scatter(row);
-        platform.inject_overhead(board, governor.epoch_overhead());
-        platform.run_epoch_into(board, period, block.mem_fraction);
-        const common::Watt reading =
-            sensor.integrate(board.avg_power, board.window, noise[b]);
-
-        // The OPP reported for the epoch is the bottleneck domain's.
-        const hw::Cluster& slowest = platform.domain(board.bottleneck);
-        rec.epoch = i;
-        rec.period = period;
-        rec.opp_index = slowest.current_opp_index();
-        rec.frequency = slowest.current_opp().frequency;
-        rec.demand = demand;
-        rec.executed = board.executed;
-        rec.frame_time = board.frame_time;
-        rec.window = board.window;
-        rec.energy = board.energy;
-        rec.sensor_power = reading;
-        rec.temperature = board.temperature;
-        rec.slack =
-            period > 0.0 ? (period - board.frame_time) / period : 0.0;
-        rec.deadline_met = board.frame_time <= period;
-
-        // Per-domain feedback: each domain's next decision sees its own
-        // frame time, cycles and deadline outcome, with the board reading
-        // attributed by energy share (every domain shares one sensor).
-        for (std::size_t d = 0; d < domains; ++d) {
-          const hw::EpochScratch& sc = board.domains[d];
-          if (!dlast[d]) dlast[d].emplace();
-          gov::EpochObservation& obs = *dlast[d];
-          obs.epoch = i;
-          obs.period = period;
-          obs.frame_time = sc.frame_time;
-          obs.window = sc.window;
-          obs.total_cycles = board.domain_executed[d];
-          obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
-          obs.opp_index = platform.domain(d).current_opp_index();
-          obs.avg_power = board.energy > 0.0
-                              ? reading * (sc.energy / board.energy)
-                              : reading / static_cast<double>(domains);
-          obs.temperature = sc.temperature;
-          obs.deadline_met = sc.deadline_met;
-        }
-
-        emitter.emit(rec, governor);
+      if (clairvoyant != nullptr) {
+        gov::FramePreview preview;
+        preview.max_core_cycles =
+            total == 0 ? 0 : *std::max_element(row, row + total);
+        preview.total_cycles = demand;
+        preview.mem_fraction = block.mem_fraction;
+        clairvoyant->preview_next_frame(preview);
       }
-      prefetch.release(k);
-    }
-  } else {
-    // Single-domain zero-allocation path: each epoch runs against one
-    // long-lived EpochScratch, reusing one EpochRecord and one
-    // EpochObservation.
-    for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
-      wl::FrameBlock& block = prefetch.acquire(k);
-      const common::NormalDraw* noise = prefetch.noise(k);
-      std::size_t i = block.start;
-      for (std::size_t b = 0; b < block.count; ++b, ++i) {
-        const common::Seconds period = block.periods[b];
-        common::Cycles* row = block.row(b);
-        const common::Cycles demand = block.demand[b];
 
-        if (clairvoyant != nullptr) {
-          gov::FramePreview preview;
-          preview.max_core_cycles =
-              total == 0 ? 0 : *std::max_element(row, row + total);
-          preview.total_cycles = demand;
-          preview.mem_fraction = block.mem_fraction;
-          clairvoyant->preview_next_frame(preview);
-        }
-
+      // One decision per domain (shared governor instance: learning state
+      // interleaves the per-domain observation streams).
+      for (std::size_t d = 0; d < domains; ++d) {
         gov::DecisionContext dctx;
         dctx.epoch = i;
         dctx.period = period;
-        dctx.cores = total;
+        dctx.cores = platform.domain(d).core_count();
         dctx.opps = &opps;
-        const std::size_t action = governor.decide(dctx, last);
-        cluster.set_opp(action);
+        dctx.domain = d;
+        dctx.domains = domains;
+        platform.domain(d).set_opp(governor.decide(dctx, last[d].obs));
+      }
 
-        // The governor's processing overhead executes as cycles on core 0 at
-        // the chosen frequency, consuming time and energy (T_OVH, Sec. III-D).
-        const common::Seconds ovh = governor.epoch_overhead();
-        if (total != 0 && ovh > 0.0) {
-          row[0] += common::cycles_at(cluster.current_opp().frequency, ovh);
-        }
+      platform.run_epoch_into(board, row, governor.epoch_overhead(), period,
+                              block.mem_fraction);
+      const common::Watt reading =
+          sensor.integrate(board.avg_power, board.window, noise[b]);
 
-        cluster.run_epoch_into(row, total, period, block.mem_fraction, 1.0e9,
-                               scratch);
-        const common::Watt reading =
-            sensor.integrate(scratch.avg_power, scratch.window, noise[b]);
+      // The OPP reported for the epoch is the bottleneck domain's.
+      const hw::Cluster& slowest = platform.domain(board.bottleneck);
+      rec.epoch = i;
+      rec.period = period;
+      rec.opp_index = slowest.current_opp_index();
+      rec.frequency = slowest.current_opp().frequency;
+      rec.demand = demand;
+      rec.executed = board.executed;
+      rec.frame_time = board.frame_time;
+      rec.window = board.window;
+      rec.energy = board.energy;
+      rec.sensor_power = reading;
+      rec.temperature = board.temperature;
+      rec.slack = period > 0.0 ? (period - board.frame_time) / period : 0.0;
+      rec.deadline_met = board.frame_time <= period;
 
-        rec.epoch = i;
-        rec.period = period;
-        rec.opp_index = cluster.current_opp_index();
-        rec.frequency = cluster.current_opp().frequency;
-        rec.demand = demand;
-        rec.executed = std::accumulate(scratch.core_cycles.begin(),
-                                       scratch.core_cycles.end(),
-                                       common::Cycles{0});
-        rec.frame_time = scratch.frame_time;
-        rec.window = scratch.window;
-        rec.energy = scratch.energy;
-        rec.sensor_power = reading;
-        rec.temperature = scratch.temperature;
-        rec.slack =
-            period > 0.0 ? (period - scratch.frame_time) / period : 0.0;
-        rec.deadline_met = scratch.deadline_met;
-
-        if (!last) last.emplace();
-        gov::EpochObservation& obs = *last;
+      // Per-domain feedback: each domain's next decision sees its own frame
+      // time, cycles and deadline outcome, with the board reading attributed
+      // by energy share (every domain shares one sensor).
+      for (std::size_t d = 0; d < domains; ++d) {
+        const hw::EpochScratch& sc = board.domains[d];
+        if (!last[d].obs) last[d].obs.emplace();
+        gov::EpochObservation& obs = *last[d].obs;
         obs.epoch = i;
         obs.period = period;
-        obs.frame_time = scratch.frame_time;
-        obs.window = scratch.window;
-        obs.total_cycles = rec.executed;
-        obs.core_cycles.bind(scratch.core_cycles.data(),
-                             scratch.core_cycles.size());
-        obs.opp_index = rec.opp_index;
-        obs.avg_power = reading;
-        obs.temperature = scratch.temperature;
-        obs.deadline_met = scratch.deadline_met;
-
-        emitter.emit(rec, governor);
+        obs.frame_time = sc.frame_time;
+        obs.window = sc.window;
+        obs.total_cycles = sc.executed;
+        obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
+        obs.opp_index = platform.domain(d).current_opp_index();
+        obs.avg_power = board.domain_power(d, reading);
+        obs.temperature = sc.temperature;
+        obs.deadline_met = sc.deadline_met;
       }
-      prefetch.release(k);
+
+      emitter.emit(rec, governor);
     }
+    prefetch.release(k);
   }
   emitter.finish(sensor.measured_energy());
   return result;

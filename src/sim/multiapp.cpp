@@ -203,9 +203,8 @@ MultiAppResult run_multi_simulation(
     // --- The board-epoch kernel; every governor's processing runs on the
     // first app's first core.
     const common::Seconds period = placements.front().app->deadline_at(i);
-    board.scatter(row.data());
-    platform.inject_overhead(board, ovh_total);
-    platform.run_epoch_into(board, period, mem_fraction);
+    platform.run_epoch_into(board, row.data(), ovh_total, period,
+                            mem_fraction);
     const common::Watt reading =
         platform.power_sensor().integrate(board.avg_power, board.window);
     result.total_energy += board.energy;

@@ -6,9 +6,9 @@
 /// of the board. Each application keeps its own governor (its own Q-table,
 /// predictor and slack monitor); the per-application OPP requests are
 /// arbitrated per V-F domain by taking the fastest — the only choice that
-/// can satisfy every deadline. The epoch itself (scatter, T_OVH, execute,
+/// can satisfy every deadline. The epoch itself (T_OVH, slot map, execute,
 /// combine) is the board-epoch kernel that hw/platform.hpp owns, the same one
-/// the single-app engine runs on multi-domain boards; this module keeps the
+/// the single-app engine runs on every board; this module keeps the
 /// arbitration, the overridden-epoch count and the per-app attribution.
 ///
 /// Restrictions of this first formulation: all applications share the
