@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "common/config.hpp"
 #include "hw/platform.hpp"
 #include "qlib/library.hpp"
 #include "sim/builder.hpp"
@@ -314,6 +315,89 @@ TEST(ExperimentBuilder, StreamSetterAppliesToEveryWorkload) {
   // compare() takes the same path.
   const Comparison cmp = b.compare();
   EXPECT_EQ(cmp.runs[0].epoch_count, 50u);
+}
+
+/// The records of a one-scenario sweep of \p b with a "trace" sink.
+std::vector<EpochRecord> traced_run(ExperimentBuilder b) {
+  const SweepResult sweep =
+      b.oracle_baseline(false).telemetry("trace").run();
+  EXPECT_EQ(sweep.results.size(), 1u);
+  const std::vector<EpochRecord>* records = sweep.results.at(0).trace();
+  EXPECT_NE(records, nullptr);
+  return records == nullptr ? std::vector<EpochRecord>{} : *records;
+}
+
+/// One field of every record.
+template <typename Field>
+auto column(const std::vector<EpochRecord>& records, Field field) {
+  std::vector<std::decay_t<decltype(records.front().*field)>> out;
+  for (const EpochRecord& r : records) out.push_back(r.*field);
+  return out;
+}
+
+TEST(ExperimentBuilder, PlatformConfigSetsTheDomainCount) {
+  common::Config cfg;
+  cfg.set_int("hw.clusters", 2);
+  cfg.set_int("hw.cores", 2);
+  ExperimentBuilder b;
+  b.workload("h264").frames(60).governor("ondemand").platform(cfg);
+  const SweepResult sweep = b.oracle_baseline(false).run();
+  ASSERT_EQ(sweep.results.size(), 1u);
+
+  // The same run on a 2x2 board built from the config directly.
+  auto board = hw::Platform::from_config(cfg);
+  ASSERT_EQ(board->domain_count(), 2u);
+  const wl::Application app =
+      make_application(sweep.results[0].scenario.app, *board);
+  const auto governor = make_governor("ondemand");
+  const RunResult direct = run_simulation(*board, app, *governor);
+  EXPECT_EQ(sweep.results[0].run.total_energy, direct.total_energy);
+  EXPECT_EQ(sweep.results[0].run.power_sum, direct.power_sum);
+
+  // The default board is the one-domain 1x4, which runs differently.
+  ExperimentBuilder plain;
+  plain.workload("h264").frames(60).governor("ondemand");
+  EXPECT_NE(plain.oracle_baseline(false).run().results.at(0).run.total_energy,
+            direct.total_energy);
+}
+
+TEST(ExperimentBuilder, TraceSeedSelectsTheTrace) {
+  ExperimentBuilder b;
+  b.workload("h264").frames(60).governor("performance");
+  ExperimentBuilder seeded = b;
+  seeded.trace_seed(7);
+  EXPECT_EQ(seeded.scenarios().at(0).app.seed, 7u);
+  EXPECT_NE(column(traced_run(seeded), &EpochRecord::demand),
+            column(traced_run(b), &EpochRecord::demand));
+}
+
+TEST(ExperimentBuilder, GovernorSeedSelectsTheExplorationStream) {
+  ExperimentBuilder b;
+  b.workload("h264").frames(200).governor("rtm");
+  ExperimentBuilder one = b;
+  one.governor_seed(1);
+  ExperimentBuilder two = b;
+  two.governor_seed(2);
+  const auto opps_one = column(traced_run(one), &EpochRecord::opp_index);
+  // Deterministic per seed, so the seed alone explains the difference.
+  EXPECT_EQ(column(traced_run(one), &EpochRecord::opp_index), opps_one);
+  EXPECT_NE(column(traced_run(two), &EpochRecord::opp_index), opps_one);
+}
+
+TEST(ExperimentBuilder, ThreadsPerFrameSetsThePerCoreSplit) {
+  ExperimentBuilder b;
+  b.workload("h264").frames(60).governor("performance");
+  ExperimentBuilder two = b;
+  two.threads_per_frame(2);
+  const Scenario scenario = two.scenarios().at(0);
+  EXPECT_EQ(scenario.app.threads, 2u);
+  auto board = hw::Platform::odroid_xu3_a15();
+  const std::vector<common::Cycles> row =
+      make_application(scenario.app, *board).core_work(0, 4);
+  EXPECT_EQ(std::count(row.begin(), row.end(), common::Cycles{0}), 2);
+  // The same work on two cores instead of four takes longer per frame.
+  EXPECT_NE(column(traced_run(two), &EpochRecord::frame_time),
+            column(traced_run(b), &EpochRecord::frame_time));
 }
 
 }  // namespace

@@ -236,6 +236,23 @@ TEST(Dashboard, UnknownPathIs404) {
       404);
 }
 
+// The count a lingering process polls to see whether a client came by
+// (longrun_smoke's dashboard-linger-ms): zero before the server starts, then
+// one per completed request, whatever its status.
+TEST(Dashboard, RequestsServedCountsCompletedRequests) {
+  auto platform = hw::Platform::odroid_xu3_a15();
+  DashboardSink dash(0, 1);
+  EXPECT_EQ(dash.requests_served(), 0u);
+  gov::PerformanceGovernor g;
+  RunOptions opt;
+  opt.sinks = {&dash};
+  (void)run_simulation(*platform, make_app(30), g, opt);
+  EXPECT_EQ(dash.requests_served(), 0u);
+  (void)common::http_get("127.0.0.1", dash.bound_port(), "/nonsense");
+  (void)common::http_get("127.0.0.1", dash.bound_port(), "/snapshot");
+  EXPECT_EQ(dash.requests_served(), 2u);
+}
+
 // --- /events -----------------------------------------------------------------
 
 TEST(Dashboard, EventsStreamOpensWithTheCurrentSnapshot) {
