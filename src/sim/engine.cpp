@@ -114,10 +114,10 @@ void check_platform_shape(const std::string& what, std::uint64_t opp_count,
 }
 
 /// One domain's pending observation, on cache lines of its own. The engine
-/// rewrites it every epoch; as a plain vector element it cost about 8% of
-/// the 1x4 stream's frames/s against a stack-resident one (likely false
-/// sharing with heap data the prefetch helper writes), and the alignment
-/// recovered that.
+/// rewrites it every epoch. As a plain vector element it read about 8% below
+/// a stack-resident one in 1x4 stream frames/s, and the alignment brought
+/// that to about 3% (pinned 2 s rounds); false sharing with heap data the
+/// prefetch helper writes would explain it, but is unverified.
 struct alignas(64) PendingObservation {
   std::optional<gov::EpochObservation> obs;
 };
