@@ -26,7 +26,11 @@ common::Seconds DvfsDriver::set_opp(std::size_t index) noexcept {
   return cost;
 }
 
-const Opp& DvfsDriver::current() const noexcept { return table_->at(index_); }
+// Unchecked: index_ is clamped on construction and in set_opp(), and
+// load_state() rejects an out-of-range one.
+const Opp& DvfsDriver::current() const noexcept {
+  return table_->points()[index_];
+}
 
 void DvfsDriver::reset_counters() noexcept {
   transitions_ = 0;

@@ -55,17 +55,6 @@ struct BoardEpoch {
   common::Watt avg_power = 0.0;       ///< energy / window (0 for no window).
   common::Celsius temperature = 0.0;  ///< The hottest domain's.
   common::Cycles executed = 0;        ///< Summed in domain order.
-
-  /// \brief A board sensor \p reading attributed to domain \p d by its share
-  ///        of the board energy (evenly when the board used none). A domain
-  ///        holding all of it, as on a one-domain board, gets \p reading
-  ///        itself: the same bits as multiplying by a share of exactly 1.
-  [[nodiscard]] common::Watt domain_power(std::size_t d,
-                                          common::Watt reading) const {
-    if (!(energy > 0.0)) return reading / static_cast<double>(domains.size());
-    const common::Joule own = domains[d].energy;
-    return own == energy ? reading : reading * (own / energy);
-  }
 };
 
 /// \brief A simulated board: OPP table + clusters (DVFS domains) + sensor.

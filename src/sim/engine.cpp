@@ -289,6 +289,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       total, options.block_frames != 0 && prefetch_pays_off(frames - start),
       &sensor);
   EpochRecord rec;
+  gov::DecisionContext dctx;
+  dctx.cores = platform.domain(0).core_count();  // Every domain has as many.
+  dctx.opps = &opps;
+  dctx.domains = domains;
 
   // One loop for every board: one decision per domain, then the board-epoch
   // kernel (hw::Platform::run_epoch_into) runs T_OVH, the placement's slot
@@ -313,14 +317,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
       // One decision per domain (shared governor instance: learning state
       // interleaves the per-domain observation streams).
+      dctx.epoch = i;
+      dctx.period = period;
       for (std::size_t d = 0; d < domains; ++d) {
-        gov::DecisionContext dctx;
-        dctx.epoch = i;
-        dctx.period = period;
-        dctx.cores = platform.domain(d).core_count();
-        dctx.opps = &opps;
         dctx.domain = d;
-        dctx.domains = domains;
         platform.domain(d).set_opp(governor.decide(dctx, last[d].obs));
       }
 
@@ -359,7 +359,13 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         obs.total_cycles = sc.executed;
         obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
         obs.opp_index = platform.domain(d).current_opp_index();
-        obs.avg_power = board.domain_power(d, reading);
+        // A domain holding all the energy, as on a one-domain board, gets
+        // the reading itself: the same bits as a share of exactly 1.
+        obs.avg_power =
+            !(board.energy > 0.0) ? reading / static_cast<double>(domains)
+            : sc.energy == board.energy
+                ? reading
+                : reading * (sc.energy / board.energy);
         obs.temperature = sc.temperature;
         obs.deadline_met = sc.deadline_met;
       }
