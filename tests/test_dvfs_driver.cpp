@@ -2,6 +2,9 @@
 /// \brief Unit tests for the DVFS driver transition-cost model.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "common/serial.hpp"
 #include "hw/dvfs_driver.hpp"
 
 namespace prime::hw {
@@ -62,6 +65,23 @@ TEST(DvfsDriver, TargetClamped) {
   DvfsDriver d(t, 0);
   (void)d.set_opp(1000);
   EXPECT_EQ(d.current_index(), 18u);
+}
+
+// current() indexes the table unchecked, so every way in keeps the index in
+// range: the constructor and set_opp() clamp it, and load_state() rejects a
+// saved index the table does not have and leaves the driver as it was.
+TEST(DvfsDriver, LoadStateRejectsAnOutOfRangeIndex) {
+  const OppTable t = OppTable::odroid_xu3_a15();
+  std::stringstream bytes;
+  common::StateWriter out(bytes);
+  out.size(t.size());
+  out.size(0);
+  out.f64(0.0);
+  DvfsDriver d(t, 4);
+  common::StateReader in(bytes);
+  EXPECT_THROW(d.load_state(in), common::SerialError);
+  EXPECT_EQ(d.current_index(), 4u);
+  EXPECT_DOUBLE_EQ(d.current().frequency, t.at(4).frequency);
 }
 
 TEST(DvfsDriver, ResetCountersKeepsOpp) {
