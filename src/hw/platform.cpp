@@ -150,10 +150,7 @@ void Platform::run_epoch_into(BoardEpoch& epoch, common::Cycles* row,
   epoch.bottleneck = bottleneck;
   epoch.window = window;
   epoch.energy = energy;
-  // A one-domain board's average power is its domain's: the same division.
-  epoch.avg_power = clusters_.size() == 1 ? first.avg_power
-                    : window > 0.0        ? energy / window
-                                          : 0.0;
+  epoch.avg_power = window > 0.0 ? energy / window : 0.0;
   epoch.temperature = temperature;
   epoch.executed = executed;
 }

@@ -359,13 +359,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         obs.total_cycles = sc.executed;
         obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
         obs.opp_index = platform.domain(d).current_opp_index();
-        // A domain holding all the energy, as on a one-domain board, gets
-        // the reading itself: the same bits as a share of exactly 1.
-        obs.avg_power =
-            !(board.energy > 0.0) ? reading / static_cast<double>(domains)
-            : sc.energy == board.energy
-                ? reading
-                : reading * (sc.energy / board.energy);
+        obs.avg_power = board.energy > 0.0
+                            ? reading * (sc.energy / board.energy)
+                            : reading / static_cast<double>(domains);
         obs.temperature = sc.temperature;
         obs.deadline_met = sc.deadline_met;
       }
