@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Line coverage of the library sources from a `--coverage` build.
 
-Usage (from the repository root, after running the tests of a build
-configured with `-DCMAKE_CXX_FLAGS="--coverage -O0"`):
+Usage (after running the tests of a build configured with
+`-DCMAKE_CXX_FLAGS="--coverage -O0"`):
 
     python3 tools/coverage.py --build-dir <dir> [--floor <percent>]
 
@@ -25,6 +25,9 @@ import sys
 from collections import defaultdict
 
 BATCH = 64  # .gcda files per gcov process
+PREFIX = "src/"  # count only sources under this path
+TOP = 10  # list this many files with the most missed lines
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def gcda_files(build_dir):
@@ -62,14 +65,9 @@ def line_counts(gcov, gcdas, source_root):
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--build-dir", required=True)
-    parser.add_argument("--source-root", default=".")
-    parser.add_argument("--prefix", default="src/",
-                        help="count only sources under this path")
     parser.add_argument("--floor", type=float,
                         help="fail below this percentage of covered lines")
     parser.add_argument("--gcov", default="gcov")
-    parser.add_argument("--top", type=int, default=10,
-                        help="list this many files with the most missed lines")
     args = parser.parse_args(argv)
 
     gcdas = gcda_files(os.path.abspath(args.build_dir))
@@ -77,15 +75,15 @@ def main(argv):
         print(f"coverage: no .gcda files under {args.build_dir}; run the "
               "tests of a --coverage build first", file=sys.stderr)
         return 1
-    counts = line_counts(args.gcov, gcdas, os.path.abspath(args.source_root))
+    counts = line_counts(args.gcov, gcdas, REPO_ROOT)
 
     modules = defaultdict(lambda: [0, 0])  # module -> [covered, lines]
     missed = []
     for path, per_line in counts.items():
-        if not path.startswith(args.prefix):
+        if not path.startswith(PREFIX):
             continue
         covered = sum(1 for c in per_line.values() if c > 0)
-        parts = path[len(args.prefix):].split(os.sep)
+        parts = path[len(PREFIX):].split(os.sep)
         module = parts[0] if len(parts) > 1 else "."
         modules[module][0] += covered
         modules[module][1] += len(per_line)
@@ -93,7 +91,7 @@ def main(argv):
     total_covered = sum(m[0] for m in modules.values())
     total_lines = sum(m[1] for m in modules.values())
     if total_lines == 0:
-        print(f"coverage: no instrumented lines under {args.prefix}",
+        print(f"coverage: no instrumented lines under {PREFIX}",
               file=sys.stderr)
         return 1
 
@@ -104,12 +102,12 @@ def main(argv):
     percent = 100.0 * total_covered / total_lines
     print(f"{'total':<8} {total_covered:>6}/{total_lines:<6} {percent:5.1f}%")
     print("most missed lines:")
-    for count, path in sorted(missed, reverse=True)[:args.top]:
+    for count, path in sorted(missed, reverse=True)[:TOP]:
         if count > 0:
             print(f"  {count:>5}  {path}")
 
     if args.floor is not None and percent < args.floor:
-        print(f"coverage: {percent:.2f}% of {args.prefix} lines is below the "
+        print(f"coverage: {percent:.2f}% of {PREFIX} lines is below the "
               f"floor of {args.floor:.1f}%", file=sys.stderr)
         return 1
     return 0
