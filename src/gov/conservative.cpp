@@ -1,6 +1,5 @@
 #include "gov/conservative.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/serial.hpp"
@@ -15,12 +14,7 @@ std::size_t ConservativeGovernor::decide(
   if (!last) return opps.clamp_index(index_);
 
   const hw::Opp& ran_at = opps.at(last->opp_index);
-  double max_load = 0.0;
-  for (common::Cycles c : last->core_cycles) {
-    const double busy = common::time_for(c, ran_at.frequency);
-    const double load = last->window > 0.0 ? busy / last->window : 0.0;
-    max_load = std::max(max_load, load);
-  }
+  const double max_load = last->busiest_load(ran_at.frequency);
 
   if (max_load > params_.up_threshold) {
     index_ += static_cast<long long>(params_.freq_step);

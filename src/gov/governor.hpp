@@ -10,6 +10,7 @@
 /// given their seed so experiments replay exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <initializer_list>
 #include <iosfwd>
@@ -116,6 +117,17 @@ struct EpochObservation {
   ///        running estimate per the paper's eq. (5).
   [[nodiscard]] double slack_ratio() const noexcept {
     return period <= 0.0 ? 0.0 : (period - frame_time) / period;
+  }
+
+  /// \brief The busiest core's load: its busy time at \p frequency (the OPP
+  ///        that executed the epoch) over the window, 0 for no window. The
+  ///        largest cycle count is found first and divided once; division by
+  ///        a positive number is monotone, so this is bit-equal to the
+  ///        largest per-core load.
+  [[nodiscard]] double busiest_load(common::Hertz frequency) const noexcept {
+    common::Cycles busiest = 0;
+    for (const common::Cycles c : core_cycles) busiest = std::max(busiest, c);
+    return window > 0.0 ? common::time_for(busiest, frequency) / window : 0.0;
   }
 };
 

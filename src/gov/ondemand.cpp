@@ -28,13 +28,7 @@ std::size_t OndemandGovernor::decide(const DecisionContext& ctx,
   // Load of the busiest CPU over the last window (busy/window), computed from
   // per-core cycle counts at the frequency that executed them.
   const hw::Opp& ran_at = opps.at(last->opp_index);
-  double max_load = 0.0;
-  for (common::Cycles c : last->core_cycles) {
-    const double busy = common::time_for(c, ran_at.frequency);
-    const double load = last->window > 0.0 ? busy / last->window : 0.0;
-    max_load = std::max(max_load, load);
-  }
-  max_load = std::min(max_load, 1.0);
+  const double max_load = std::min(last->busiest_load(ran_at.frequency), 1.0);
 
   if (max_load > params_.up_threshold) {
     last_index_ = opps.size() - 1;

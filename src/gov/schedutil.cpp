@@ -19,13 +19,7 @@ std::size_t SchedutilGovernor::decide(const DecisionContext& ctx,
 
   // Busiest-CPU utilisation over the last window.
   const hw::Opp& ran_at = opps.at(last->opp_index);
-  double max_load = 0.0;
-  for (common::Cycles c : last->core_cycles) {
-    const double busy = common::time_for(c, ran_at.frequency);
-    const double load = last->window > 0.0 ? busy / last->window : 0.0;
-    max_load = std::max(max_load, load);
-  }
-  max_load = std::min(max_load, 1.0);
+  const double max_load = std::min(last->busiest_load(ran_at.frequency), 1.0);
 
   // schedutil's frequency-invariant formula: the utilisation measured at
   // ran_at scales to capacity units, then f = headroom * util_cap * f_max.

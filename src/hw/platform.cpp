@@ -16,8 +16,12 @@ Platform::Platform(OppTable table, const ClusterParams& cluster_params,
     throw std::invalid_argument("Platform: at least one cluster required");
   }
   clusters_.reserve(clusters);
-  for (std::size_t d = 0; d < clusters; ++d) {
-    clusters_.push_back(std::make_unique<Cluster>(table_, cluster_params));
+  clusters_.push_back(std::make_unique<Cluster>(table_, cluster_params));
+  // The domains are homogeneous: copying the fresh domain 0 gives each one
+  // the same state as its own construction, without recomputing the per-OPP
+  // coefficient table.
+  for (std::size_t d = 1; d < clusters; ++d) {
+    clusters_.push_back(std::make_unique<Cluster>(*clusters_.front()));
   }
   total_cores_ = clusters * cluster_params.cores;
 }

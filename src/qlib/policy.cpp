@@ -36,8 +36,10 @@ std::string PolicyKey::workload_class_of(const std::string& name) {
 
 std::uint64_t PolicyKey::fps_band_of(double fps) {
   if (!(fps > 0.0)) return 5;
-  const double band = std::llround(fps / 5.0) * 5.0;
-  return band < 5.0 ? 5 : static_cast<std::uint64_t>(band);
+  // A band too large for the key (an absurd rate) falls back to the lowest
+  // band, as a non-positive rate does.
+  const double band = std::round(fps / 5.0) * 5.0;
+  return band < 5.0 || !(band < 0x1p64) ? 5 : static_cast<std::uint64_t>(band);
 }
 
 std::string PolicyKey::canonical_governor_spec(const std::string& spec) {

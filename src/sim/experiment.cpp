@@ -1,6 +1,9 @@
 #include "sim/experiment.hpp"
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/spec.hpp"
@@ -34,6 +37,11 @@ double frame_capacity(const hw::Platform& platform, double fps) {
 
 wl::Application make_application(const ExperimentSpec& spec,
                                  const hw::Platform& platform) {
+  if (!std::isfinite(spec.target_utilisation)) {
+    throw std::invalid_argument(
+        "make_application: target_utilisation must be finite, got " +
+        std::to_string(spec.target_utilisation));
+  }
   common::Spec workload_spec = common::Spec::parse(spec.workload);
   bool stream = spec.stream;
   if (workload_spec.args().has("stream")) {
@@ -47,8 +55,8 @@ wl::Application make_application(const ExperimentSpec& spec,
     if (!stream) {
       wl::WorkloadTrace trace = generator->generate(spec.frames, spec.seed);
       if (spec.target_utilisation > 0.0) {
-        trace = trace.scaled_to_mean(spec.target_utilisation *
-                                     frame_capacity(platform, spec.fps));
+        trace = std::move(trace).scaled_to_mean(
+            spec.target_utilisation * frame_capacity(platform, spec.fps));
       }
       return wl::Application(spec.workload, std::move(trace), spec.fps,
                              spec.threads, spec.thread_imbalance);

@@ -1,8 +1,9 @@
 #include "wl/frame_source.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "common/rounding.hpp"
 
 namespace prime::wl {
 
@@ -81,8 +82,8 @@ ScaledFrameSource::ScaledFrameSource(std::unique_ptr<FrameSource> inner,
 std::optional<FrameDemand> ScaledFrameSource::generate() {
   std::optional<FrameDemand> frame = inner_->next();
   if (frame) {
-    frame->cycles = static_cast<common::Cycles>(
-        std::llround(static_cast<double>(frame->cycles) * scale_));
+    frame->cycles =
+        common::round_cycles(static_cast<double>(frame->cycles) * scale_);
   }
   return frame;
 }
@@ -92,8 +93,8 @@ std::size_t ScaledFrameSource::generate_block(FrameDemand* out,
   const std::size_t got = inner_->next_block(out, n);
   for (std::size_t i = 0; i < got; ++i) {
     // Same rounding expression as generate(), applied to the same frames.
-    out[i].cycles = static_cast<common::Cycles>(
-        std::llround(static_cast<double>(out[i].cycles) * scale_));
+    out[i].cycles =
+        common::round_cycles(static_cast<double>(out[i].cycles) * scale_);
   }
   advance(got);
   return got;

@@ -119,11 +119,13 @@ class TraceFrameSource final : public FrameSource {
 };
 
 /// \brief Decorator scaling every frame's demand by a constant factor,
-///        rounding to nearest — the same rounding WorkloadTrace::scaled_to_mean
-///        applies, so a scaled stream and a scaled trace built from the same
-///        frames stay frame-for-frame identical (the calibration path in
-///        sim::make_application relies on this). Skips as fast as its inner
-///        source does (scaling discarded frames is a no-op).
+///        rounding to nearest through common::round_cycles — the rounding
+///        WorkloadTrace::scaled_to_mean applies, so a scaled stream and a
+///        scaled trace built from the same frames stay frame-for-frame
+///        identical (the calibration path in sim::make_application relies on
+///        this). A scaled demand that does not fit Cycles throws
+///        std::out_of_range from the pull that produces it. Skips as fast as
+///        its inner source does (scaling discarded frames is a no-op).
 class ScaledFrameSource final : public FrameSource {
  public:
   ScaledFrameSource(std::unique_ptr<FrameSource> inner, double scale);

@@ -1,12 +1,12 @@
 #include "wl/trace.hpp"
 
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/csv.hpp"
+#include "common/rounding.hpp"
 #include "common/strings.hpp"
 #include "wl/frame_source.hpp"
 
@@ -14,13 +14,12 @@ namespace prime::wl {
 
 WorkloadTrace::WorkloadTrace(std::string name, std::vector<FrameDemand> frames)
     : name_(std::move(name)), frames_(std::move(frames)) {
-  recompute_stats();
-}
-
-void WorkloadTrace::recompute_stats() {
-  stats_.reset();
   for (const auto& f : frames_) stats_.add(static_cast<double>(f.cycles));
 }
+
+WorkloadTrace::WorkloadTrace(std::string name, std::vector<FrameDemand> frames,
+                             const common::RunningStats& stats)
+    : name_(std::move(name)), frames_(std::move(frames)), stats_(stats) {}
 
 double WorkloadTrace::mean_cycles() const noexcept { return stats_.mean(); }
 
@@ -30,17 +29,23 @@ common::Cycles WorkloadTrace::peak_cycles() const noexcept {
   return frames_.empty() ? 0 : static_cast<common::Cycles>(stats_.max());
 }
 
-WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) const {
-  if (frames_.empty() || stats_.mean() <= 0.0) return *this;
+WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) const& {
+  return WorkloadTrace(*this).scaled_to_mean(target_mean);
+}
+
+WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) && {
+  if (frames_.empty() || stats_.mean() <= 0.0) return std::move(*this);
   const double scale = target_mean / stats_.mean();
-  std::vector<FrameDemand> scaled = frames_;
-  for (auto& f : scaled) {
+  // A local accumulator: the frame stores could alias the member's fields.
+  common::RunningStats scaled;
+  for (auto& f : frames_) {
     // Round to nearest: truncation would make the achieved mean undershoot
     // target_mean by ~0.5 cycles/frame systematically.
-    f.cycles = static_cast<common::Cycles>(
-        std::llround(static_cast<double>(f.cycles) * scale));
+    f.cycles = common::round_cycles(static_cast<double>(f.cycles) * scale);
+    scaled.add(static_cast<double>(f.cycles));
   }
-  return WorkloadTrace(name_, std::move(scaled));
+  stats_ = scaled;
+  return std::move(*this);
 }
 
 WorkloadTrace WorkloadTrace::prefix(std::size_t n) const {
@@ -117,12 +122,14 @@ WorkloadTrace TraceGenerator::generate(std::size_t n, std::uint64_t seed) const 
   const std::unique_ptr<FrameSource> source = stream(seed);
   std::vector<FrameDemand> frames;
   frames.reserve(n);
+  common::RunningStats stats;
   while (frames.size() < n) {
     std::optional<FrameDemand> frame = source->next();
     if (!frame) break;  // defensive: generator streams are unbounded
+    stats.add(static_cast<double>(frame->cycles));
     frames.push_back(*frame);
   }
-  return WorkloadTrace(name(), std::move(frames));
+  return WorkloadTrace(name(), std::move(frames), stats);
 }
 
 }  // namespace prime::wl

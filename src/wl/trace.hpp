@@ -5,6 +5,12 @@
 /// replays. Traces carry summary statistics (the paper's "workload
 /// variability" that drives exploration counts) and CSV round-tripping so
 /// experiment inputs can be archived exactly like the paper's dataset DOI.
+///
+/// The statistics are folded in the pass that produces the frames:
+/// `TraceGenerator::generate` adds each frame as it pulls it, and the rvalue
+/// `scaled_to_mean` adds each scaled frame as it rescales it in place. The
+/// frames are added in trace order either way, so the stats carry the same
+/// bits a second scan over the frames would give.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +57,14 @@ class WorkloadTrace {
 
   /// \brief Return a copy scaled so the mean demand equals \p target_mean
   ///        (used to calibrate traces against platform capacity). Per-frame
-  ///        demands are rounded to nearest, so the achieved mean tracks the
-  ///        target instead of drifting low under truncation.
-  [[nodiscard]] WorkloadTrace scaled_to_mean(double target_mean) const;
+  ///        demands are rounded to nearest (common::round_cycles), so the
+  ///        achieved mean tracks the target instead of drifting low under
+  ///        truncation; a demand that does not fit Cycles throws
+  ///        std::out_of_range.
+  [[nodiscard]] WorkloadTrace scaled_to_mean(double target_mean) const&;
+  /// \brief The same frames and stats as the copying form, rescaling this
+  ///        trace's frames in place and folding the stats in that one pass.
+  [[nodiscard]] WorkloadTrace scaled_to_mean(double target_mean) &&;
 
   /// \brief Return the first \p n frames (or the whole trace if shorter).
   [[nodiscard]] WorkloadTrace prefix(std::size_t n) const;
@@ -65,7 +76,11 @@ class WorkloadTrace {
                                               const std::string& csv_text);
 
  private:
-  void recompute_stats();
+  friend class TraceGenerator;
+  /// Adopt \p stats, which the caller folded over \p frames in order.
+  WorkloadTrace(std::string name, std::vector<FrameDemand> frames,
+                const common::RunningStats& stats);
+
   std::string name_;
   std::vector<FrameDemand> frames_;
   common::RunningStats stats_;
@@ -87,7 +102,8 @@ class TraceGenerator {
   [[nodiscard]] virtual std::unique_ptr<FrameSource> stream(
       std::uint64_t seed) const = 0;
   /// \brief Materialise the first \p n frames of stream(\p seed) as a trace
-  ///        (for archival, CSV round-trip, and random-access replay).
+  ///        (for archival, CSV round-trip, and random-access replay). Each
+  ///        frame is folded into the trace's stats as it is pulled.
   [[nodiscard]] WorkloadTrace generate(std::size_t n, std::uint64_t seed) const;
   /// \brief Generator name, used as the trace name.
   [[nodiscard]] virtual std::string name() const = 0;

@@ -70,28 +70,6 @@ TEST(MakeApplication, StreamSpecKeyOverridesField) {
   EXPECT_TRUE(make_application(spec, *platform).streaming());
 }
 
-TEST(MakeApplication, StreamedDemandsMatchMaterialisedCalibration) {
-  // The calibrated streaming application must reproduce the materialised
-  // trace frame for frame: same calibration window, same scale, same
-  // round-to-nearest.
-  const auto platform = hw::Platform::odroid_xu3_a15();
-  ExperimentSpec spec;
-  spec.workload = "h264";
-  spec.fps = 25.0;
-  spec.frames = 400;
-  spec.seed = 13;
-  spec.target_utilisation = 0.45;
-  const wl::Application materialised = make_application(spec, *platform);
-  spec.stream = true;
-  const wl::Application streamed = make_application(spec, *platform);
-  ASSERT_TRUE(streamed.streaming());
-  for (std::size_t i = 0; i < spec.frames; ++i) {
-    EXPECT_EQ(streamed.frame_cycles(i), materialised.frame_cycles(i))
-        << "frame " << i;
-  }
-  EXPECT_EQ(streamed.mem_fraction(), materialised.mem_fraction());
-}
-
 TEST(CompareGovernors, StreamingAppWithMaxFramesMatchesMaterialised) {
   auto platform = hw::Platform::odroid_xu3_a15();
   ExperimentSpec spec;

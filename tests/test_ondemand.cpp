@@ -2,6 +2,12 @@
 /// \brief Unit tests for the Linux ondemand governor reimplementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "gov/ondemand.hpp"
 
 namespace prime::gov {
@@ -121,6 +127,35 @@ TEST(Ondemand, IgnoresDeadlinesByDesign) {
   (void)g2.decide(ctx2, std::nullopt);
   auto o = obs_with_load(opps, 18, 0.5);
   EXPECT_EQ(g1.decide(ctx1, o), g2.decide(ctx2, o));
+}
+
+// ondemand, schedutil and conservative read the busiest core's load through
+// EpochObservation::busiest_load, which divides the largest cycle count once.
+// It must give the bits of the per-core loop it replaced.
+TEST(EpochObservation, BusiestLoadIsTheLargestPerCoreLoadBitForBit) {
+  const hw::OppTable opps = hw::OppTable::odroid_xu3_a15();
+  common::Rng rng(20170327);
+  for (int i = 0; i < 20000; ++i) {
+    EpochObservation o;
+    o.window = i % 50 == 0 ? 0.0 : rng.uniform(1e-5, 0.2);
+    std::vector<common::Cycles> cycles(
+        static_cast<std::size_t>(rng.uniform_int(0, 16)));
+    for (auto& c : cycles) {
+      c = rng.next_u64() >> rng.uniform_int(1, 63);
+    }
+    o.core_cycles = cycles;
+    const common::Hertz f =
+        opps.at(static_cast<std::size_t>(rng.uniform_int(0, 18))).frequency;
+    double expected = 0.0;
+    for (const common::Cycles c : cycles) {
+      const double busy = common::time_for(c, f);
+      expected = std::max(expected, o.window > 0.0 ? busy / o.window : 0.0);
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(o.busiest_load(f)),
+              std::bit_cast<std::uint64_t>(expected))
+        << "draw " << i << ": " << cycles.size() << " cores, window "
+        << o.window << ", f " << f;
+  }
 }
 
 }  // namespace

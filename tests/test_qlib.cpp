@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -71,6 +72,12 @@ TEST(PolicyKey, FpsBandsQuantiseToTheFiveFpsGrid) {
   EXPECT_EQ(PolicyKey::fps_band_of(28.0), 30u);
   EXPECT_EQ(PolicyKey::fps_band_of(1.0), 5u);   // floor: never a zero band
   EXPECT_EQ(PolicyKey::fps_band_of(0.0), 5u);
+  EXPECT_EQ(PolicyKey::fps_band_of(27.5), 30u);  // halves round up
+  EXPECT_EQ(PolicyKey::fps_band_of(1e18), 1000000000000000000u);
+  // A band past 2^64 does not fit the key: the lowest band, as for 0 fps.
+  EXPECT_EQ(PolicyKey::fps_band_of(1e300), 5u);
+  EXPECT_EQ(PolicyKey::fps_band_of(std::numeric_limits<double>::infinity()),
+            5u);
 }
 
 TEST(PolicyKey, GovernorSpecCanonicalisesThroughSpecParsing) {
