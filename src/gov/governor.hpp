@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,6 +147,16 @@ struct DecisionContext {
   std::size_t domain = 0;
   /// Independent DVFS domains on the platform (1 = the paper's board).
   std::size_t domains = 1;
+  /// The work row of the frame this decision is for, one entry per work slot
+  /// and before any governor overhead is added; nullptr when the caller has
+  /// no frame to offer. Only the Oracle reads it: every other governor
+  /// decides from the observed past alone.
+  const common::Cycles* work = nullptr;
+  /// The slots of `work` this decision covers: the domain's in the engine,
+  /// the application's in run_multi_simulation.
+  std::span<const std::size_t> slots;
+  /// The memory fraction the board-epoch kernel will run the frame at.
+  double mem_fraction = 0.0;
 };
 
 /// \brief Abstract power governor.
@@ -217,27 +228,6 @@ class Learner {
   [[nodiscard]] virtual std::vector<std::size_t> greedy_policy() const = 0;
   /// \brief Exploration-arm decisions taken so far.
   [[nodiscard]] virtual std::size_t exploration_count() const = 0;
-};
-
-/// \brief Oracle knowledge of the frame about to run.
-struct FramePreview {
-  common::Cycles max_core_cycles = 0;  ///< Largest per-core cycle share.
-  common::Cycles total_cycles = 0;     ///< Total frame demand.
-  /// Fraction of the frame's execution time spent in memory stalls at the
-  /// reference frequency (stall time is frequency-independent, so observed
-  /// cycle counts grow with f).
-  double mem_fraction = 0.0;
-  common::Hertz ref_frequency = 1.0e9; ///< Frequency at which mem_fraction holds.
-};
-
-/// \brief Interface for governors that receive oracle knowledge of the next
-///        frame before deciding (used only by the Oracle baseline; the
-///        simulation engine feeds it when present).
-class Clairvoyant {
- public:
-  virtual ~Clairvoyant() = default;
-  /// \brief Announce the true demand of the upcoming frame.
-  virtual void preview_next_frame(const FramePreview& preview) = 0;
 };
 
 }  // namespace prime::gov

@@ -1,57 +1,31 @@
 #include "gov/oracle.hpp"
 
+#include <algorithm>
 #include <memory>
 
-#include "common/serial.hpp"
 #include "gov/registry.hpp"
 
 namespace prime::gov {
 
-void OracleGovernor::preview_next_frame(const FramePreview& preview) {
-  preview_ = preview;
-  has_preview_ = true;
-}
-
 std::size_t OracleGovernor::decide(const DecisionContext& ctx,
                                    const std::optional<EpochObservation>&) {
   const hw::OppTable& opps = *ctx.opps;
-  if (!has_preview_ || ctx.period <= 0.0) return opps.size() - 1;
-  has_preview_ = false;
+  if (ctx.work == nullptr || ctx.period <= 0.0) return opps.size() - 1;
+
+  common::Cycles busiest = 0;
+  for (const std::size_t s : ctx.slots) busiest = std::max(busiest, ctx.work[s]);
 
   // Frame time at frequency f: T(f) = (1-m) * c / f + m * c / f_ref, where
   // the memory-stall portion m*c/f_ref does not shrink with frequency. The
   // slowest f whose T(f) fits the guarded period is the energy-optimal OPP
   // (energy is monotone in V, hence in the OPP index).
-  const double c = static_cast<double>(preview_.max_core_cycles);
-  const double stall_time = preview_.mem_fraction * c / preview_.ref_frequency;
+  const double c = static_cast<double>(busiest);
+  const double stall_time = ctx.mem_fraction * c / hw::kMemRefFrequency;
   const double usable =
       ctx.period * (1.0 - params_.guard_band) - stall_time;
   if (usable <= 0.0) return opps.size() - 1;
-  const double f_min = (1.0 - preview_.mem_fraction) * c / usable;
+  const double f_min = (1.0 - ctx.mem_fraction) * c / usable;
   return opps.lowest_at_least(f_min);
-}
-
-void OracleGovernor::reset() {
-  preview_ = FramePreview{};
-  has_preview_ = false;
-}
-
-void OracleGovernor::save_state(std::ostream& out) const {
-  common::StateWriter w(out);
-  w.u64(preview_.max_core_cycles);
-  w.u64(preview_.total_cycles);
-  w.f64(preview_.mem_fraction);
-  w.f64(preview_.ref_frequency);
-  w.boolean(has_preview_);
-}
-
-void OracleGovernor::load_state(std::istream& in) {
-  common::StateReader r(in);
-  preview_.max_core_cycles = r.u64();
-  preview_.total_cycles = r.u64();
-  preview_.mem_fraction = r.f64();
-  preview_.ref_frequency = r.f64();
-  has_preview_ = r.boolean();
 }
 
 namespace {

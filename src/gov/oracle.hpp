@@ -3,11 +3,15 @@
 ///
 /// Table I normalises energy "with respect to Oracle (through offline
 /// determination of optimized V-F for the observed CPU workloads)". The
-/// oracle is clairvoyant: it is told each frame's true demand before choosing
-/// the OPP, and it picks the *slowest* frequency that still meets the
-/// deadline (lowest V-F = minimum energy under a deadline for a convex power
-/// curve). It is unrealisable at run time — it exists purely as the
-/// lower-bound denominator.
+/// oracle is clairvoyant: each decision's context carries the frame it is for
+/// (DecisionContext::work, ::slots, ::mem_fraction), and the oracle picks the
+/// *slowest* frequency at which the busiest of the decision's own slots still
+/// meets the deadline (lowest V-F = minimum energy under a deadline for a
+/// convex power curve). A decision is per DVFS domain in the engine and per
+/// application in run_multi_simulation, so each domain or application runs
+/// at the V-F its own work needs. It is unrealisable at run time — it exists
+/// purely as the lower-bound denominator — and stateless: nothing carries
+/// from one decision to the next.
 #pragma once
 
 #include "gov/governor.hpp"
@@ -22,30 +26,25 @@ struct OracleParams {
 };
 
 /// \brief Clairvoyant minimum-frequency-meeting-deadline governor.
-class OracleGovernor final : public Governor, public Clairvoyant {
+class OracleGovernor final : public Governor {
  public:
   /// \brief Construct with the given guard band.
   explicit OracleGovernor(const OracleParams& params = {}) noexcept
       : params_(params) {}
 
   [[nodiscard]] std::string name() const override { return "oracle"; }
+  /// \brief The lowest OPP that fits the largest `work[s]` over the
+  ///        context's slots into the guarded period; the top OPP when the
+  ///        context carries no frame or no positive period.
   [[nodiscard]] std::size_t decide(
       const DecisionContext& ctx,
       const std::optional<EpochObservation>& last) override;
-  void preview_next_frame(const FramePreview& preview) override;
   /// \brief The oracle performs no run-time learning.
   [[nodiscard]] common::Seconds epoch_overhead() const override { return 0.0; }
-  void reset() override;
-  // The pending preview is delivered fresh each frame by the engine, but it
-  // is mutable decision state all the same — serialised so a mid-epoch
-  // snapshot round-trips exactly.
-  void save_state(std::ostream& out) const override;
-  void load_state(std::istream& in) override;
+  void reset() override {}
 
  private:
   OracleParams params_;
-  FramePreview preview_{};
-  bool has_preview_ = false;
 };
 
 }  // namespace prime::gov

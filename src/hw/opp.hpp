@@ -16,6 +16,12 @@
 
 namespace prime::hw {
 
+/// \brief The frequency at which a workload's memory fraction holds: the
+///        board-epoch kernel runs every domain's epoch at it
+///        (Platform::run_epoch_into), and the Oracle solves for its minimum
+///        frequency with it, so the two agree on a frame's stall time.
+inline constexpr common::Hertz kMemRefFrequency = 1.0e9;
+
 /// \brief A single operating performance point: an index plus its V-F pair.
 struct Opp {
   std::size_t index = 0;          ///< Position in the owning table (0 = slowest).

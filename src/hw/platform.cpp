@@ -126,8 +126,8 @@ void Platform::run_epoch_into(BoardEpoch& epoch, common::Cycles* row,
   for (std::size_t d = 0; d < clusters_.size(); ++d) {
     const common::Cycles* work =
         epoch.contiguous ? row + d * cores : epoch.work[d].data();
-    clusters_[d]->run_epoch_into(work, cores, period, mem_fraction, 1.0e9,
-                                 epoch.domains[d]);
+    clusters_[d]->run_epoch_into(work, cores, period, mem_fraction,
+                                 kMemRefFrequency, epoch.domains[d]);
   }
 
   // The combine starts from domain 0's result, never from a 0 seed: a board

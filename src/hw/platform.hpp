@@ -122,8 +122,9 @@ class Platform {
   ///        `row[0]` as cycles at slot 0's domain frequency (the RTM runs on
   ///        the core hosting the first worker). A contiguous epoch's domains
   ///        then read their stretch of \p row in place; otherwise `row[j]` is
-  ///        assigned to slot j's core. Every domain runs its epoch (1 GHz
-  ///        reference frequency) and the results combine into \p epoch.
+  ///        assigned to slot j's core. Every domain runs its epoch (at the
+  ///        kMemRefFrequency memory reference) and the results combine into
+  ///        \p epoch.
   void run_epoch_into(BoardEpoch& epoch, common::Cycles* row,
                       common::Seconds overhead, common::Seconds period,
                       double mem_fraction);

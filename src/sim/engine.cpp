@@ -195,7 +195,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   }
 
   const hw::OppTable& opps = platform.opp_table();
-  auto* clairvoyant = dynamic_cast<gov::Clairvoyant*>(&governor);
 
   std::size_t frames;
   if (app.streaming()) {
@@ -293,6 +292,11 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   dctx.cores = platform.domain(0).core_count();  // Every domain has as many.
   dctx.opps = &opps;
   dctx.domains = domains;
+  // Each domain's decision covers the slots the placement maps onto it.
+  std::vector<std::vector<std::size_t>> domain_slots(domains);
+  for (std::size_t j = 0; j < place.slots(); ++j) {
+    domain_slots[place.slot_domain[j]].push_back(j);
+  }
 
   // One loop for every board: one decision per domain, then the board-epoch
   // kernel (hw::Platform::run_epoch_into) runs T_OVH, the placement's slot
@@ -306,21 +310,16 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       common::Cycles* row = block.row(b);
       const common::Cycles demand = block.demand[b];
 
-      if (clairvoyant != nullptr) {
-        gov::FramePreview preview;
-        preview.max_core_cycles =
-            total == 0 ? 0 : *std::max_element(row, row + total);
-        preview.total_cycles = demand;
-        preview.mem_fraction = block.mem_fraction;
-        clairvoyant->preview_next_frame(preview);
-      }
-
       // One decision per domain (shared governor instance: learning state
-      // interleaves the per-domain observation streams).
+      // interleaves the per-domain observation streams), each over the
+      // frame's row and its own domain's slots.
       dctx.epoch = i;
       dctx.period = period;
+      dctx.work = row;
+      dctx.mem_fraction = block.mem_fraction;
       for (std::size_t d = 0; d < domains; ++d) {
         dctx.domain = d;
+        dctx.slots = domain_slots[d];
         platform.domain(d).set_opp(governor.decide(dctx, last[d].obs));
       }
 

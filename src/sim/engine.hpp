@@ -153,8 +153,9 @@ struct RunOptions {
 
 /// \brief Run \p app on \p platform under \p governor.
 ///
-/// If the governor also implements gov::Clairvoyant it receives the true
-/// demand of each upcoming frame before deciding (Oracle only).
+/// Every decision's gov::DecisionContext carries the frame it is for: the
+/// frame's work row, the slots of the domain it decides and the memory
+/// fraction the board-epoch kernel will run at (only the Oracle reads them).
 ///
 /// A run owns \p app's streaming replay cursor until it returns: a batched
 /// run of 1000 frames or more generates its upcoming frame blocks on a

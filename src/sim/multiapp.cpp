@@ -135,14 +135,17 @@ MultiAppResult run_multi_simulation(
   // cores) and its home domain hosts its first core. Requests arbitrate per
   // V-F domain: the max among the apps occupying it (app_in_domain); domains
   // hosting no app keep their OPP.
+  // Each app's decisions cover its own slots (app_slots).
   std::vector<std::size_t> offset(n_apps);
   std::vector<std::size_t> slot_domain;
   std::vector<std::size_t> slot_local;
   std::vector<std::vector<char>> app_in_domain(n_apps);
+  std::vector<std::vector<std::size_t>> app_slots(n_apps);
   for (std::size_t a = 0; a < n_apps; ++a) {
     offset[a] = slot_domain.size();
     app_in_domain[a].assign(domains, 0);
     for (const std::size_t c : placements[a].cores) {
+      app_slots[a].push_back(slot_domain.size());
       slot_domain.push_back(platform.domain_of_core(c));
       slot_local.push_back(platform.local_of_core(c));
       app_in_domain[a][slot_domain.back()] = 1;
@@ -159,6 +162,23 @@ MultiAppResult run_multi_simulation(
   std::vector<std::size_t> applied(domains, 0);
 
   for (std::size_t i = 0; i < frames; ++i) {
+    // --- Every app's work row at its offset; the frame's memory fraction is
+    // the apps' demand-weighted mean. Nothing here depends on a decision, so
+    // the decisions below see the frame they are for.
+    double mem_weighted = 0.0;
+    double demand_total = 0.0;
+    for (std::size_t a = 0; a < n_apps; ++a) {
+      const std::size_t n = placements[a].cores.size();
+      common::Cycles* app_row = row.data() + offset[a];
+      placements[a].app->core_work_into(i, n, app_row);
+      demand[a] = std::accumulate(app_row, app_row + n, common::Cycles{0});
+      const double d = static_cast<double>(demand[a]);
+      mem_weighted += placements[a].app->mem_fraction() * d;
+      demand_total += d;
+    }
+    const double mem_fraction =
+        demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
+
     // --- Per-app decisions, arbitrated per domain.
     common::Seconds ovh_total = 0.0;
     for (std::size_t a = 0; a < n_apps; ++a) {
@@ -169,6 +189,9 @@ MultiAppResult run_multi_simulation(
       ctx.opps = &opps;
       ctx.domain = board.slot_domain[offset[a]];
       ctx.domains = domains;
+      ctx.work = row.data();
+      ctx.slots = app_slots[a];
+      ctx.mem_fraction = mem_fraction;
       requests[a] = governors[a]->decide(ctx, last[a]);
       ovh_total += governors[a]->epoch_overhead();
     }
@@ -183,22 +206,6 @@ MultiAppResult run_multi_simulation(
       if (any) platform.domain(d).set_opp(req);
       applied[d] = platform.domain(d).current_opp_index();
     }
-
-    // --- Every app's work row at its offset; the frame's memory fraction is
-    // the apps' demand-weighted mean.
-    double mem_weighted = 0.0;
-    double demand_total = 0.0;
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      const std::size_t n = placements[a].cores.size();
-      common::Cycles* app_row = row.data() + offset[a];
-      placements[a].app->core_work_into(i, n, app_row);
-      demand[a] = std::accumulate(app_row, app_row + n, common::Cycles{0});
-      const double d = static_cast<double>(demand[a]);
-      mem_weighted += placements[a].app->mem_fraction() * d;
-      demand_total += d;
-    }
-    const double mem_fraction =
-        demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
 
     // --- The board-epoch kernel; every governor's processing runs on the
     // first app's first core.

@@ -7,6 +7,7 @@
 ///        that never stopped.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -106,23 +107,22 @@ struct DriveResult {
 DriveResult drive(gov::Governor& governor, const hw::OppTable& opps,
                   std::size_t start, std::size_t count,
                   std::optional<gov::EpochObservation> last) {
-  auto* clairvoyant = dynamic_cast<gov::Clairvoyant*>(&governor);
+  static constexpr std::size_t kSlots[] = {0, 1, 2, 3};
   DriveResult out;
   out.last = std::move(last);
   for (std::size_t e = start; e < start + count; ++e) {
-    if (clairvoyant != nullptr) {
-      gov::FramePreview preview;
-      preview.max_core_cycles =
-          static_cast<common::Cycles>(2.0e7 + 1.0e6 * static_cast<double>(e % 17));
-      preview.total_cycles = preview.max_core_cycles * 4;
-      preview.mem_fraction = 0.1;
-      clairvoyant->preview_next_frame(preview);
-    }
+    // Every slot carries the frame's per-core share (the Oracle reads it).
+    std::array<common::Cycles, 4> work;
+    work.fill(static_cast<common::Cycles>(
+        2.0e7 + 1.0e6 * static_cast<double>(e % 17)));
     gov::DecisionContext ctx;
     ctx.epoch = e;
     ctx.period = 1.0 / 30.0;
     ctx.cores = 4;
     ctx.opps = &opps;
+    ctx.work = work.data();
+    ctx.slots = kSlots;
+    ctx.mem_fraction = 0.1;
     const std::size_t action = governor.decide(ctx, out.last);
     out.actions.push_back(action);
     out.last = synthetic_obs(e, action, ctx.period, opps);
