@@ -125,9 +125,10 @@ void PopulationSpec::validate() const {
   if (energy_bins == 0 || miss_bins == 0 || perf_bins == 0) {
     throw std::invalid_argument("PopulationSpec: histogram bins must be >= 1");
   }
-  if (!std::isfinite(target_utilisation)) {
-    throw std::invalid_argument("PopulationSpec: util must be finite, got " +
-                                std::to_string(target_utilisation));
+  if (!std::isfinite(target_utilisation) || target_utilisation < 0.0) {
+    throw std::invalid_argument(
+        "PopulationSpec: util must be finite and >= 0, got " +
+        std::to_string(target_utilisation));
   }
   if (energy_hi < 0.0 || !(perf_hi > 0.0)) {
     throw std::invalid_argument("PopulationSpec: bad histogram range");

@@ -90,8 +90,8 @@ struct PopulationSpec {
   [[nodiscard]] double resolved_energy_hi() const noexcept;
 
   /// \brief Reject empty/degenerate populations (no governors, workloads or
-  ///        fps, zero devices_per_cell or frames, bad histogram geometry)
-  ///        with std::invalid_argument.
+  ///        fps, zero devices_per_cell or frames, a non-finite or negative
+  ///        util, bad histogram geometry) with std::invalid_argument.
   void validate() const;
 
   /// \brief FNV-1a over the canonical encoding: two populations fingerprint

@@ -37,9 +37,10 @@ double frame_capacity(const hw::Platform& platform, double fps) {
 
 wl::Application make_application(const ExperimentSpec& spec,
                                  const hw::Platform& platform) {
-  if (!std::isfinite(spec.target_utilisation)) {
+  if (!std::isfinite(spec.target_utilisation) ||
+      spec.target_utilisation < 0.0) {
     throw std::invalid_argument(
-        "make_application: target_utilisation must be finite, got " +
+        "make_application: target_utilisation must be finite and >= 0, got " +
         std::to_string(spec.target_utilisation));
   }
   common::Spec workload_spec = common::Spec::parse(spec.workload);

@@ -45,7 +45,8 @@ struct ExperimentSpec {
   /// calibration and uses the generator's own demand level). Calibration
   /// scales the trace so mean demand = target * cores * f_max * Tref,
   /// keeping every workload feasible yet DVFS-interesting at any fps.
-  /// make_application rejects a non-finite target (std::invalid_argument);
+  /// make_application rejects a non-finite or negative target
+  /// (std::invalid_argument);
   /// a finite one whose scaled demands do not fit Cycles throws
   /// std::out_of_range where the frames are scaled: in make_application
   /// for a materialised trace, from the frame pull for a stream.

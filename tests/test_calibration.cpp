@@ -116,9 +116,9 @@ using BadTargetCase = std::tuple<double, Mode>;
 
 class BadCalibrationTarget : public ::testing::TestWithParam<BadTargetCase> {};
 
-// A non-finite target is refused by name; a finite one whose demands do not
-// fit Cycles throws where the frames are scaled: building a materialised
-// trace, or pulling a streamed frame in the run.
+// A non-finite or negative target is refused by name; a finite one whose
+// demands do not fit Cycles throws where the frames are scaled: building a
+// materialised trace, or pulling a streamed frame in the run.
 TEST_P(BadCalibrationTarget, FailsClosed) {
   const auto [target, mode] = GetParam();
   auto platform = hw::Platform::odroid_xu3_a15();
@@ -127,7 +127,7 @@ TEST_P(BadCalibrationTarget, FailsClosed) {
   spec.frames = 1000;
   spec.target_utilisation = target;
   spec.stream = mode == Mode::kStreamed;
-  if (!std::isfinite(target)) {
+  if (!std::isfinite(target) || target < 0.0) {
     try {
       (void)sim::make_application(spec, *platform);
       FAIL() << "make_application accepted target " << target;
@@ -156,11 +156,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity(),
-                          std::numeric_limits<double>::quiet_NaN(), 1e300),
+                          std::numeric_limits<double>::quiet_NaN(), -1.0,
+                          1e300),
         ::testing::Values(Mode::kMaterialised, Mode::kStreamed)),
     [](const ::testing::TestParamInfo<BadTargetCase>& info) {
       const double target = std::get<0>(info.param);
       const std::string value = std::isnan(target)    ? "nan"
+                                : target == -1.0      ? "minus_1"
                                 : !std::isinf(target) ? "1e300"
                                 : target > 0.0        ? "inf"
                                                       : "minus_inf";
@@ -170,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PopulationUtil, RejectsANonFiniteTargetByValue) {
-  for (const char* util : {"inf", "-inf", "nan"}) {
+  for (const char* util : {"inf", "-inf", "nan", "-1"}) {
     common::Config cfg;
     cfg.set("governors", "ondemand");
     cfg.set("workloads", "h264");
@@ -180,7 +182,8 @@ TEST(PopulationUtil, RejectsANonFiniteTargetByValue) {
       ADD_FAILURE() << "util=" << util << " was accepted";
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
-      EXPECT_NE(what.find(std::string("util must be finite, got ") + util),
+      EXPECT_NE(
+          what.find(std::string("util must be finite and >= 0, got ") + util),
                 std::string::npos)
           << what;
     }
