@@ -154,7 +154,7 @@ TEST(Engine, PowersaveGovernorMissesEverything) {
   EXPECT_GT(r.mean_normalized_performance(), 1.5);
 }
 
-TEST(Engine, OracleReceivesPreviews) {
+TEST(Engine, OracleSeesEachFrame) {
   auto platform = hw::Platform::odroid_xu3_a15();
   const wl::Application app = make_app(100);
   gov::OracleGovernor g;
