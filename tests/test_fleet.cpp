@@ -5,6 +5,7 @@
 ///        differential and failure-injection properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -429,6 +430,32 @@ TEST(FleetDifferential, OneWorkerRunsEveryShardInOneProcess) {
   EXPECT_EQ(report_csv(batched_driver.run(pop)), reference);
   EXPECT_EQ(batched_driver.launches(), 1u);
   EXPECT_EQ(batched_driver.retries_used(), 0u);
+}
+
+TEST(FleetReport, PrintsATitledRowPerCell) {
+  FleetOptions seq;
+  seq.shards = 1;
+  seq.workers = 0;
+  seq.out_dir = temp_dir("fleet-print");
+  FleetDriver driver(seq);
+  const PopulationReport report = driver.run(tiny_population());
+  std::ostringstream out;
+  report.print(out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("Population report (" + std::to_string(report.devices) +
+                      " devices)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("miss p95"), std::string::npos) << text;
+  ASSERT_FALSE(report.rows.empty());
+  for (const ReportRow& row : report.rows) {
+    EXPECT_NE(text.find(row.cell.governor), std::string::npos) << text;
+    EXPECT_NE(text.find(row.cell.workload), std::string::npos) << text;
+  }
+  // The title and header, then one line per cell at least.
+  EXPECT_GE(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            report.rows.size() + 2);
 }
 
 TEST(FleetDriverBatches, DealtByStride) {

@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/config.hpp"
 #include "gov/merge.hpp"
 #include "hw/platform.hpp"
 #include "sim/engine.hpp"
@@ -120,6 +121,35 @@ INSTANTIATE_TEST_SUITE_P(
       return name + (std::get<1>(info.param) == kForward ? "_Forward"
                                                          : "_Rotated");
     });
+
+// Payloads of tables with another geometry are refused, naming both shapes:
+// rtm trained on the 19-OPP board against rtm trained on a 10-OPP one.
+TEST(StateMergeGeometry, MismatchNamesBothTableShapes) {
+  EXPECT_EQ(gov::describe_dims({}), "empty");
+  EXPECT_EQ(gov::describe_dims({19}), "19");
+  EXPECT_EQ(gov::describe_dims({74, 19}), "74x19");
+
+  common::Config cfg;
+  cfg.set_int("hw.opps", 10);
+  const auto small = hw::Platform::from_config(cfg);
+  ExperimentSpec spec;
+  spec.frames = 100;
+  const wl::Application app = make_application(spec, *small);
+  const auto narrow = make_governor("rtm", 1);
+  (void)run_simulation(*small, app, *narrow);
+
+  const auto merger = make_governor("rtm")->make_state_merger();
+  merger->add_state(trained_state("rtm", 1));
+  try {
+    merger->add_state(save(*narrow));
+    FAIL() << "a 10-OPP payload merged into a 19-OPP accumulator";
+  } catch (const gov::StateMergeError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("state-space mismatch: "), std::string::npos) << what;
+    EXPECT_NE(what.find("x10 vs "), std::string::npos) << what;
+    EXPECT_NE(what.find("x19"), std::string::npos) << what;
+  }
+}
 
 // The registry holds mergeable governors beyond the rtm family: the merge
 // traits of mcdvfs and shen-rl, and thermal-cap's forwarding merger.
