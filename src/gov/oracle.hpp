@@ -25,7 +25,7 @@ struct OracleParams {
   double guard_band = 0.02;
 };
 
-/// \brief Clairvoyant minimum-frequency-meeting-deadline governor.
+/// \brief The minimum-frequency-meeting-deadline governor that sees the frame.
 class OracleGovernor final : public Governor {
  public:
   /// \brief Construct with the given guard band.
