@@ -46,10 +46,10 @@ struct ExperimentSpec {
   /// scales the trace so mean demand = target * cores * f_max * Tref,
   /// keeping every workload feasible yet DVFS-interesting at any fps.
   /// make_application rejects a non-finite or negative target
-  /// (std::invalid_argument);
-  /// a finite one whose scaled demands do not fit Cycles throws
-  /// std::out_of_range where the frames are scaled: in make_application
-  /// for a materialised trace, from the frame pull for a stream.
+  /// (std::invalid_argument); a finite one whose scaled demands do not fit
+  /// Cycles throws std::out_of_range where the frames are scaled: in
+  /// make_application for a materialised trace, from the frame pull for a
+  /// stream.
   double target_utilisation = 0.45;
   /// Memory-boundedness (stall-time fraction at 1 GHz). Negative selects a
   /// per-workload default: video decode 0.25, FFT 0.10, otherwise 0.20.

@@ -132,10 +132,10 @@ MultiAppResult run_multi_simulation(
   const std::size_t domains = platform.domain_count();
   // The placements' global core indices become one slot map (app order,
   // then core order): app a's work sits at slots [offset[a], offset[a] +
-  // cores) and its home domain hosts its first core. Requests arbitrate per
-  // V-F domain: the max among the apps occupying it (app_in_domain); domains
-  // hosting no app keep their OPP.
-  // Each app's decisions cover its own slots (app_slots).
+  // cores), which app_slots lists for its decisions, and its home domain
+  // hosts its first core. Requests arbitrate per V-F domain: the max among
+  // the apps occupying it (app_in_domain); domains hosting no app keep their
+  // OPP.
   std::vector<std::size_t> offset(n_apps);
   std::vector<std::size_t> slot_domain;
   std::vector<std::size_t> slot_local;
