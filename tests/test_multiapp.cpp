@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hpp"
+#include "sim/block_prefetch.hpp"
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/telemetry.hpp"
@@ -30,15 +31,17 @@ struct TracedApp {
   std::vector<EpochRecord> records;
 };
 
-/// Two rtm-governed apps (mpeg4 on \p cores_a, fft on \p cores_b) for 200
-/// frames on \p platform, each app's epochs traced. \p apps receives the
-/// two applications, so a test can ask them for their own frames.
+/// Two rtm-governed apps (mpeg4 on \p cores_a, fft on \p cores_b) for
+/// \p frames frames on \p platform, each app's epochs traced. \p apps
+/// receives the two applications, so a test can ask them for their own
+/// frames.
 std::vector<TracedApp> run_pinned_pair(hw::Platform& platform,
                                        std::vector<std::size_t> cores_a,
                                        std::vector<std::size_t> cores_b,
-                                       std::vector<wl::Application>& apps) {
-  apps = {make_app("mpeg4", 25.0, 200, 1, platform),
-          make_app("fft", 25.0, 200, 2, platform)};
+                                       std::vector<wl::Application>& apps,
+                                       std::size_t frames = 200) {
+  apps = {make_app("mpeg4", 25.0, frames, 1, platform),
+          make_app("fft", 25.0, frames, 2, platform)};
   std::vector<std::unique_ptr<gov::Governor>> governors;
   governors.push_back(make_governor("rtm", 11));
   governors.push_back(make_governor("rtm", 22));
@@ -56,11 +59,12 @@ std::vector<TracedApp> run_pinned_pair(hw::Platform& platform,
 /// run_pinned_pair(), reduced to each app's result-and-records digest.
 std::vector<std::uint64_t> pinned_run_digests(
     hw::Platform& platform, std::vector<std::size_t> cores_a,
-    std::vector<std::size_t> cores_b) {
+    std::vector<std::size_t> cores_b, std::size_t frames = 200) {
   std::vector<wl::Application> apps;
   std::vector<std::uint64_t> digests;
   for (const TracedApp& t : run_pinned_pair(platform, std::move(cores_a),
-                                            std::move(cores_b), apps)) {
+                                            std::move(cores_b), apps,
+                                            frames)) {
     digests.push_back(testing_util::run_digest(t.result, t.records));
   }
   return digests;
@@ -97,6 +101,22 @@ TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
                                boards[1].cores_b),
             (std::vector<std::uint64_t>{0x60e6062bead2c2c3ULL,
                                         0xbdab107920cb11adULL}));
+}
+
+// The same pair for 1200 frames: long enough for the prefetch helper
+// (kMinPrefetchFrames), which the 200-frame pins above never reach.
+TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
+  constexpr std::size_t kLongFrames = 1200;
+  static_assert(kLongFrames >= kMinPrefetchFrames);
+  std::vector<PinnedBoard> boards = pinned_boards();
+  EXPECT_EQ(pinned_run_digests(*boards[0].platform, boards[0].cores_a,
+                               boards[0].cores_b, kLongFrames),
+            (std::vector<std::uint64_t>{0xc7313c6dab015522ULL,
+                                        0x8848a190c55661fdULL}));
+  EXPECT_EQ(pinned_run_digests(*boards[1].platform, boards[1].cores_a,
+                               boards[1].cores_b, kLongFrames),
+            (std::vector<std::uint64_t>{0xd9ebbd7a47820564ULL,
+                                        0x34057be21017c7ceULL}));
 }
 
 // EpochRecord::demand is the application's demand, excluding overhead, as
