@@ -18,8 +18,8 @@
 /// This module owns the board epoch (`BoardEpoch`, `Platform::run_epoch_into`):
 /// T_OVH on slot 0's core, every domain's epoch, and the rule that combines
 /// them into one result. Every board, the paper's 1x4 included, runs its
-/// epochs through it, in the single-app engine and in the multi-app engine
-/// alike; both integrate the sensor over its result themselves.
+/// epochs through it from the one epoch loop (sim/frame_loop.hpp) that both
+/// engines share, which integrates the sensor over its result.
 #pragma once
 
 #include <iosfwd>

@@ -24,36 +24,36 @@ bool prefetch_pays_off(std::size_t frames) {
   return frames >= kMinPrefetchFrames && hardware >= 2;
 }
 
-BlockPrefetcher::BlockPrefetcher(const wl::Application& app,
+BlockPrefetcher::BlockPrefetcher(std::vector<Source> sources,
                                  std::size_t start, std::size_t frames,
-                                 std::size_t block_frames, std::size_t cores,
-                                 bool threaded, const hw::PowerSensor* sensor)
-    : app_(app), start_(start), frames_(frames), block_frames_(block_frames),
-      cores_(cores),
+                                 std::size_t block_frames, bool threaded,
+                                 const hw::PowerSensor* sensor)
+    : sources_(std::move(sources)), start_(start), frames_(frames),
+      block_frames_(block_frames),
       blocks_((frames - start + block_frames - 1) / block_frames),
       sensor_(sensor),
       noise_rng_(sensor != nullptr ? sensor->noise_rng() : common::Rng{}) {
   threaded = threaded && blocks_ > 1;
-  const std::size_t slots =
+  const std::size_t ring_slots =
       threaded ? std::min(blocks_,
                           std::max(kMinSlots, kRingFrames / block_frames))
                : 1;
-  ring_.resize(slots);
-  noise_.resize(slots);
+  ring_.resize(ring_slots * sources_.size());
+  noise_.resize(ring_slots);
   if (sensor_ != nullptr) {
     for (auto& terms : noise_) terms.resize(block_frames);
   }
   if (blocks_ > 0) fill(0);
   if (!threaded) return;
-  for (std::size_t s = 1; s < slots; ++s) {
-    ring_[s].reshape(block_frames, cores);
+  for (std::size_t j = sources_.size(); j < ring_.size(); ++j) {
+    ring_[j].reshape(block_frames, sources_[j % sources_.size()].cores);
   }
   filled_ = 1;
   try {
     helper_ = std::thread([this] { run_helper(); });
     g_threaded_runs.fetch_add(1);
   } catch (const std::system_error&) {
-    // No thread to be had (EAGAIN): run unthreaded out of slot 0.
+    // No thread to be had (EAGAIN): acquire() fills every block itself.
   }
 }
 
@@ -67,15 +67,16 @@ BlockPrefetcher::~BlockPrefetcher() {
   helper_.join();
 }
 
-wl::FrameBlock& BlockPrefetcher::acquire(std::size_t k) {
+std::span<wl::FrameBlock> BlockPrefetcher::acquire(std::size_t k) {
   if (!helper_.joinable()) {
     if (k > 0) fill(k);
-    return ring_[0];
+  } else {
+    std::unique_lock<std::mutex> lock(mutex_);
+    engine_wake_.wait(lock, [&] { return filled_ > k || error_; });
+    if (filled_ <= k) std::rethrow_exception(error_);
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  engine_wake_.wait(lock, [&] { return filled_ > k || error_; });
-  if (filled_ <= k) std::rethrow_exception(error_);
-  return ring_[k % ring_.size()];
+  return std::span(ring_).subspan(k % slots() * sources_.size(),
+                                  sources_.size());
 }
 
 void BlockPrefetcher::release(std::size_t k) {
@@ -93,12 +94,16 @@ std::size_t BlockPrefetcher::threaded_runs() noexcept {
   return g_threaded_runs.load();
 }
 
-/// Fill block k into its ring slot, then draw its noise terms.
+/// Fill block k into its ring slot, source by source, then draw its noise
+/// terms.
 void BlockPrefetcher::fill(std::size_t k) {
-  const std::size_t slot = k % ring_.size();
+  const std::size_t slot = k % slots();
   const std::size_t first = start_ + k * block_frames_;
   const std::size_t count = std::min(block_frames_, frames_ - first);
-  app_.fill_block(first, count, cores_, ring_[slot]);
+  wl::FrameBlock* blocks = ring_.data() + slot * sources_.size();
+  for (const Source& source : sources_) {
+    source.app->fill_block(first, count, source.cores, *blocks++);
+  }
   if (sensor_ == nullptr) return;
   common::NormalDraw* terms = noise_[slot].data();
   for (std::size_t b = 0; b < count; ++b) {
@@ -109,15 +114,14 @@ void BlockPrefetcher::fill(std::size_t k) {
 /// At least half the ring is free: when a parked helper resumes. Called
 /// under the mutex.
 bool BlockPrefetcher::half_free() const noexcept {
-  return filled_ - released_ <= ring_.size() - ring_.size() / 2;
+  return filled_ - released_ <= slots() - slots() / 2;
 }
 
 void BlockPrefetcher::run_helper() noexcept {
-  const std::size_t slots = ring_.size();
   for (std::size_t k = 1; k < blocks_; ++k) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (k - released_ >= slots) {
+      if (k - released_ >= slots()) {
         helper_wake_.wait(lock, [&] { return stop_ || half_free(); });
       }
       if (stop_) return;

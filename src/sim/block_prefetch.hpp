@@ -1,19 +1,23 @@
 /// \file block_prefetch.hpp
-/// \brief The engine's frame-block prefetcher: serves a run's frames to the
-///        batched loops in sim/engine.cpp as consecutive wl::FrameBlocks,
-///        with each frame's power-sensor noise term, optionally generated
-///        ahead on a helper thread.
+/// \brief The frame-block prefetcher of the one epoch loop
+///        (sim/frame_loop.hpp): serves a run's frames as consecutive
+///        wl::FrameBlocks, one per application, with each frame's
+///        power-sensor noise term, optionally generated ahead on a helper
+///        thread.
 ///
 /// Frame generation and the sensor's noise stream are seed-deterministic and
 /// independent of any governor decision, so they can run ahead of the epoch
-/// loop on a spare core without changing a bit. Internal to the engine;
-/// declared here so tests can drive it directly.
+/// loop on a spare core without changing a bit. Internal to the simulator:
+/// run_simulation (sim/engine.cpp) serves one application through it and
+/// run_multi_simulation (sim/multiapp.cpp) every placement's; declared here
+/// so tests can drive it directly.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -30,26 +34,32 @@ namespace prime::sim {
 /// 1000 frames already saves 8-14%, 2000 frames 16-19%.
 inline constexpr std::size_t kMinPrefetchFrames = 1000;
 
+/// Frames per block where the caller has no block size of its own
+/// (run_multi_simulation); RunOptions::block_frames defaults to the same.
+inline constexpr std::size_t kBlockFrames = 64;
+
 /// True when a run of \p frames should prefetch on a helper thread: it is
 /// at least kMinPrefetchFrames long and the host has two or more hardware
 /// threads.
 [[nodiscard]] bool prefetch_pays_off(std::size_t frames);
 
-/// \brief Serves frames [start, frames) as consecutive FrameBlocks of
-///        `block_frames` rows, strictly in order: acquire(k) -> epochs ->
-///        release(k).
+/// \brief Serves frames [start, frames) of one or more applications as
+///        consecutive blocks of `block_frames` rows, strictly in order:
+///        acquire(k) -> epochs -> release(k). Block k holds one FrameBlock
+///        per source, each split over that source's cores.
 ///
 /// Block 0 is always filled on the calling (engine) thread, so any stream
 /// rewind or skip_to and every allocation happens there. When `threaded`
 /// and the run has more than one block, a helper thread fills blocks 1..N-1
 /// into a ring of pre-sized blocks ahead of the engine, making exactly the
-/// fill_block calls the engine would, in the same order, never past
-/// `frames`; otherwise acquire() fills each block on the engine thread.
-/// Both produce the same frames and leave the Application's cursor in the
-/// same place — the helper owns that cursor until the prefetcher dies.
+/// fill_block calls the engine would, in the same order (source by source
+/// within a block), never past `frames`; otherwise acquire() fills each
+/// block on the engine thread. Both produce the same frames and leave every
+/// Application's cursor in the same place — the helper owns those cursors
+/// until the prefetcher dies, so no Application may appear twice.
 ///
 /// Given a `sensor`, each block also carries one noise term per frame,
-/// drawn right after the block's fill_block call (same thread, same order)
+/// drawn right after the block's fill_block calls (same thread, same order)
 /// from a copy of the sensor's generator taken at construction — after any
 /// resume or reset — for hw::PowerSensor's pre-drawn integrate().
 ///
@@ -63,9 +73,14 @@ inline constexpr std::size_t kMinPrefetchFrames = 1000;
 /// joins the helper.
 class BlockPrefetcher {
  public:
-  BlockPrefetcher(const wl::Application& app, std::size_t start,
-                  std::size_t frames, std::size_t block_frames,
-                  std::size_t cores, bool threaded,
+  /// An application and the cores its frames are split over.
+  struct Source {
+    const wl::Application* app;
+    std::size_t cores;
+  };
+
+  BlockPrefetcher(std::vector<Source> sources, std::size_t start,
+                  std::size_t frames, std::size_t block_frames, bool threaded,
                   const hw::PowerSensor* sensor = nullptr);
   ~BlockPrefetcher();
   BlockPrefetcher(const BlockPrefetcher&) = delete;
@@ -75,8 +90,9 @@ class BlockPrefetcher {
   /// Whether a helper thread is filling the blocks after the first.
   [[nodiscard]] bool threaded() const noexcept { return helper_.joinable(); }
 
-  /// The filled block k; the caller owns it until release(k).
-  wl::FrameBlock& acquire(std::size_t k);
+  /// The filled block k, one FrameBlock per source in the order given; the
+  /// caller owns them until release(k).
+  std::span<wl::FrameBlock> acquire(std::size_t k);
   /// Block k's sensor noise terms, one per frame (a sensor was given);
   /// valid from acquire(k) to release(k).
   [[nodiscard]] const common::NormalDraw* noise(std::size_t k) const noexcept {
@@ -89,18 +105,20 @@ class BlockPrefetcher {
   [[nodiscard]] static std::size_t threaded_runs() noexcept;
 
  private:
+  /// Ring slots: noise_ holds one entry per slot.
+  [[nodiscard]] std::size_t slots() const noexcept { return noise_.size(); }
   void fill(std::size_t k);
   [[nodiscard]] bool half_free() const noexcept;
   void run_helper() noexcept;
 
-  const wl::Application& app_;
+  const std::vector<Source> sources_;
   const std::size_t start_;
   const std::size_t frames_;
   const std::size_t block_frames_;
-  const std::size_t cores_;
   const std::size_t blocks_;
   const hw::PowerSensor* const sensor_;
   common::Rng noise_rng_;  ///< Used by whichever thread fills the blocks.
+  /// Ring slot s holds its sources' blocks at [s * sources, (s+1) * sources).
   std::vector<wl::FrameBlock> ring_;
   std::vector<std::vector<common::NormalDraw>> noise_;  ///< Parallel ring.
   std::mutex mutex_;  ///< Guards the four fields below once the helper runs.

@@ -9,6 +9,7 @@
 #include "qlib/library.hpp"
 #include "sim/block_prefetch.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/frame_loop.hpp"
 #include "sim/placement.hpp"
 #include "sim/telemetry.hpp"
 
@@ -113,15 +114,6 @@ void check_platform_shape(const std::string& what, std::uint64_t opp_count,
   }
 }
 
-/// One domain's pending observation, on cache lines of its own. The engine
-/// rewrites it every epoch. As a plain vector element it read about 8% below
-/// a stack-resident one in 1x4 stream frames/s, and the alignment brought
-/// that to about 3% (pinned 2 s rounds); false sharing with heap data the
-/// prefetch helper writes would explain it, but is unverified.
-struct alignas(64) PendingObservation {
-  std::optional<gov::EpochObservation> obs;
-};
-
 }  // namespace
 
 RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
@@ -194,8 +186,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     }
   }
 
-  const hw::OppTable& opps = platform.opp_table();
-
   std::size_t frames;
   if (app.streaming()) {
     // An unbounded source has no trace length to fall back on: max_frames is
@@ -234,10 +224,21 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   ctx.application = app.name();
   ctx.frames = frames - start;
 
-  // The observation each domain's next decision sees, sized once: the
-  // binding lends last[0].obs, which a resume restores.
-  std::vector<PendingObservation> last(domains);
-  if (resume && resume->has_last) last[0].obs = resume->last;
+  // One decision unit per domain, all deciding with the run's governor over
+  // the slots the placement maps onto their domain. Sized once: the binding
+  // lends units[0].last, which a resume restores.
+  std::vector<std::vector<std::size_t>> domain_slots(domains);
+  for (std::size_t j = 0; j < place.slots(); ++j) {
+    domain_slots[place.slot_domain[j]].push_back(j);
+  }
+  std::vector<DecisionUnit> units(domains);
+  for (std::size_t d = 0; d < domains; ++d) {
+    units[d].governor = &governor;
+    units[d].slots = domain_slots[d];
+    units[d].home = d;
+    units[d].cores = platform.domain(d).core_count();
+  }
+  if (resume && resume->has_last) units[0].last = resume->last;
 
   // RunOptions::checkpoint_path is sugar for attaching one more sink.
   std::vector<TelemetrySink*> sinks = options.sinks;
@@ -255,7 +256,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   // so every exit — a sink rejecting the run mid-binding, or a throw
   // mid-run that skips the sinks' own on_run_end — unbinds them all, and a
   // caller-owned sink never keeps a binding into a dead stack frame.
-  RunBinding binding{platform, governor, app, result, last[0].obs, {}};
+  RunBinding binding{platform, governor, app, result, units[0].last, {}};
   struct UnbindGuard {
     const std::vector<TelemetrySink*>& sinks;
     ~UnbindGuard() {
@@ -266,10 +267,10 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
   RunEmitter emitter(result, sinks, ctx);
 
-  // The board epoch lives at function scope: each last[d] holds a CycleSpan
-  // view into board.domains[d].core_cycles, and the final checkpoint
-  // snapshot (emitter.finish -> on_run_end) deep-copies last[0].obs after the
-  // loop — the viewed storage must still be alive.
+  // The board epoch lives at function scope: each units[d].last holds a
+  // CycleSpan view into board.domains[d].core_cycles, and the final
+  // checkpoint snapshot (emitter.finish -> on_run_end) deep-copies
+  // units[0].last after the loop — the viewed storage must still be alive.
   hw::BoardEpoch board =
       platform.make_epoch(place.slot_domain, place.slot_local);
 
@@ -281,94 +282,61 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   // engine thread or the helper) only moves the stream's replay cursor,
   // which resume re-derives from the frame position anyway. block_frames=0
   // runs one-frame blocks, all filled on the engine thread.
-  const std::size_t total = platform.total_cores();
   hw::PowerSensor& sensor = platform.power_sensor();
   BlockPrefetcher prefetch(
-      app, start, frames, std::max<std::size_t>(1, options.block_frames),
-      total, options.block_frames != 0 && prefetch_pays_off(frames - start),
-      &sensor);
+      {{&app, platform.total_cores()}}, start, frames,
+      std::max<std::size_t>(1, options.block_frames),
+      options.block_frames != 0 && prefetch_pays_off(frames - start), &sensor);
   EpochRecord rec;
-  gov::DecisionContext dctx;
-  dctx.cores = platform.domain(0).core_count();  // Every domain has as many.
-  dctx.opps = &opps;
-  dctx.domains = domains;
-  // Each domain's decision covers the slots the placement maps onto it.
-  std::vector<std::vector<std::size_t>> domain_slots(domains);
-  for (std::size_t j = 0; j < place.slots(); ++j) {
-    domain_slots[place.slot_domain[j]].push_back(j);
-  }
+  gov::Governor* const governors[] = {&governor};
 
-  // One loop for every board: one decision per domain, then the board-epoch
-  // kernel (hw::Platform::run_epoch_into) runs T_OVH, the placement's slot
-  // map and every domain, combined into one EpochRecord.
-  for (std::size_t k = 0; k < prefetch.blocks(); ++k) {
-    wl::FrameBlock& block = prefetch.acquire(k);
-    const common::NormalDraw* noise = prefetch.noise(k);
-    std::size_t i = block.start;
-    for (std::size_t b = 0; b < block.count; ++b, ++i) {
-      const common::Seconds period = block.periods[b];
-      common::Cycles* row = block.row(b);
-      const common::Cycles demand = block.demand[b];
+  // The board runs the application's own row and memory fraction; it
+  // records one EpochRecord, and each domain's next decision sees its own
+  // frame time, cycles and deadline outcome, with the board reading
+  // attributed by energy share (every domain shares one sensor).
+  run_frame_loop(
+      platform, board, prefetch, units, governors,
+      [](std::span<wl::FrameBlock> blocks, std::size_t b) {
+        return FrameRow{blocks[0].row(b), blocks[0].mem_fraction};
+      },
+      [&](std::span<wl::FrameBlock> blocks, std::size_t b, std::size_t i,
+          common::Seconds period, common::Watt reading) {
+        // The OPP reported for the epoch is the bottleneck domain's.
+        const hw::Cluster& slowest = platform.domain(board.bottleneck);
+        rec.epoch = i;
+        rec.period = period;
+        rec.opp_index = slowest.current_opp_index();
+        rec.frequency = slowest.current_opp().frequency;
+        rec.demand = blocks[0].demand[b];
+        rec.executed = board.executed;
+        rec.frame_time = board.frame_time;
+        rec.window = board.window;
+        rec.energy = board.energy;
+        rec.sensor_power = reading;
+        rec.temperature = board.temperature;
+        rec.slack =
+            period > 0.0 ? (period - board.frame_time) / period : 0.0;
+        rec.deadline_met = board.frame_time <= period;
 
-      // One decision per domain (shared governor instance: learning state
-      // interleaves the per-domain observation streams), each over the
-      // frame's row and its own domain's slots.
-      dctx.epoch = i;
-      dctx.period = period;
-      dctx.work = row;
-      dctx.mem_fraction = block.mem_fraction;
-      for (std::size_t d = 0; d < domains; ++d) {
-        dctx.domain = d;
-        dctx.slots = domain_slots[d];
-        platform.domain(d).set_opp(governor.decide(dctx, last[d].obs));
-      }
-
-      platform.run_epoch_into(board, row, governor.epoch_overhead(), period,
-                              block.mem_fraction);
-      const common::Watt reading =
-          sensor.integrate(board.avg_power, board.window, noise[b]);
-
-      // The OPP reported for the epoch is the bottleneck domain's.
-      const hw::Cluster& slowest = platform.domain(board.bottleneck);
-      rec.epoch = i;
-      rec.period = period;
-      rec.opp_index = slowest.current_opp_index();
-      rec.frequency = slowest.current_opp().frequency;
-      rec.demand = demand;
-      rec.executed = board.executed;
-      rec.frame_time = board.frame_time;
-      rec.window = board.window;
-      rec.energy = board.energy;
-      rec.sensor_power = reading;
-      rec.temperature = board.temperature;
-      rec.slack = period > 0.0 ? (period - board.frame_time) / period : 0.0;
-      rec.deadline_met = board.frame_time <= period;
-
-      // Per-domain feedback: each domain's next decision sees its own frame
-      // time, cycles and deadline outcome, with the board reading attributed
-      // by energy share (every domain shares one sensor).
-      for (std::size_t d = 0; d < domains; ++d) {
-        const hw::EpochScratch& sc = board.domains[d];
-        if (!last[d].obs) last[d].obs.emplace();
-        gov::EpochObservation& obs = *last[d].obs;
-        obs.epoch = i;
-        obs.period = period;
-        obs.frame_time = sc.frame_time;
-        obs.window = sc.window;
-        obs.total_cycles = sc.executed;
-        obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
-        obs.opp_index = platform.domain(d).current_opp_index();
-        obs.avg_power = board.energy > 0.0
-                            ? reading * (sc.energy / board.energy)
-                            : reading / static_cast<double>(domains);
-        obs.temperature = sc.temperature;
-        obs.deadline_met = sc.deadline_met;
-      }
-
-      emitter.emit(rec, governor);
-    }
-    prefetch.release(k);
-  }
+        for (std::size_t d = 0; d < domains; ++d) {
+          const hw::EpochScratch& sc = board.domains[d];
+          if (!units[d].last) units[d].last.emplace();
+          gov::EpochObservation& obs = *units[d].last;
+          obs.epoch = i;
+          obs.period = period;
+          obs.frame_time = sc.frame_time;
+          obs.window = sc.window;
+          obs.total_cycles = sc.executed;
+          obs.core_cycles.bind(sc.core_cycles.data(), sc.core_cycles.size());
+          obs.opp_index = platform.domain(d).current_opp_index();
+          obs.avg_power = board.energy > 0.0
+                              ? reading * (sc.energy / board.energy)
+                              : reading / static_cast<double>(domains);
+          obs.temperature = sc.temperature;
+          obs.deadline_met = sc.deadline_met;
+        }
+        emitter.emit(rec, governor);
+      });
   emitter.finish(sensor.measured_energy());
   return result;
 }

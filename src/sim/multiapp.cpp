@@ -1,10 +1,13 @@
 #include "sim/multiapp.hpp"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 
+#include "sim/block_prefetch.hpp"
+#include "sim/frame_loop.hpp"
 #include "sim/telemetry.hpp"
 
 namespace prime::sim {
@@ -20,20 +23,45 @@ void validate(const hw::Platform& platform,
     throw std::invalid_argument(
         "run_multi_simulation: one governor per application required");
   }
-  std::set<std::size_t> used;
+  // Each core's placement, and each application's: one Application is one
+  // replay cursor, which two placements would rewind against each other.
   const std::size_t cores = platform.total_cores();
-  for (const auto& p : placements) {
-    if (p.app == nullptr || p.cores.empty()) {
-      throw std::invalid_argument("run_multi_simulation: empty placement");
+  const std::size_t none = placements.size();
+  std::vector<std::size_t> core_owner(cores, none);
+  std::map<const wl::Application*, std::size_t> app_owner;
+  auto app_name = [&](std::size_t i) {
+    return "application '" + placements[i].app->name() + "' (placement " +
+           std::to_string(i) + ")";
+  };
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    const AppPlacement& p = placements[i];
+    if (p.app == nullptr) {
+      throw std::invalid_argument("run_multi_simulation: placement " +
+                                  std::to_string(i) + " has no application");
+    }
+    if (const auto [it, fresh] = app_owner.emplace(p.app, i); !fresh) {
+      throw std::invalid_argument(
+          "run_multi_simulation: " + app_name(i) + " is the same object as " +
+          app_name(it->second) + "; give each placement its own Application");
+    }
+    if (p.cores.empty()) {
+      throw std::invalid_argument("run_multi_simulation: " + app_name(i) +
+                                  " is placed on no core");
     }
     for (const std::size_t c : p.cores) {
       if (c >= cores) {
-        throw std::invalid_argument("run_multi_simulation: core out of range");
-      }
-      if (!used.insert(c).second) {
         throw std::invalid_argument(
-            "run_multi_simulation: core assigned twice");
+            "run_multi_simulation: " + app_name(i) + " is placed on core " +
+            std::to_string(c) + ", out of range on a board of " +
+            std::to_string(cores) + " cores");
       }
+      if (core_owner[c] != none) {
+        throw std::invalid_argument(
+            "run_multi_simulation: core " + std::to_string(c) + " of " +
+            std::to_string(cores) + " is assigned twice, to " +
+            app_name(core_owner[c]) + " and to " + app_name(i));
+      }
+      core_owner[c] = i;
     }
   }
   // The shared decision cadence requires equal rates over the *whole* run,
@@ -85,7 +113,6 @@ MultiAppResult run_multi_simulation(
   platform.reset();
   for (const auto& g : governors) g->reset();
 
-  const hw::OppTable& opps = platform.opp_table();
   const std::size_t n_apps = placements.size();
 
   // Run to the shortest bounded trace (or max_frames if tighter). Streaming
@@ -127,160 +154,125 @@ MultiAppResult run_multi_simulation(
                           ctx);
   }
 
-  std::vector<std::optional<gov::EpochObservation>> last(n_apps);
-
-  const std::size_t domains = platform.domain_count();
   // The placements' global core indices become one slot map (app order,
-  // then core order): app a's work sits at slots [offset[a], offset[a] +
-  // cores), which app_slots lists for its decisions, and its home domain
-  // hosts its first core. Requests arbitrate per V-F domain: the max among
-  // the apps occupying it (app_in_domain); domains hosting no app keep their
-  // OPP.
-  std::vector<std::size_t> offset(n_apps);
+  // then core order): app a's work sits at slots [offset, offset + cores),
+  // the slots of its decision unit, and its home domain hosts its first
+  // core.
   std::vector<std::size_t> slot_domain;
   std::vector<std::size_t> slot_local;
-  std::vector<std::vector<char>> app_in_domain(n_apps);
-  std::vector<std::vector<std::size_t>> app_slots(n_apps);
-  for (std::size_t a = 0; a < n_apps; ++a) {
-    offset[a] = slot_domain.size();
-    app_in_domain[a].assign(domains, 0);
-    for (const std::size_t c : placements[a].cores) {
-      app_slots[a].push_back(slot_domain.size());
+  for (const auto& p : placements) {
+    for (const std::size_t c : p.cores) {
       slot_domain.push_back(platform.domain_of_core(c));
       slot_local.push_back(platform.local_of_core(c));
-      app_in_domain[a][slot_domain.back()] = 1;
     }
+  }
+  std::vector<std::size_t> slot_index(slot_domain.size());
+  std::iota(slot_index.begin(), slot_index.end(), std::size_t{0});
+  std::vector<DecisionUnit> units(n_apps);
+  std::vector<gov::Governor*> governor_order(n_apps);
+  std::vector<BlockPrefetcher::Source> sources(n_apps);
+  for (std::size_t a = 0, offset = 0; a < n_apps; ++a) {
+    const std::size_t n = placements[a].cores.size();
+    units[a].governor = governor_order[a] = governors[a].get();
+    units[a].slots = std::span<const std::size_t>(slot_index).subspan(offset, n);
+    units[a].home = slot_domain[offset];
+    units[a].cores = n;
+    sources[a] = {placements[a].app, n};
+    offset += n;
   }
   // The board's work row and executed cycles, one entry per slot; each app's
   // observation views its own stretch of slot_cycles.
   std::vector<common::Cycles> row(slot_domain.size(), 0);
   std::vector<common::Cycles> slot_cycles(slot_domain.size(), 0);
-  std::vector<common::Cycles> demand(n_apps, 0);
   hw::BoardEpoch board =
       platform.make_epoch(std::move(slot_domain), std::move(slot_local));
-  std::vector<std::size_t> requests(n_apps, 0);
-  std::vector<std::size_t> applied(domains, 0);
+  BlockPrefetcher prefetch(std::move(sources), 0, frames, kBlockFrames,
+                           prefetch_pays_off(frames), &platform.power_sensor());
+  EpochRecord rec;
 
-  for (std::size_t i = 0; i < frames; ++i) {
-    // --- Every app's work row at its offset; the frame's memory fraction is
-    // the apps' demand-weighted mean. Nothing here depends on a decision, so
-    // the decisions below see the frame they are for.
-    double mem_weighted = 0.0;
-    double demand_total = 0.0;
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      const std::size_t n = placements[a].cores.size();
-      common::Cycles* app_row = row.data() + offset[a];
-      placements[a].app->core_work_into(i, n, app_row);
-      demand[a] = std::accumulate(app_row, app_row + n, common::Cycles{0});
-      const double d = static_cast<double>(demand[a]);
-      mem_weighted += placements[a].app->mem_fraction() * d;
-      demand_total += d;
-    }
-    const double mem_fraction =
-        demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
-
-    // --- Per-app decisions, arbitrated per domain.
-    common::Seconds ovh_total = 0.0;
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      gov::DecisionContext ctx;
-      ctx.epoch = i;
-      ctx.period = placements[a].app->deadline_at(i);
-      ctx.cores = placements[a].cores.size();
-      ctx.opps = &opps;
-      ctx.domain = board.slot_domain[offset[a]];
-      ctx.domains = domains;
-      ctx.work = row.data();
-      ctx.slots = app_slots[a];
-      ctx.mem_fraction = mem_fraction;
-      requests[a] = governors[a]->decide(ctx, last[a]);
-      ovh_total += governors[a]->epoch_overhead();
-    }
-    for (std::size_t d = 0; d < domains; ++d) {
-      bool any = false;
-      std::size_t req = 0;
-      for (std::size_t a = 0; a < n_apps; ++a) {
-        if (!app_in_domain[a][d]) continue;
-        req = any ? std::max(req, requests[a]) : requests[a];
-        any = true;
-      }
-      if (any) platform.domain(d).set_opp(req);
-      applied[d] = platform.domain(d).current_opp_index();
-    }
-
-    // --- The board-epoch kernel; every governor's processing runs on the
-    // first app's first core.
-    const common::Seconds period = placements.front().app->deadline_at(i);
-    platform.run_epoch_into(board, row.data(), ovh_total, period,
-                            mem_fraction);
-    const common::Watt reading =
-        platform.power_sensor().integrate(board.avg_power, board.window);
-    result.total_energy += board.energy;
-    result.total_time += board.window;
-
-    // --- Per-app accounting and observations.
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      const auto& p = placements[a];
-      common::Seconds app_frame_time = 0.0;
-      common::Cycles app_cycles = 0;
-      for (std::size_t s = offset[a]; s < offset[a] + p.cores.size(); ++s) {
-        const hw::EpochScratch& sc = board.domains[board.slot_domain[s]];
-        const std::size_t l = board.slot_local[s];
-        // Each core's completion includes its own domain's DVFS stall.
-        app_frame_time =
-            std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
-        app_cycles += sc.core_cycles[l];
-        slot_cycles[s] = sc.core_cycles[l];
-      }
-      const common::Seconds app_period = p.app->deadline_at(i);
-      const bool met = app_frame_time <= app_period;
-      const double share =
-          board.executed == 0 ? 0.0
-                              : static_cast<double>(app_cycles) /
-                                    static_cast<double>(board.executed);
-      const std::size_t home = board.slot_domain[offset[a]];
-
-      EpochRecord rec;
-      rec.epoch = i;
-      rec.period = app_period;
-      rec.opp_index = applied[home];
-      rec.frequency = platform.domain(home).current_opp().frequency;
-      rec.demand = demand[a];
-      rec.executed = app_cycles;
-      rec.frame_time = app_frame_time;
-      rec.window = board.window;
-      rec.energy = board.energy * share;
-      rec.sensor_power = reading * share;
-      rec.temperature = board.temperature;
-      rec.slack = app_period > 0.0
-                      ? (app_period - app_frame_time) / app_period
-                      : 0.0;
-      rec.deadline_met = met;
-
-      // Overridden when any domain the app occupies ran faster than its
-      // own request (it was dragged faster by a co-runner there).
-      for (std::size_t d = 0; d < domains; ++d) {
-        if (app_in_domain[a][d] && requests[a] < applied[d]) {
-          ++result.overridden_epochs[a];
-          break;
+  // Every app's row sits at its offset, and the frame's memory fraction is
+  // the apps' demand-weighted mean. Each app records its own cores' frame
+  // time and cycles, with the board's energy and reading attributed by
+  // cycle share, and its next decision observes exactly that.
+  run_frame_loop(
+      platform, board, prefetch, units, governor_order,
+      [&](std::span<wl::FrameBlock> blocks, std::size_t b) {
+        double mem_weighted = 0.0;
+        double demand_total = 0.0;
+        for (std::size_t a = 0; a < n_apps; ++a) {
+          const wl::FrameBlock& block = blocks[a];
+          std::copy_n(block.row(b), block.cores,
+                      row.data() + units[a].slots.front());
+          const double d = static_cast<double>(block.demand[b]);
+          mem_weighted += block.mem_fraction * d;
+          demand_total += d;
         }
-      }
+        return FrameRow{row.data(), demand_total > 0.0
+                                        ? mem_weighted / demand_total
+                                        : 0.0};
+      },
+      [&](std::span<wl::FrameBlock> blocks, std::size_t b, std::size_t i,
+          common::Seconds period, common::Watt reading) {
+        result.total_energy += board.energy;
+        result.total_time += board.window;
+        for (std::size_t a = 0; a < n_apps; ++a) {
+          DecisionUnit& unit = units[a];
+          common::Seconds app_frame_time = 0.0;
+          common::Cycles app_cycles = 0;
+          // Overridden when any domain the app occupies ran faster than its
+          // own request (it was dragged faster by a co-runner there).
+          bool overridden = false;
+          for (const std::size_t s : unit.slots) {
+            const std::size_t d = board.slot_domain[s];
+            const hw::EpochScratch& sc = board.domains[d];
+            const std::size_t l = board.slot_local[s];
+            // Each core's completion includes its own domain's DVFS stall.
+            app_frame_time =
+                std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
+            app_cycles += sc.core_cycles[l];
+            slot_cycles[s] = sc.core_cycles[l];
+            overridden = overridden ||
+                         unit.request < platform.domain(d).current_opp_index();
+          }
+          if (overridden) ++result.overridden_epochs[a];
+          const bool met = app_frame_time <= period;
+          const double share =
+              board.executed == 0 ? 0.0
+                                  : static_cast<double>(app_cycles) /
+                                        static_cast<double>(board.executed);
+          const hw::Cluster& home = platform.domain(unit.home);
 
-      if (!last[a]) last[a].emplace();
-      gov::EpochObservation& obs = *last[a];
-      obs.epoch = i;
-      obs.period = app_period;
-      obs.frame_time = app_frame_time;
-      obs.window = board.window;
-      obs.total_cycles = app_cycles;
-      obs.core_cycles.bind(slot_cycles.data() + offset[a], p.cores.size());
-      obs.opp_index = rec.opp_index;
-      obs.avg_power = rec.sensor_power;
-      obs.temperature = board.temperature;
-      obs.deadline_met = met;
+          rec.epoch = i;
+          rec.period = period;
+          rec.opp_index = home.current_opp_index();
+          rec.frequency = home.current_opp().frequency;
+          rec.demand = blocks[a].demand[b];
+          rec.executed = app_cycles;
+          rec.frame_time = app_frame_time;
+          rec.window = board.window;
+          rec.energy = board.energy * share;
+          rec.sensor_power = reading * share;
+          rec.temperature = board.temperature;
+          rec.slack = period > 0.0 ? (period - app_frame_time) / period : 0.0;
+          rec.deadline_met = met;
 
-      emitters[a].emit(rec, *governors[a]);
-    }
-  }
+          if (!unit.last) unit.last.emplace();
+          gov::EpochObservation& obs = *unit.last;
+          obs.epoch = i;
+          obs.period = period;
+          obs.frame_time = app_frame_time;
+          obs.window = board.window;
+          obs.total_cycles = app_cycles;
+          obs.core_cycles.bind(slot_cycles.data() + unit.slots.front(),
+                               unit.slots.size());
+          obs.opp_index = rec.opp_index;
+          obs.avg_power = rec.sensor_power;
+          obs.temperature = board.temperature;
+          obs.deadline_met = met;
+
+          emitters[a].emit(rec, *governors[a]);
+        }
+      });
   for (std::size_t a = 0; a < n_apps; ++a) {
     // Per-app share of sensor energy.
     emitters[a].finish(result.per_app[a].total_energy);

@@ -6,10 +6,13 @@
 /// of the board. Each application keeps its own governor (its own Q-table,
 /// predictor and slack monitor); the per-application OPP requests are
 /// arbitrated per V-F domain by taking the fastest — the only choice that
-/// can satisfy every deadline. The epoch itself (T_OVH, slot map, execute,
-/// combine) is the board-epoch kernel that hw/platform.hpp owns, the same one
-/// the single-app engine runs on every board; this module keeps the
-/// arbitration, the overridden-epoch count and the per-app attribution.
+/// can satisfy every deadline. The epoch loop itself (block prefetch,
+/// decisions, arbitration, the board-epoch kernel, the sensor) is the one
+/// sim/frame_loop.hpp runs for the single-app engine too, with one decision
+/// unit per application. This module owns what is particular to it: input
+/// validation, the arbitration inputs (each app's slots, home domain and
+/// governor), the demand-weighted memory fraction, the overridden-epoch
+/// count and the per-app attribution of time, cycles and energy.
 ///
 /// Restrictions of this first formulation: all applications share the
 /// decision-epoch cadence (equal fps), and energy is attributed to
@@ -61,8 +64,10 @@ struct MultiAppOptions {
 
 /// \brief Run several applications concurrently, one governor per app.
 ///
-/// Requirements (checked, std::invalid_argument on violation): at least one
-/// placement; one governor per placement; core sets disjoint and within the
+/// Requirements (checked, std::invalid_argument on violation, naming the
+/// application, placement and core): at least one placement; one governor
+/// per placement; each placement its own Application object (one replay
+/// cursor each) on at least one core; core sets disjoint and within the
 /// platform; all applications demand the same frame rate over their *entire*
 /// requirement schedules — a mid-run add_requirement_change that forks the
 /// rates is rejected up front, not discovered at the divergent frame.
@@ -72,6 +77,12 @@ struct MultiAppOptions {
 /// OPP table), and domains hosting no application keep their current OPP.
 /// An epoch counts as overridden for an app when a domain it occupies ran
 /// faster than the app's own request.
+///
+/// Like run_simulation, a run of kMinPrefetchFrames or more fills its frame
+/// blocks ahead on a helper thread when the host has two or more hardware
+/// threads (sim/block_prefetch.hpp): no other thread may use the placed
+/// Applications until the run returns. Whether the helper engages never
+/// changes a result bit.
 [[nodiscard]] MultiAppResult run_multi_simulation(
     hw::Platform& platform, const std::vector<AppPlacement>& placements,
     const std::vector<std::unique_ptr<gov::Governor>>& governors,

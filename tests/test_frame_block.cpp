@@ -501,16 +501,16 @@ TEST(BlockPrefetch, HelperServesTheSameBlocksAsTheEngineThread) {
                                         << block_frames);
       const wl::Application engine_app(app);
       const wl::Application helper_app(app);
-      BlockPrefetcher engine(engine_app, start, kLongRun, block_frames, kCores,
-                             false);
-      BlockPrefetcher helper(helper_app, start, kLongRun, block_frames, kCores,
-                             true);
+      BlockPrefetcher engine({{&engine_app, kCores}}, start, kLongRun,
+                             block_frames, false);
+      BlockPrefetcher helper({{&helper_app, kCores}}, start, kLongRun,
+                             block_frames, true);
       EXPECT_FALSE(engine.threaded());
       EXPECT_EQ(helper.threaded(), helper_can_engage());
       ASSERT_EQ(helper.blocks(), engine.blocks());
       for (std::size_t k = 0; k < engine.blocks(); ++k) {
-        const wl::FrameBlock& want = engine.acquire(k);
-        const wl::FrameBlock& got = helper.acquire(k);
+        const wl::FrameBlock& want = engine.acquire(k)[0];
+        const wl::FrameBlock& got = helper.acquire(k)[0];
         ASSERT_EQ(got.start, want.start) << "block " << k;
         ASSERT_EQ(got.count, want.count) << "block " << k;
         EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mem_fraction),
@@ -542,7 +542,7 @@ TEST(BlockPrefetch, ExhaustedSourceThrowsAtTheSameBlockWithAndWithoutHelper) {
   };
   const auto drain = [&](bool threaded) {
     const wl::Application run_app(app);
-    BlockPrefetcher prefetch(run_app, 0, 5000, 64, 4, threaded);
+    BlockPrefetcher prefetch({{&run_app, 4}}, 0, 5000, 64, threaded);
     Outcome out;
     for (; out.block < prefetch.blocks(); ++out.block) {
       try {

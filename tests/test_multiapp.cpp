@@ -2,6 +2,9 @@
 /// \brief Tests for concurrent multi-application execution (future work).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "common/config.hpp"
 #include "sim/block_prefetch.hpp"
 #include "sim/experiment.hpp"
@@ -104,11 +107,14 @@ TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
 }
 
 // The same pair for 1200 frames: long enough for the prefetch helper
-// (kMinPrefetchFrames), which the 200-frame pins above never reach.
+// (kMinPrefetchFrames), which the 200-frame pins above never reach. The
+// two runs go through it wherever the host has a second hardware thread;
+// their digests are the same either way.
 TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
   constexpr std::size_t kLongFrames = 1200;
   static_assert(kLongFrames >= kMinPrefetchFrames);
   std::vector<PinnedBoard> boards = pinned_boards();
+  const std::size_t before = BlockPrefetcher::threaded_runs();
   EXPECT_EQ(pinned_run_digests(*boards[0].platform, boards[0].cores_a,
                                boards[0].cores_b, kLongFrames),
             (std::vector<std::uint64_t>{0xc7313c6dab015522ULL,
@@ -117,6 +123,8 @@ TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
                                boards[1].cores_b, kLongFrames),
             (std::vector<std::uint64_t>{0xd9ebbd7a47820564ULL,
                                         0x34057be21017c7ceULL}));
+  EXPECT_EQ(BlockPrefetcher::threaded_runs() - before,
+            std::thread::hardware_concurrency() >= 2 ? 2u : 0u);
 }
 
 // EpochRecord::demand is the application's demand, excluding overhead, as
@@ -194,6 +202,21 @@ TEST(MultiApp, RequestsAboveTheTableAreNotOverridden) {
   }
 }
 
+/// Expect run_multi_simulation to reject \p placements with a
+/// std::invalid_argument whose message contains \p want.
+void expect_rejected(hw::Platform& platform,
+                     const std::vector<AppPlacement>& placements,
+                     const std::vector<std::unique_ptr<gov::Governor>>& governors,
+                     const std::string& want) {
+  try {
+    (void)run_multi_simulation(platform, placements, governors);
+    ADD_FAILURE() << "accepted; expected an error containing: " << want;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(MultiApp, ValidatesInputs) {
   auto platform = hw::Platform::odroid_xu3_a15();
   const wl::Application a = make_app("mpeg4", 25.0, 50, 1, *platform);
@@ -203,21 +226,26 @@ TEST(MultiApp, ValidatesInputs) {
   governors.push_back(make_governor("rtm"));
 
   // No placements.
-  EXPECT_THROW(run_multi_simulation(*platform, {}, governors),
-               std::invalid_argument);
+  expect_rejected(*platform, {}, governors, "no applications");
   // Governor count mismatch.
-  std::vector<AppPlacement> two = {{&a, {0, 1}}, {&b, {2, 3}}};
-  EXPECT_THROW(run_multi_simulation(*platform, two, governors),
-               std::invalid_argument);
+  expect_rejected(*platform, {{&a, {0, 1}}, {&b, {2, 3}}}, governors,
+                  "one governor per application");
   governors.push_back(make_governor("rtm"));
+  // Empty placement.
+  expect_rejected(*platform, {{&a, {0, 1}}, {&b, {}}}, governors,
+                  "application 'fft' (placement 1) is placed on no core");
   // Overlapping cores.
-  std::vector<AppPlacement> overlap = {{&a, {0, 1}}, {&b, {1, 2}}};
-  EXPECT_THROW(run_multi_simulation(*platform, overlap, governors),
-               std::invalid_argument);
+  expect_rejected(*platform, {{&a, {0, 1}}, {&b, {1, 2}}}, governors,
+                  "core 1 of 4 is assigned twice, to application 'mpeg4' "
+                  "(placement 0) and to application 'fft' (placement 1)");
   // Core out of range.
-  std::vector<AppPlacement> oob = {{&a, {0, 1}}, {&b, {2, 9}}};
-  EXPECT_THROW(run_multi_simulation(*platform, oob, governors),
-               std::invalid_argument);
+  expect_rejected(*platform, {{&a, {0, 1}}, {&b, {2, 9}}}, governors,
+                  "application 'fft' (placement 1) is placed on core 9, out "
+                  "of range on a board of 4 cores");
+  // One Application in two placements: both would drive one replay cursor.
+  expect_rejected(*platform, {{&a, {0, 1}}, {&a, {2, 3}}}, governors,
+                  "application 'mpeg4' (placement 1) is the same object as "
+                  "application 'mpeg4' (placement 0)");
 }
 
 TEST(MultiApp, MismatchedRatesRejected) {

@@ -113,7 +113,7 @@ void integrate_in_lockstep(PowerSensor& plain, PowerSensor& drawn,
 }
 
 TEST(PowerSensor, PreDrawnNoiseMatchesIntegrateInLockstep) {
-  // The engine's batched loops draw the noise stream ahead on a copy of the
+  // The epoch loop draws the noise stream ahead on a copy of the
   // sensor's generator. Readings, energy and save_state bytes must equal
   // plain integrate()'s after odd counts (a Box–Muller half still cached)
   // and even ones.
