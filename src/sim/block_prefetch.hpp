@@ -1,16 +1,14 @@
 /// \file block_prefetch.hpp
 /// \brief The frame-block prefetcher of the one epoch loop
-///        (sim/frame_loop.hpp): serves a run's frames as consecutive
-///        wl::FrameBlocks, one per application, with each frame's
-///        power-sensor noise term, optionally generated ahead on a helper
-///        thread.
+///        (sim/frame_loop.hpp), for run_simulation and run_multi_simulation:
+///        serves a run's frames as consecutive wl::FrameBlocks, one per
+///        application, with each frame's power-sensor noise term,
+///        optionally generated ahead on a helper thread.
 ///
 /// Frame generation and the sensor's noise stream are seed-deterministic and
 /// independent of any governor decision, so they can run ahead of the epoch
-/// loop on a spare core without changing a bit. Internal to the simulator:
-/// run_simulation (sim/engine.cpp) serves one application through it and
-/// run_multi_simulation (sim/multiapp.cpp) every placement's; declared here
-/// so tests can drive it directly.
+/// loop on a spare core without changing a bit. Declared here so tests can
+/// drive it directly.
 #pragma once
 
 #include <condition_variable>
@@ -34,8 +32,7 @@ namespace prime::sim {
 /// 1000 frames already saves 8-14%, 2000 frames 16-19%.
 inline constexpr std::size_t kMinPrefetchFrames = 1000;
 
-/// Frames per block where the caller has no block size of its own
-/// (run_multi_simulation); RunOptions::block_frames defaults to the same.
+/// run_multi_simulation's block size, RunOptions::block_frames' default.
 inline constexpr std::size_t kBlockFrames = 64;
 
 /// True when a run of \p frames should prefetch on a helper thread: it is
@@ -43,10 +40,9 @@ inline constexpr std::size_t kBlockFrames = 64;
 /// threads.
 [[nodiscard]] bool prefetch_pays_off(std::size_t frames);
 
-/// \brief Serves frames [start, frames) of one or more applications as
-///        consecutive blocks of `block_frames` rows, strictly in order:
-///        acquire(k) -> epochs -> release(k). Block k holds one FrameBlock
-///        per source, each split over that source's cores.
+/// \brief Serves frames [start, frames) as consecutive blocks of
+///        `block_frames` rows, one FrameBlock per source, strictly in order:
+///        acquire(k) -> epochs -> release(k).
 ///
 /// Block 0 is always filled on the calling (engine) thread, so any stream
 /// rewind or skip_to and every allocation happens there. When `threaded`
@@ -73,10 +69,9 @@ inline constexpr std::size_t kBlockFrames = 64;
 /// joins the helper.
 class BlockPrefetcher {
  public:
-  /// An application and the cores its frames are split over.
   struct Source {
     const wl::Application* app;
-    std::size_t cores;
+    std::size_t cores;  ///< Each frame's split.
   };
 
   BlockPrefetcher(std::vector<Source> sources, std::size_t start,

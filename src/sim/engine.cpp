@@ -186,22 +186,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     }
   }
 
-  std::size_t frames;
-  if (app.streaming()) {
-    // An unbounded source has no trace length to fall back on: max_frames is
-    // the sole run-length authority, and 0 would mean "run forever".
-    if (options.max_frames == 0) {
-      throw std::invalid_argument(
-          "run_simulation: application '" + app.name() +
-          "' streams an unbounded frame source; set RunOptions::max_frames "
-          "to the intended run length");
-    }
-    frames = options.max_frames;
-  } else {
-    frames = options.max_frames == 0
-                 ? app.frame_count()
-                 : std::min(options.max_frames, app.frame_count());
-  }
+  const wl::Application* const apps[] = {&app};
+  const std::size_t frames = run_length(
+      apps, options.max_frames, "run_simulation", "RunOptions::max_frames");
 
   std::size_t start = 0;
   RunResult result;
@@ -236,7 +223,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     units[d].governor = &governor;
     units[d].slots = domain_slots[d];
     units[d].home = d;
-    units[d].cores = platform.domain(d).core_count();
   }
   if (resume && resume->has_last) units[0].last = resume->last;
 
@@ -288,14 +274,13 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       std::max<std::size_t>(1, options.block_frames),
       options.block_frames != 0 && prefetch_pays_off(frames - start), &sensor);
   EpochRecord rec;
-  gov::Governor* const governors[] = {&governor};
 
   // The board runs the application's own row and memory fraction; it
   // records one EpochRecord, and each domain's next decision sees its own
   // frame time, cycles and deadline outcome, with the board reading
   // attributed by energy share (every domain shares one sensor).
   run_frame_loop(
-      platform, board, prefetch, units, governors,
+      platform, board, prefetch, units,
       [](std::span<wl::FrameBlock> blocks, std::size_t b) {
         return FrameRow{blocks[0].row(b), blocks[0].mem_fraction};
       },

@@ -1,56 +1,73 @@
 /// \file frame_loop.hpp
-/// \brief The one decision-epoch loop behind run_simulation (sim/engine.cpp)
-///        and run_multi_simulation (sim/multiapp.cpp).
-///
-/// Per frame: every decision unit's governor decides the V-F point for the
-/// frame it is about to run, each domain runs at the fastest request among
-/// the units on it, the board-epoch kernel (hw::Platform::run_epoch_into)
-/// executes the frame with every governor's T_OVH, and the power sensor
-/// integrates the epoch with its pre-drawn noise term. Frames arrive from a
-/// BlockPrefetcher, one wl::FrameBlock per application.
-///
-/// The two callers differ only in two steps they pass in: the frame step
-/// (which row the kernel runs, at which memory fraction) and the record step
-/// (the observations the units see next, what is emitted). Both are inlined
-/// template arguments, not std::function: the loop runs once per frame.
-/// Internal to the simulator.
+/// \brief The one decision-epoch loop of run_simulation (sim/engine.cpp)
+///        and run_multi_simulation (sim/multiapp.cpp). Per frame: every
+///        decision unit decides, each domain runs at the fastest request on
+///        it, the board-epoch kernel (hw::Platform::run_epoch_into) runs the
+///        frame with every governor's T_OVH, and the sensor integrates it
+///        with its pre-drawn noise term. The callers differ only in the
+///        frame and record steps they pass as (inlined) lambdas.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
 #include "gov/governor.hpp"
 #include "hw/platform.hpp"
 #include "sim/block_prefetch.hpp"
+#include "wl/application.hpp"
 #include "wl/frame_block.hpp"
 
 namespace prime::sim {
 
-/// \brief One decider of the loop: a governor, the work slots it decides
-///        for, its home domain and the observation its next decision sees.
-///        run_simulation has one unit per domain, all sharing the run's
-///        governor; run_multi_simulation has one per application.
+/// \brief One decider: a governor, the work slots it decides for, its home
+///        domain and the observation its next decision sees. run_simulation
+///        has one unit per domain, all sharing its governor;
+///        run_multi_simulation has one per application.
 ///
-/// On cache lines of its own: the loop rewrites `last` every epoch. As a
-/// plain vector element the pending observation read about 8% below a
-/// stack-resident one in 1x4 stream frames/s, and the alignment brought that
-/// to about 3% (pinned 2 s rounds); false sharing with heap data the
-/// prefetch helper writes would explain it, but is unverified.
+/// On cache lines of its own, as `last` is rewritten every epoch: a plain
+/// vector element read about 8% below a stack-resident observation in 1x4
+/// stream frames/s, aligned about 3% (pinned 2 s rounds).
 struct alignas(64) DecisionUnit {
   gov::Governor* governor = nullptr;
-  std::span<const std::size_t> slots;  ///< DecisionContext::slots.
-  std::size_t home = 0;                ///< DecisionContext::domain.
-  std::size_t cores = 0;               ///< DecisionContext::cores.
-  std::size_t request = 0;             ///< Its decision for this epoch.
+  /// DecisionContext::slots; their count is DecisionContext::cores.
+  std::span<const std::size_t> slots;
+  std::size_t home = 0;     ///< DecisionContext::domain.
+  std::size_t request = 0;  ///< Its decision for this epoch.
   std::optional<gov::EpochObservation> last;  ///< What it decides from.
 };
 
-/// \brief The frame a board epoch runs: one work entry per slot and the
-///        memory fraction the kernel runs it at.
+/// \brief A run's length: the shortest bounded trace among \p apps, capped
+///        at \p max_frames (0 = no cap). Streaming applications impose no
+///        length, so when all of them stream max_frames is the sole
+///        authority and 0 throws std::invalid_argument, naming \p who and
+///        the \p field to set.
+inline std::size_t run_length(std::span<const wl::Application* const> apps,
+                              std::size_t max_frames, const std::string& who,
+                              const std::string& field) {
+  std::size_t frames = max_frames;
+  bool bounded = false;
+  for (const wl::Application* app : apps) {
+    if (app->streaming()) continue;
+    bounded = true;
+    frames = frames == 0 ? app->frame_count()
+                         : std::min(frames, app->frame_count());
+  }
+  if (!bounded && max_frames == 0) {
+    throw std::invalid_argument(
+        who + ": application '" + apps.back()->name() +
+        "' streams an unbounded frame source and no application bounds the "
+        "run; set " + field + " to the intended run length");
+  }
+  return frames;
+}
+
+/// \brief The frame's work row (one entry per slot) and memory fraction.
 struct FrameRow {
   common::Cycles* row;
   double mem_fraction;
@@ -58,33 +75,32 @@ struct FrameRow {
 
 /// \brief Run every block of \p prefetch through \p board.
 ///
-/// A unit is on its home domain and on the domain of each of its slots; a
-/// domain runs at the largest request among the units on it and keeps its
-/// OPP when no unit is on it. T_OVH is the sum of \p governors' overheads,
-/// each governor once and in the order given. Per frame b of block `blocks`
-/// (one FrameBlock per application; every application shares the period of
-/// blocks[0]):
-///   - `frame_step(blocks, b)` returns the FrameRow, before any decision;
-///   - `record_step(blocks, b, epoch, period, reading)` runs after the
-///     sensor, with the board's result in \p board.
+/// A unit is on its home domain and on its slots' domains; a domain runs at
+/// the largest request among its units and keeps its OPP without one. T_OVH
+/// sums the units' governors' overheads, each governor once, in the order
+/// they first appear. For frame b of `blocks` (one FrameBlock per
+/// application, all at blocks[0]'s period), `frame_step(blocks, b)` returns
+/// the FrameRow before the decisions, and `record_step(blocks, b, epoch,
+/// period, reading)` runs after the sensor.
 template <typename FrameStep, typename RecordStep>
 void run_frame_loop(hw::Platform& platform, hw::BoardEpoch& board,
                     BlockPrefetcher& prefetch, std::span<DecisionUnit> units,
-                    std::span<gov::Governor* const> governors,
                     FrameStep&& frame_step, RecordStep&& record_step) {
   const std::size_t domains = platform.domain_count();
-  // The units on domain d are on_domain[first[d] .. first[d + 1]).
-  std::vector<std::size_t> first(domains + 1, 0);
-  std::vector<std::size_t> on_domain;
-  for (std::size_t d = 0; d < domains; ++d) {
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      bool on = units[u].home == d;
-      for (const std::size_t s : units[u].slots) {
-        on = on || board.slot_domain[s] == d;
+  std::vector<std::vector<std::size_t>> on(domains);  // Units per domain.
+  std::vector<gov::Governor*> governors;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    for (std::size_t d = 0; d < domains; ++d) {
+      if (units[u].home == d ||
+          std::ranges::any_of(units[u].slots, [&](std::size_t s) {
+            return board.slot_domain[s] == d;
+          })) {
+        on[d].push_back(u);
       }
-      if (on) on_domain.push_back(u);
     }
-    first[d + 1] = on_domain.size();
+    if (std::ranges::find(governors, units[u].governor) == governors.end()) {
+      governors.push_back(units[u].governor);
+    }
   }
 
   hw::PowerSensor& sensor = platform.power_sensor();
@@ -99,9 +115,8 @@ void run_frame_loop(hw::Platform& platform, hw::BoardEpoch& board,
       const common::Seconds period = blocks[0].periods[b];
       const FrameRow frame = frame_step(blocks, b);
 
-      // Each unit decides over the frame's row and its own slots (the
-      // engine's units share one governor, whose learning state interleaves
-      // the per-domain observation streams).
+      // Units sharing a governor interleave their observation streams in
+      // its learning state.
       dctx.epoch = i;
       dctx.period = period;
       dctx.work = frame.row;
@@ -109,14 +124,14 @@ void run_frame_loop(hw::Platform& platform, hw::BoardEpoch& board,
       for (DecisionUnit& unit : units) {
         dctx.domain = unit.home;
         dctx.slots = unit.slots;
-        dctx.cores = unit.cores;
+        dctx.cores = unit.slots.size();
         unit.request = unit.governor->decide(dctx, unit.last);
       }
       for (std::size_t d = 0; d < domains; ++d) {
-        if (first[d] == first[d + 1]) continue;
-        std::size_t request = units[on_domain[first[d]]].request;
-        for (std::size_t j = first[d] + 1; j < first[d + 1]; ++j) {
-          request = std::max(request, units[on_domain[j]].request);
+        if (on[d].empty()) continue;
+        std::size_t request = 0;
+        for (const std::size_t u : on[d]) {
+          request = std::max(request, units[u].request);
         }
         platform.domain(d).set_opp(request);
       }

@@ -1,9 +1,7 @@
 #include "sim/multiapp.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 
 #include "sim/block_prefetch.hpp"
@@ -23,72 +21,59 @@ void validate(const hw::Platform& platform,
     throw std::invalid_argument(
         "run_multi_simulation: one governor per application required");
   }
-  // Each core's placement, and each application's: one Application is one
-  // replay cursor, which two placements would rewind against each other.
+  // Each core's placement. One Application is one replay cursor, which two
+  // placements would rewind against each other on every block.
   const std::size_t cores = platform.total_cores();
-  const std::size_t none = placements.size();
-  std::vector<std::size_t> core_owner(cores, none);
-  std::map<const wl::Application*, std::size_t> app_owner;
-  auto app_name = [&](std::size_t i) {
+  std::vector<std::size_t> owner(cores, placements.size());
+  auto named = [&](std::size_t i) {
     return "application '" + placements[i].app->name() + "' (placement " +
            std::to_string(i) + ")";
   };
+  auto fail = [](const std::string& what) {
+    throw std::invalid_argument("run_multi_simulation: " + what);
+  };
+  const wl::Application* first = placements.front().app;
   for (std::size_t i = 0; i < placements.size(); ++i) {
     const AppPlacement& p = placements[i];
     if (p.app == nullptr) {
-      throw std::invalid_argument("run_multi_simulation: placement " +
-                                  std::to_string(i) + " has no application");
+      fail("placement " + std::to_string(i) + " has no application");
     }
-    if (const auto [it, fresh] = app_owner.emplace(p.app, i); !fresh) {
-      throw std::invalid_argument(
-          "run_multi_simulation: " + app_name(i) + " is the same object as " +
-          app_name(it->second) + "; give each placement its own Application");
+    for (std::size_t j = 0; j < i; ++j) {
+      if (placements[j].app == p.app) {
+        fail(named(i) + " is the same object as " + named(j) +
+             "; give each placement its own Application");
+      }
     }
-    if (p.cores.empty()) {
-      throw std::invalid_argument("run_multi_simulation: " + app_name(i) +
-                                  " is placed on no core");
-    }
+    if (p.cores.empty()) fail(named(i) + " is placed on no core");
     for (const std::size_t c : p.cores) {
       if (c >= cores) {
-        throw std::invalid_argument(
-            "run_multi_simulation: " + app_name(i) + " is placed on core " +
-            std::to_string(c) + ", out of range on a board of " +
-            std::to_string(cores) + " cores");
+        fail(named(i) + " is placed on core " + std::to_string(c) +
+             ", out of range on a board of " + std::to_string(cores) +
+             " cores");
       }
-      if (core_owner[c] != none) {
-        throw std::invalid_argument(
-            "run_multi_simulation: core " + std::to_string(c) + " of " +
-            std::to_string(cores) + " is assigned twice, to " +
-            app_name(core_owner[c]) + " and to " + app_name(i));
+      if (owner[c] != placements.size()) {
+        fail("core " + std::to_string(c) + " of " + std::to_string(cores) +
+             " is assigned twice, to " + named(owner[c]) + " and to " +
+             named(i));
       }
-      core_owner[c] = i;
+      owner[c] = i;
     }
-  }
-  // The shared decision cadence requires equal rates over the *whole* run,
-  // not just frame 0: add_requirement_change can fork the rates mid-run,
-  // which this formulation cannot express. Checking the full schedules up
-  // front fails loudly instead of silently mis-cadencing after the first
-  // divergent breakpoint. Schedules may differ in representation (redundant
-  // breakpoints), so compare the rate in force at every breakpoint any
-  // application declares rather than the breakpoint lists.
-  std::set<std::size_t> breakpoints;
-  for (const auto& p : placements) {
-    for (const auto& [frame, fps] : p.app->requirement_schedule()) {
-      (void)fps;
-      breakpoints.insert(frame);
-    }
-  }
-  const wl::Application& first = *placements.front().app;
-  for (const auto& p : placements) {
-    for (const std::size_t frame : breakpoints) {
-      const double want = first.requirement_at(frame).fps;
-      const double got = p.app->requirement_at(frame).fps;
-      if (got != want) {
-        throw std::invalid_argument(
-            "run_multi_simulation: applications must share the epoch rate "
-            "over the whole run — '" + p.app->name() + "' demands " +
-            std::to_string(got) + " fps from frame " + std::to_string(frame) +
-            " while '" + first.name() + "' demands " + std::to_string(want));
+    // The shared decision cadence requires equal rates over the *whole* run,
+    // not just frame 0: add_requirement_change can fork the rates mid-run.
+    // Rates are step functions of the frame, so two agree everywhere when
+    // they agree at each breakpoint of either (redundant breakpoints
+    // included).
+    for (const wl::Application* app : {first, p.app}) {
+      for (const auto& [frame, fps] : app->requirement_schedule()) {
+        (void)fps;
+        const double want = first->requirement_at(frame).fps;
+        const double got = p.app->requirement_at(frame).fps;
+        if (got != want) {
+          fail("applications must share the epoch rate over the whole run "
+               "— '" + p.app->name() + "' demands " + std::to_string(got) +
+               " fps from frame " + std::to_string(frame) + " while '" +
+               first->name() + "' demands " + std::to_string(want));
+        }
       }
     }
   }
@@ -115,22 +100,11 @@ MultiAppResult run_multi_simulation(
 
   const std::size_t n_apps = placements.size();
 
-  // Run to the shortest bounded trace (or max_frames if tighter). Streaming
-  // applications are unbounded and impose no length of their own; when every
-  // application streams, max_frames is the sole run-length authority.
-  std::size_t frames = options.max_frames;
-  bool any_bounded = false;
-  for (const auto& p : placements) {
-    if (p.app->streaming()) continue;
-    any_bounded = true;
-    frames = frames == 0 ? p.app->frame_count()
-                         : std::min(frames, p.app->frame_count());
-  }
-  if (!any_bounded && options.max_frames == 0) {
-    throw std::invalid_argument(
-        "run_multi_simulation: every application streams an unbounded frame "
-        "source; set MultiAppOptions::max_frames to the intended run length");
-  }
+  std::vector<const wl::Application*> apps;
+  for (const auto& p : placements) apps.push_back(p.app);
+  const std::size_t frames = run_length(apps, options.max_frames,
+                                        "run_multi_simulation",
+                                        "MultiAppOptions::max_frames");
 
   MultiAppResult result;
   result.per_app.resize(n_apps);
@@ -169,14 +143,12 @@ MultiAppResult run_multi_simulation(
   std::vector<std::size_t> slot_index(slot_domain.size());
   std::iota(slot_index.begin(), slot_index.end(), std::size_t{0});
   std::vector<DecisionUnit> units(n_apps);
-  std::vector<gov::Governor*> governor_order(n_apps);
   std::vector<BlockPrefetcher::Source> sources(n_apps);
   for (std::size_t a = 0, offset = 0; a < n_apps; ++a) {
     const std::size_t n = placements[a].cores.size();
-    units[a].governor = governor_order[a] = governors[a].get();
-    units[a].slots = std::span<const std::size_t>(slot_index).subspan(offset, n);
+    units[a].governor = governors[a].get();
+    units[a].slots = std::span(slot_index).subspan(offset, n);
     units[a].home = slot_domain[offset];
-    units[a].cores = n;
     sources[a] = {placements[a].app, n};
     offset += n;
   }
@@ -195,7 +167,7 @@ MultiAppResult run_multi_simulation(
   // time and cycles, with the board's energy and reading attributed by
   // cycle share, and its next decision observes exactly that.
   run_frame_loop(
-      platform, board, prefetch, units, governor_order,
+      platform, board, prefetch, units,
       [&](std::span<wl::FrameBlock> blocks, std::size_t b) {
         double mem_weighted = 0.0;
         double demand_total = 0.0;

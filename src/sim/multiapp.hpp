@@ -6,13 +6,10 @@
 /// of the board. Each application keeps its own governor (its own Q-table,
 /// predictor and slack monitor); the per-application OPP requests are
 /// arbitrated per V-F domain by taking the fastest — the only choice that
-/// can satisfy every deadline. The epoch loop itself (block prefetch,
-/// decisions, arbitration, the board-epoch kernel, the sensor) is the one
-/// sim/frame_loop.hpp runs for the single-app engine too, with one decision
-/// unit per application. This module owns what is particular to it: input
-/// validation, the arbitration inputs (each app's slots, home domain and
-/// governor), the demand-weighted memory fraction, the overridden-epoch
-/// count and the per-app attribution of time, cycles and energy.
+/// can satisfy every deadline. The epoch loop is the single-app engine's
+/// (sim/frame_loop.hpp), with one decision unit per application; this
+/// module owns validation, the arbitration inputs (each app's slots, home
+/// domain and governor) and the per-app attribution.
 ///
 /// Restrictions of this first formulation: all applications share the
 /// decision-epoch cadence (equal fps), and energy is attributed to
@@ -77,12 +74,8 @@ struct MultiAppOptions {
 /// OPP table), and domains hosting no application keep their current OPP.
 /// An epoch counts as overridden for an app when a domain it occupies ran
 /// faster than the app's own request.
-///
-/// Like run_simulation, a run of kMinPrefetchFrames or more fills its frame
-/// blocks ahead on a helper thread when the host has two or more hardware
-/// threads (sim/block_prefetch.hpp): no other thread may use the placed
-/// Applications until the run returns. Whether the helper engages never
-/// changes a result bit.
+/// As in run_simulation, a long run may prefetch frames on a helper thread:
+/// no other thread may use the placed Applications until it returns.
 [[nodiscard]] MultiAppResult run_multi_simulation(
     hw::Platform& platform, const std::vector<AppPlacement>& placements,
     const std::vector<std::unique_ptr<gov::Governor>>& governors,

@@ -126,16 +126,10 @@ PerformanceRequirement Application::requirement_at(std::size_t frame) const {
 std::vector<common::Cycles> Application::core_work(std::size_t frame,
                                                    std::size_t cores) const {
   std::vector<common::Cycles> work(cores, 0);
-  core_work_into(frame, cores, work.data());
-  return work;
-}
-
-void Application::core_work_into(std::size_t frame, std::size_t cores,
-                                 common::Cycles* out) const {
-  std::fill_n(out, cores, common::Cycles{0});
-  if (cores == 0 || (!streaming() && trace_.empty())) return;
+  if (cores == 0 || (!streaming() && trace_.empty())) return work;
   split_total_into(frame, static_cast<double>(demand_at(frame).cycles), cores,
-                   out);
+                   work.data());
+  return work;
 }
 
 void Application::split_total_into(std::size_t frame, double total,

@@ -91,12 +91,6 @@ class Application {
   [[nodiscard]] std::vector<common::Cycles> core_work(std::size_t frame,
                                                       std::size_t cores) const;
 
-  /// \brief Allocation-free core_work(): writes the identical \p cores-entry
-  ///        split into \p out (caller-owned, at least \p cores long). The
-  ///        batched engine paths call this into reused row buffers.
-  void core_work_into(std::size_t frame, std::size_t cores,
-                      common::Cycles* out) const;
-
   /// \brief Fill \p block with \p frames consecutive frames starting at
   ///        absolute frame \p start: per-frame deadline, per-core split over
   ///        \p cores cores (exactly what core_work() returns per frame) and

@@ -140,9 +140,8 @@ TEST(MultiApp, DemandIsTheSumOfTheAppsWorkRow) {
         *board.platform, board.cores_a, board.cores_b, apps);
     for (std::size_t a = 0; a < runs.size(); ++a) {
       ASSERT_EQ(runs[a].records.size(), 200u);
-      std::vector<common::Cycles> row(2);
       for (const EpochRecord& rec : runs[a].records) {
-        apps[a].core_work_into(rec.epoch, row.size(), row.data());
+        const std::vector<common::Cycles> row = apps[a].core_work(rec.epoch, 2);
         ASSERT_EQ(rec.demand, row[0] + row[1])
             << "app " << a << ", epoch " << rec.epoch;
       }
