@@ -230,7 +230,9 @@ TEST(MultiApp, ValidatesInputs) {
   expect_rejected(*platform, {{&a, {0, 1}}, {&b, {2, 3}}}, governors,
                   "one governor per application");
   governors.push_back(make_governor("rtm"));
-  // Empty placement.
+  // Empty placements: no application, or no core.
+  expect_rejected(*platform, {{&a, {0, 1}}, {nullptr, {2, 3}}}, governors,
+                  "placement 1 has no application");
   expect_rejected(*platform, {{&a, {0, 1}}, {&b, {}}}, governors,
                   "application 'fft' (placement 1) is placed on no core");
   // Overlapping cores.
