@@ -101,7 +101,7 @@ struct RunOptions {
   std::vector<TelemetrySink*> sinks;
   bool reset_governor = true;  ///< Reset governor learning before the run.
 
-  /// Frames pulled per wl::FrameBlock batch in the engine's epoch loops.
+  /// Frames pulled per wl::FrameBlock batch in the epoch loop.
   /// Purely an execution-strategy knob: every block size produces
   /// bit-identical results, records and artifacts — governor decisions,
   /// telemetry emission and checkpoint cadence all remain per-epoch, pinned
