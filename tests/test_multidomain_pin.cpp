@@ -102,9 +102,13 @@ struct PinnedRun {
 };
 
 /// Run h264 at 30 fps for \p frames on a fresh \p board with \p placement
-/// and \p governor, its work split over every core of the board.
+/// and \p governor, its work split over \p threads cores (0 = every core of
+/// the board) at \p utilisation of the board's capacity.
 PinnedRun run_digest_of(const Board& board, const std::string& placement,
-                        const std::string& governor, std::size_t frames) {
+                        const std::string& governor, std::size_t frames,
+                        std::size_t threads = 0,
+                        double utilisation =
+                            ExperimentSpec{}.target_utilisation) {
   common::Config cfg;
   cfg.set_int("hw.clusters", static_cast<long long>(board.domains));
   cfg.set_int("hw.cores", static_cast<long long>(board.cores));
@@ -115,7 +119,8 @@ PinnedRun run_digest_of(const Board& board, const std::string& placement,
   spec.fps = 30.0;
   spec.frames = frames;
   spec.seed = 7;
-  spec.threads = platform->total_cores();
+  spec.threads = threads == 0 ? platform->total_cores() : threads;
+  spec.target_utilisation = utilisation;
   const wl::Application app = make_application(spec, *platform);
   const auto gov = make_governor(governor, 0x5EED);
   TraceSink trace;
@@ -169,6 +174,38 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Half of a 4x4 board's cores carry work, at the grid's per-core load, so
+// the board keeps idle slots: packed leaves domains 2 and 3 without work,
+// spread loads two cores of every domain and rect tiles the loaded slots by
+// load. Unlike the full-board grid, the three placements run apart. Digests
+// committed with the engine's own epoch loop, before the one shared loop.
+constexpr Pin kHalfLoadPins[] = {
+    {"4x4", "packed", "ondemand", 0x37fd7ab94786b557ULL},
+    {"4x4", "packed", "rtm-manycore", 0x1b64f25cd8130b53ULL},
+    {"4x4", "packed", "oracle", 0xc2288fac38e520afULL},
+    {"4x4", "spread", "ondemand", 0x94fcfcc1857a0e34ULL},
+    {"4x4", "spread", "rtm-manycore", 0xed7bc45d305cd40dULL},
+    {"4x4", "spread", "oracle", 0xda0c7fee20b9547eULL},
+    {"4x4", "rect", "ondemand", 0x332a1ed6da014002ULL},
+    {"4x4", "rect", "rtm-manycore", 0x9376329dcbc73c92ULL},
+    {"4x4", "rect", "oracle", 0xb965836a00c90eaaULL},
+};
+
+TEST(MultiDomainPinHalfLoad, IdleSlotsArePinned) {
+  for (const Pin& pin : kHalfLoadPins) {
+    const std::string where =
+        std::string("board 4x4, 8 threads, placement ") + pin.placement +
+        ", governor " + pin.governor;
+    const PinnedRun got = run_digest_of(Board{4, 4}, pin.placement,
+                                        pin.governor, 200, 8, 0.225);
+    EXPECT_EQ(got.digest, pin.digest)
+        << where << ": digest " << hex(got.digest);
+    if (std::string(pin.governor) == "ondemand") {
+      EXPECT_LT(got.miss_rate, 0.10) << where;
+    }
+  }
+}
 
 // The long run goes through the prefetch helper wherever the host has a
 // second hardware thread; its digest is the same either way.
