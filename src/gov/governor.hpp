@@ -136,17 +136,14 @@ struct EpochObservation {
 struct DecisionContext {
   std::size_t epoch = 0;               ///< Index of the upcoming epoch.
   common::Seconds period = 0.0;        ///< Deadline (Tref) for it.
-  /// Cores of the decider's share of the board: a domain's core count in
-  /// run_simulation, the application's placed cores in run_multi_simulation.
-  std::size_t cores = 1;
+  std::size_t cores = 1;               ///< Cores it decides for, one a slot.
   const hw::OppTable* opps = nullptr;  ///< The action space.
-  /// DVFS domain this decision applies to. On multi-domain platforms the
-  /// engine calls decide() once per domain per epoch (same governor instance,
-  /// so learning state is shared and the decision stream interleaves domain
-  /// observations — the rtm family co-learns placement x per-domain V-F
-  /// through the per-domain feedback it receives). Always 0 on the paper's
-  /// single-domain platform. In run_multi_simulation, the application's
-  /// home domain: the one hosting its first core.
+  /// DVFS domain this decision applies to; run_multi_simulation gives the
+  /// application's first core's. On multi-domain platforms the engine calls
+  /// decide() once per domain per epoch (same governor instance, so learning
+  /// state is shared and the decision stream interleaves domain observations
+  /// — the rtm family co-learns placement x per-domain V-F through the
+  /// per-domain feedback it receives). Always 0 on the paper's board.
   std::size_t domain = 0;
   /// Independent DVFS domains on the platform (1 = the paper's board).
   std::size_t domains = 1;
@@ -155,9 +152,8 @@ struct DecisionContext {
   /// no frame to offer. Only the Oracle reads it: every other governor
   /// decides from the observed past alone.
   const common::Cycles* work = nullptr;
-  /// The slots of `work` this decision covers: those the placement maps onto
-  /// `domain` in run_simulation, the application's own contiguous stretch
-  /// in run_multi_simulation.
+  /// The slots of `work` this decision covers: those on `domain` in
+  /// run_simulation, the application's own in run_multi_simulation.
   std::span<const std::size_t> slots;
   /// The memory fraction the board-epoch kernel will run the frame at.
   double mem_fraction = 0.0;

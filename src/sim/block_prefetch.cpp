@@ -38,15 +38,17 @@ BlockPrefetcher::BlockPrefetcher(std::vector<Source> sources,
       threaded ? std::min(blocks_,
                           std::max(kMinSlots, kRingFrames / block_frames))
                : 1;
-  ring_.resize(ring_slots * sources_.size());
+  ring_.assign(ring_slots, std::vector<wl::FrameBlock>(sources_.size()));
   noise_.resize(ring_slots);
   if (sensor_ != nullptr) {
     for (auto& terms : noise_) terms.resize(block_frames);
   }
   if (blocks_ > 0) fill(0);
   if (!threaded) return;
-  for (std::size_t j = sources_.size(); j < ring_.size(); ++j) {
-    ring_[j].reshape(block_frames, sources_[j % sources_.size()].cores);
+  for (std::size_t s = 1; s < ring_slots; ++s) {
+    for (std::size_t j = 0; j < sources_.size(); ++j) {
+      ring_[s][j].reshape(block_frames, sources_[j].cores);
+    }
   }
   filled_ = 1;
   try {
@@ -75,8 +77,7 @@ std::span<wl::FrameBlock> BlockPrefetcher::acquire(std::size_t k) {
     engine_wake_.wait(lock, [&] { return filled_ > k || error_; });
     if (filled_ <= k) std::rethrow_exception(error_);
   }
-  return std::span(ring_).subspan(k % slots() * sources_.size(),
-                                  sources_.size());
+  return ring_[k % ring_.size()];
 }
 
 void BlockPrefetcher::release(std::size_t k) {
@@ -94,13 +95,12 @@ std::size_t BlockPrefetcher::threaded_runs() noexcept {
   return g_threaded_runs.load();
 }
 
-/// Fill block k into its ring slot, source by source, then draw its noise
-/// terms.
+/// Fill block k into its ring slot, then draw its noise terms.
 void BlockPrefetcher::fill(std::size_t k) {
-  const std::size_t slot = k % slots();
+  const std::size_t slot = k % ring_.size();
   const std::size_t first = start_ + k * block_frames_;
   const std::size_t count = std::min(block_frames_, frames_ - first);
-  wl::FrameBlock* blocks = ring_.data() + slot * sources_.size();
+  wl::FrameBlock* blocks = ring_[slot].data();
   for (const Source& source : sources_) {
     source.app->fill_block(first, count, source.cores, *blocks++);
   }
@@ -114,14 +114,14 @@ void BlockPrefetcher::fill(std::size_t k) {
 /// At least half the ring is free: when a parked helper resumes. Called
 /// under the mutex.
 bool BlockPrefetcher::half_free() const noexcept {
-  return filled_ - released_ <= slots() - slots() / 2;
+  return filled_ - released_ <= ring_.size() - ring_.size() / 2;
 }
 
 void BlockPrefetcher::run_helper() noexcept {
   for (std::size_t k = 1; k < blocks_; ++k) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (k - released_ >= slots()) {
+      if (k - released_ >= ring_.size()) {
         helper_wake_.wait(lock, [&] { return stop_ || half_free(); });
       }
       if (stop_) return;

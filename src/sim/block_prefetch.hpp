@@ -1,9 +1,8 @@
 /// \file block_prefetch.hpp
-/// \brief The frame-block prefetcher of the one epoch loop
-///        (sim/frame_loop.hpp), for run_simulation and run_multi_simulation:
-///        serves a run's frames as consecutive wl::FrameBlocks, one per
-///        application, with each frame's power-sensor noise term,
-///        optionally generated ahead on a helper thread.
+/// \brief The frame-block prefetcher of run_simulation's and
+///        run_multi_simulation's epoch loop: serves a run's frames as
+///        consecutive wl::FrameBlocks, one per application, with each frame's
+///        sensor noise term, optionally made ahead on a helper thread.
 ///
 /// Frame generation and the sensor's noise stream are seed-deterministic and
 /// independent of any governor decision, so they can run ahead of the epoch
@@ -32,9 +31,6 @@ namespace prime::sim {
 /// 1000 frames already saves 8-14%, 2000 frames 16-19%.
 inline constexpr std::size_t kMinPrefetchFrames = 1000;
 
-/// run_multi_simulation's block size, RunOptions::block_frames' default.
-inline constexpr std::size_t kBlockFrames = 64;
-
 /// True when a run of \p frames should prefetch on a helper thread: it is
 /// at least kMinPrefetchFrames long and the host has two or more hardware
 /// threads.
@@ -48,11 +44,10 @@ inline constexpr std::size_t kBlockFrames = 64;
 /// rewind or skip_to and every allocation happens there. When `threaded`
 /// and the run has more than one block, a helper thread fills blocks 1..N-1
 /// into a ring of pre-sized blocks ahead of the engine, making exactly the
-/// fill_block calls the engine would, in the same order (source by source
-/// within a block), never past `frames`; otherwise acquire() fills each
-/// block on the engine thread. Both produce the same frames and leave every
-/// Application's cursor in the same place — the helper owns those cursors
-/// until the prefetcher dies, so no Application may appear twice.
+/// fill_block calls the engine would, in the same order, never past
+/// `frames`; otherwise acquire() fills each block on the engine thread.
+/// Both produce the same frames and leave every Application's cursor in the
+/// same place — the helper owns those cursors until the prefetcher dies.
 ///
 /// Given a `sensor`, each block also carries one noise term per frame,
 /// drawn right after the block's fill_block calls (same thread, same order)
@@ -91,7 +86,7 @@ class BlockPrefetcher {
   /// Block k's sensor noise terms, one per frame (a sensor was given);
   /// valid from acquire(k) to release(k).
   [[nodiscard]] const common::NormalDraw* noise(std::size_t k) const noexcept {
-    return noise_[k % noise_.size()].data();
+    return noise_[k % ring_.size()].data();
   }
   /// Hand block k back for refilling.
   void release(std::size_t k);
@@ -100,8 +95,6 @@ class BlockPrefetcher {
   [[nodiscard]] static std::size_t threaded_runs() noexcept;
 
  private:
-  /// Ring slots: noise_ holds one entry per slot.
-  [[nodiscard]] std::size_t slots() const noexcept { return noise_.size(); }
   void fill(std::size_t k);
   [[nodiscard]] bool half_free() const noexcept;
   void run_helper() noexcept;
@@ -113,8 +106,7 @@ class BlockPrefetcher {
   const std::size_t blocks_;
   const hw::PowerSensor* const sensor_;
   common::Rng noise_rng_;  ///< Used by whichever thread fills the blocks.
-  /// Ring slot s holds its sources' blocks at [s * sources, (s+1) * sources).
-  std::vector<wl::FrameBlock> ring_;
+  std::vector<std::vector<wl::FrameBlock>> ring_;  ///< Per slot, per source.
   std::vector<std::vector<common::NormalDraw>> noise_;  ///< Parallel ring.
   std::mutex mutex_;  ///< Guards the four fields below once the helper runs.
   std::size_t filled_ = 0;

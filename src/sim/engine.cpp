@@ -206,23 +206,17 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
     app.skip_to(start);
   }
 
-  RunContext ctx;
-  ctx.governor = governor.name();
-  ctx.application = app.name();
-  ctx.frames = frames - start;
+  const RunContext ctx{governor.name(), app.name(), frames - start};
 
-  // One decision unit per domain, all deciding with the run's governor over
-  // the slots the placement maps onto their domain. Sized once: the binding
-  // lends units[0].last, which a resume restores.
-  std::vector<std::vector<std::size_t>> domain_slots(domains);
-  for (std::size_t j = 0; j < place.slots(); ++j) {
-    domain_slots[place.slot_domain[j]].push_back(j);
-  }
+  // One decision unit per domain over its slots, all with the run's
+  // governor. Sized once: the binding lends units[0].last.
   std::vector<DecisionUnit> units(domains);
   for (std::size_t d = 0; d < domains; ++d) {
     units[d].governor = &governor;
-    units[d].slots = domain_slots[d];
     units[d].home = d;
+  }
+  for (std::size_t j = 0; j < place.slots(); ++j) {
+    units[place.slot_domain[j]].slots.push_back(j);
   }
   if (resume && resume->has_last) units[0].last = resume->last;
 
@@ -260,14 +254,6 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
   hw::BoardEpoch board =
       platform.make_epoch(place.slot_domain, place.slot_local);
 
-  // Frames arrive in FrameBlock batches, each frame with its sensor noise
-  // term drawn ahead; the sensor's own generator steps in lockstep, so
-  // snapshots see the same state. Everything observable stays per-epoch —
-  // decisions, emission (and with it checkpoint cadence) — so the block size
-  // can never shift a snapshot or a record; prefetching frames (on the
-  // engine thread or the helper) only moves the stream's replay cursor,
-  // which resume re-derives from the frame position anyway. block_frames=0
-  // runs one-frame blocks, all filled on the engine thread.
   hw::PowerSensor& sensor = platform.power_sensor();
   BlockPrefetcher prefetch(
       {{&app, platform.total_cores()}}, start, frames,
@@ -275,14 +261,15 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
       options.block_frames != 0 && prefetch_pays_off(frames - start), &sensor);
   EpochRecord rec;
 
-  // The board runs the application's own row and memory fraction; it
-  // records one EpochRecord, and each domain's next decision sees its own
-  // frame time, cycles and deadline outcome, with the board reading
-  // attributed by energy share (every domain shares one sensor).
+  // One EpochRecord per frame; each domain's next decision sees its own
+  // frame time, cycles and deadline outcome, and the board reading by
+  // energy share (every domain shares one sensor).
   run_frame_loop(
       platform, board, prefetch, units,
-      [](std::span<wl::FrameBlock> blocks, std::size_t b) {
-        return FrameRow{blocks[0].row(b), blocks[0].mem_fraction};
+      [](std::span<wl::FrameBlock> blocks, std::size_t b,
+         double& mem_fraction) {
+        mem_fraction = blocks[0].mem_fraction;
+        return blocks[0].row(b);
       },
       [&](std::span<wl::FrameBlock> blocks, std::size_t b, std::size_t i,
           common::Seconds period, common::Watt reading) {
@@ -299,8 +286,7 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
         rec.energy = board.energy;
         rec.sensor_power = reading;
         rec.temperature = board.temperature;
-        rec.slack =
-            period > 0.0 ? (period - board.frame_time) / period : 0.0;
+        rec.slack = period > 0.0 ? (period - board.frame_time) / period : 0.0;
         rec.deadline_met = board.frame_time <= period;
 
         for (std::size_t d = 0; d < domains; ++d) {

@@ -88,6 +88,8 @@ struct RunResult {
 ///        plus the governor (for introspection such as predictor state).
 using EpochCallback = std::function<void(const EpochRecord&, gov::Governor&)>;
 
+inline constexpr std::size_t kBlockFrames = 64;  ///< Frames per FrameBlock.
+
 /// \brief Options controlling a simulation run.
 struct RunOptions {
   /// Run length cap. For trace-backed applications 0 means "the whole trace"
@@ -109,7 +111,7 @@ struct RunOptions {
   /// kMinPrefetchFrames (sim/block_prefetch.hpp) fill blocks ahead on a
   /// helper thread; 0 runs one-frame blocks, all filled on the engine
   /// thread, on every board.
-  std::size_t block_frames = 64;
+  std::size_t block_frames = kBlockFrames;
 
   /// Placement policy partitioning the application's work slots across the
   /// platform's DVFS domains ("packed", "spread", "rect" — see

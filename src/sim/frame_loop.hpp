@@ -1,11 +1,7 @@
 /// \file frame_loop.hpp
 /// \brief The one decision-epoch loop of run_simulation (sim/engine.cpp)
-///        and run_multi_simulation (sim/multiapp.cpp). Per frame: every
-///        decision unit decides, each domain runs at the fastest request on
-///        it, the board-epoch kernel (hw::Platform::run_epoch_into) runs the
-///        frame with every governor's T_OVH, and the sensor integrates it
-///        with its pre-drawn noise term. The callers differ only in the
-///        frame and record steps they pass as (inlined) lambdas.
+///        and run_multi_simulation (sim/multiapp.cpp), which differ only in
+///        the frame and record steps they pass it.
 #pragma once
 
 #include <algorithm>
@@ -16,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/units.hpp"
 #include "gov/governor.hpp"
 #include "hw/platform.hpp"
 #include "sim/block_prefetch.hpp"
@@ -25,40 +20,31 @@
 
 namespace prime::sim {
 
-/// \brief One decider: a governor, the work slots it decides for, its home
-///        domain and the observation its next decision sees. run_simulation
-///        has one unit per domain, all sharing its governor;
-///        run_multi_simulation has one per application.
-///
-/// On cache lines of its own, as `last` is rewritten every epoch: a plain
-/// vector element read about 8% below a stack-resident observation in 1x4
-/// stream frames/s, aligned about 3% (pinned 2 s rounds).
+/// \brief One decider: one per domain in run_simulation, all sharing its
+///        governor; one per application in run_multi_simulation. As a plain
+///        vector element, `last` (rewritten every epoch) read about 8% below
+///        a stack-resident one in 1x4 stream frames/s; aligned, about 3%.
 struct alignas(64) DecisionUnit {
   std::optional<gov::EpochObservation> last;  ///< What it decides from.
   gov::Governor* governor = nullptr;
-  /// DecisionContext::slots; their count is DecisionContext::cores.
-  std::span<const std::size_t> slots;
+  std::vector<std::size_t> slots;  ///< DecisionContext::slots (and cores).
   std::size_t home = 0;     ///< DecisionContext::domain.
   std::size_t request = 0;  ///< Its decision for this epoch.
 };
 
-/// \brief A run's length: the shortest bounded trace among \p apps, capped
-///        at \p max_frames (0 = no cap). Streaming applications impose no
-///        length, so when all of them stream max_frames is the sole
-///        authority and 0 throws std::invalid_argument, naming \p who and
-///        the \p field to set.
+/// \brief The shortest bounded trace among \p apps, capped at \p max_frames
+///        (0 = no cap); with every application streaming, 0 throws
+///        std::invalid_argument naming \p who and the \p field to set.
 inline std::size_t run_length(std::span<const wl::Application* const> apps,
                               std::size_t max_frames, const std::string& who,
                               const std::string& field) {
   std::size_t frames = max_frames;
-  bool bounded = false;
   for (const wl::Application* app : apps) {
     if (app->streaming()) continue;
-    bounded = true;
     frames = frames == 0 ? app->frame_count()
                          : std::min(frames, app->frame_count());
   }
-  if (!bounded && max_frames == 0) {
+  if (frames == 0 && std::ranges::all_of(apps, &wl::Application::streaming)) {
     throw std::invalid_argument(
         who + ": application '" + apps.back()->name() +
         "' streams an unbounded frame source and no application bounds the "
@@ -67,45 +53,26 @@ inline std::size_t run_length(std::span<const wl::Application* const> apps,
   return frames;
 }
 
-/// \brief The frame's work row (one entry per slot) and memory fraction.
-struct FrameRow {
-  common::Cycles* row;
-  double mem_fraction;
-};
-
-/// \brief Run every block of \p prefetch through \p board.
+/// \brief Run every block of \p prefetch through \p board. Per frame of
+///        `blocks` (one FrameBlock per application, at blocks[0]'s period):
+///        `frame_step(blocks, b, mem_fraction)` returns the work row and
+///        sets its memory fraction, the units decide, the board-epoch kernel
+///        runs and the sensor integrates the frame, and `record_step(blocks,
+///        b, epoch, period, reading)` records it.
 ///
-/// A unit is on its home domain and on its slots' domains; a domain runs at
-/// the largest request among its units and keeps its OPP without one. T_OVH
-/// sums the units' governors' overheads, each governor once, in the order
-/// they first appear. For frame b of `blocks` (one FrameBlock per
-/// application, all at blocks[0]'s period), `frame_step(blocks, b)` returns
-/// the FrameRow before the decisions, and `record_step(blocks, b, epoch,
-/// period, reading)` runs after the sensor.
-///
-/// Forced inline into each caller: called out of line, every frame reads
-/// the steps' captures through their closures, which ran about 5% below in
-/// 1x4 stream-ondemand frames/s (10 alternating pairs of 4 s).
+/// The units' slots partition the board's. A domain runs at the largest
+/// request among the units with a slot on it, or keeps its OPP without one.
+/// Consecutive units sharing a governor charge its T_OVH once. Forced
+/// inline: out of line it ran about 5% below in 1x4 stream-ondemand frames/s.
 template <typename FrameStep, typename RecordStep>
-[[gnu::always_inline]] inline void run_frame_loop(hw::Platform& platform, hw::BoardEpoch& board,
-                    BlockPrefetcher& prefetch, std::span<DecisionUnit> units,
-                    FrameStep&& frame_step, RecordStep&& record_step) {
+[[gnu::always_inline]] inline void run_frame_loop(
+    hw::Platform& platform, hw::BoardEpoch& board, BlockPrefetcher& prefetch,
+    std::span<DecisionUnit> units, FrameStep&& frame_step,
+    RecordStep&& record_step) {
   const std::size_t domains = platform.domain_count();
-  std::vector<std::vector<std::size_t>> on(domains);  // Units per domain.
-  std::vector<gov::Governor*> governors;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    for (std::size_t d = 0; d < domains; ++d) {
-      if (units[u].home == d ||
-          std::ranges::any_of(units[u].slots, [&](std::size_t s) {
-            return board.slot_domain[s] == d;
-          })) {
-        on[d].push_back(u);
-      }
-    }
-    if (std::ranges::find(governors, units[u].governor) == governors.end()) {
-      governors.push_back(units[u].governor);
-    }
-  }
+  std::vector<char> hosted(domains, 0);
+  for (const std::size_t d : board.slot_domain) hosted[d] = 1;
+  std::vector<std::size_t> request(domains);
 
   hw::PowerSensor& sensor = platform.power_sensor();
   gov::DecisionContext dctx;
@@ -116,39 +83,35 @@ template <typename FrameStep, typename RecordStep>
     const common::NormalDraw* noise = prefetch.noise(k);
     std::size_t i = blocks[0].start;
     for (std::size_t b = 0; b < blocks[0].count; ++b, ++i) {
-      const common::Seconds period = blocks[0].periods[b];
-      const FrameRow frame = frame_step(blocks, b);
-
-      // Units sharing a governor interleave their observation streams in
-      // its learning state.
+      common::Cycles* const row = frame_step(blocks, b, dctx.mem_fraction);
       dctx.epoch = i;
-      dctx.period = period;
-      dctx.work = frame.row;
-      dctx.mem_fraction = frame.mem_fraction;
-      for (DecisionUnit& unit : units) {
+      dctx.period = blocks[0].periods[b];
+      dctx.work = row;
+      std::ranges::fill(request, 0);
+      common::Seconds overhead = 0.0;
+      for (std::size_t u = 0; u < units.size(); ++u) {
+        DecisionUnit& unit = units[u];
         dctx.domain = unit.home;
         dctx.slots = unit.slots;
         dctx.cores = unit.slots.size();
         unit.request = unit.governor->decide(dctx, unit.last);
+        for (const std::size_t s : unit.slots) {
+          std::size_t& r = request[board.slot_domain[s]];
+          r = std::max(r, unit.request);
+        }
+        if (u + 1 == units.size() || units[u + 1].governor != unit.governor) {
+          overhead += unit.governor->epoch_overhead();
+        }
       }
       for (std::size_t d = 0; d < domains; ++d) {
-        if (on[d].empty()) continue;
-        std::size_t request = 0;
-        for (const std::size_t u : on[d]) {
-          request = std::max(request, units[u].request);
-        }
-        platform.domain(d).set_opp(request);
-      }
-      common::Seconds overhead = 0.0;
-      for (gov::Governor* governor : governors) {
-        overhead += governor->epoch_overhead();
+        if (hosted[d] != 0) platform.domain(d).set_opp(request[d]);
       }
 
-      platform.run_epoch_into(board, frame.row, overhead, period,
-                              frame.mem_fraction);
+      platform.run_epoch_into(board, row, overhead, dctx.period,
+                              dctx.mem_fraction);
       const common::Watt reading =
           sensor.integrate(board.avg_power, board.window, noise[b]);
-      record_step(blocks, b, i, period, reading);
+      record_step(blocks, b, i, dctx.period, reading);
     }
     prefetch.release(k);
   }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
+#include <string>
 
 #include "sim/block_prefetch.hpp"
 #include "sim/frame_loop.hpp"
@@ -11,68 +13,64 @@
 namespace prime::sim {
 namespace {
 
+[[noreturn]] void reject(const std::string& what) {
+  throw std::invalid_argument("run_multi_simulation: " + what);
+}
+
 void validate(const hw::Platform& platform,
               const std::vector<AppPlacement>& placements,
               const std::vector<std::unique_ptr<gov::Governor>>& governors) {
-  if (placements.empty()) {
-    throw std::invalid_argument("run_multi_simulation: no applications");
-  }
+  if (placements.empty()) reject("no applications");
   if (governors.size() != placements.size()) {
-    throw std::invalid_argument(
-        "run_multi_simulation: one governor per application required");
+    reject("one governor per application required");
   }
-  // Each core's placement. One Application is one replay cursor, which two
-  // placements would rewind against each other on every block.
   const std::size_t cores = platform.total_cores();
-  std::vector<std::size_t> owner(cores, placements.size());
+  std::vector<std::size_t> owner(cores, placements.size());  // By core.
   auto named = [&](std::size_t i) {
     return "application '" + placements[i].app->name() + "' (placement " +
            std::to_string(i) + ")";
   };
-  auto fail = [](const std::string& what) {
-    throw std::invalid_argument("run_multi_simulation: " + what);
-  };
-  const wl::Application* first = placements.front().app;
   for (std::size_t i = 0; i < placements.size(); ++i) {
     const AppPlacement& p = placements[i];
     if (p.app == nullptr) {
-      fail("placement " + std::to_string(i) + " has no application");
+      reject("placement " + std::to_string(i) + " has no application");
     }
+    // One Application is one replay cursor, which two placements would
+    // rewind against each other on every block.
     for (std::size_t j = 0; j < i; ++j) {
       if (placements[j].app == p.app) {
-        fail(named(i) + " is the same object as " + named(j) +
-             "; give each placement its own Application");
+        reject(named(i) + " is the same object as " + named(j) +
+               "; give each placement its own Application");
       }
     }
-    if (p.cores.empty()) fail(named(i) + " is placed on no core");
+    if (p.cores.empty()) reject(named(i) + " is placed on no core");
     for (const std::size_t c : p.cores) {
       if (c >= cores) {
-        fail(named(i) + " is placed on core " + std::to_string(c) +
-             ", out of range on a board of " + std::to_string(cores) +
-             " cores");
+        reject(named(i) + " is placed on core " + std::to_string(c) +
+               ", out of range on a board of " + std::to_string(cores) +
+               " cores");
       }
       if (owner[c] != placements.size()) {
-        fail("core " + std::to_string(c) + " of " + std::to_string(cores) +
-             " is assigned twice, to " + named(owner[c]) + " and to " +
-             named(i));
+        reject("core " + std::to_string(c) + " of " + std::to_string(cores) +
+               " is assigned twice, to " + named(owner[c]) + " and to " +
+               named(i));
       }
       owner[c] = i;
     }
-    // The shared decision cadence requires equal rates over the *whole* run,
-    // not just frame 0: add_requirement_change can fork the rates mid-run.
+    // The shared decision cadence requires equal rates over the *whole* run.
     // Rates are step functions of the frame, so two agree everywhere when
-    // they agree at each breakpoint of either (redundant breakpoints
-    // included).
-    for (const wl::Application* app : {first, p.app}) {
-      for (const auto& [frame, fps] : app->requirement_schedule()) {
-        (void)fps;
-        const double want = first->requirement_at(frame).fps;
+    // they agree at each breakpoint of either.
+    const wl::Application& first = *placements.front().app;
+    for (const wl::Application* app : {&first, p.app}) {
+      for (const std::size_t frame :
+           std::views::keys(app->requirement_schedule())) {
+        const double want = first.requirement_at(frame).fps;
         const double got = p.app->requirement_at(frame).fps;
         if (got != want) {
-          fail("applications must share the epoch rate over the whole run "
-               "— '" + p.app->name() + "' demands " + std::to_string(got) +
-               " fps from frame " + std::to_string(frame) + " while '" +
-               first->name() + "' demands " + std::to_string(want));
+          reject("applications must share the epoch rate over the whole run "
+                 "— '" + p.app->name() + "' demands " + std::to_string(got) +
+                 " fps from frame " + std::to_string(frame) + " while '" +
+                 first.name() + "' demands " + std::to_string(want));
         }
       }
     }
@@ -102,58 +100,41 @@ MultiAppResult run_multi_simulation(
 
   std::vector<const wl::Application*> apps;
   for (const auto& p : placements) apps.push_back(p.app);
-  const std::size_t frames = run_length(apps, options.max_frames,
-                                        "run_multi_simulation",
-                                        "MultiAppOptions::max_frames");
+  const std::size_t frames = run_length(
+      apps, options.max_frames, "run_multi_simulation",
+      "MultiAppOptions::max_frames");
 
   MultiAppResult result;
   result.per_app.resize(n_apps);
   result.overridden_epochs.assign(n_apps, 0);
 
-  // One emitter per application stream: the identical emission path the
-  // single-app engine drives, so per-app aggregates and attached telemetry
-  // can never diverge from the engine's bookkeeping.
+  // One slot map in app order, then core order: each app's work sits at its
+  // unit's slots. Each app emits through run_simulation's path, so per-app
+  // aggregates and telemetry can never diverge from its bookkeeping.
+  std::vector<std::size_t> slot_domain;
+  std::vector<std::size_t> slot_local;
+  std::vector<DecisionUnit> units(n_apps);
+  std::vector<BlockPrefetcher::Source> sources;
   std::vector<RunEmitter> emitters;
   emitters.reserve(n_apps);
   for (std::size_t a = 0; a < n_apps; ++a) {
-    RunContext ctx;
-    ctx.governor = governors[a]->name();
-    ctx.application = placements[a].app->name();
-    ctx.frames = frames;
-    ctx.app_index = a;
-    ctx.app_count = n_apps;
-    emitters.emplace_back(result.per_app[a],
-                          a < options.app_sinks.size() ? options.app_sinks[a]
-                                                       : std::vector<TelemetrySink*>{},
-                          ctx);
-  }
-
-  // The placements' global core indices become one slot map (app order,
-  // then core order): app a's work sits at slots [offset, offset + cores),
-  // the slots of its decision unit, and its home domain hosts its first
-  // core.
-  std::vector<std::size_t> slot_domain;
-  std::vector<std::size_t> slot_local;
-  for (const auto& p : placements) {
+    const AppPlacement& p = placements[a];
+    units[a].governor = governors[a].get();
+    units[a].slots.resize(p.cores.size());
+    std::iota(units[a].slots.begin(), units[a].slots.end(), slot_domain.size());
+    units[a].home = platform.domain_of_core(p.cores.front());
+    sources.push_back({p.app, p.cores.size()});
     for (const std::size_t c : p.cores) {
       slot_domain.push_back(platform.domain_of_core(c));
       slot_local.push_back(platform.local_of_core(c));
     }
+    emitters.emplace_back(
+        result.per_app[a],
+        a < options.app_sinks.size() ? options.app_sinks[a]
+                                     : std::vector<TelemetrySink*>{},
+        RunContext{governors[a]->name(), p.app->name(), frames, a, n_apps});
   }
-  std::vector<std::size_t> slot_index(slot_domain.size());
-  std::iota(slot_index.begin(), slot_index.end(), std::size_t{0});
-  std::vector<DecisionUnit> units(n_apps);
-  std::vector<BlockPrefetcher::Source> sources(n_apps);
-  for (std::size_t a = 0, offset = 0; a < n_apps; ++a) {
-    const std::size_t n = placements[a].cores.size();
-    units[a].governor = governors[a].get();
-    units[a].slots = std::span(slot_index).subspan(offset, n);
-    units[a].home = slot_domain[offset];
-    sources[a] = {placements[a].app, n};
-    offset += n;
-  }
-  // The board's work row and executed cycles, one entry per slot; each app's
-  // observation views its own stretch of slot_cycles.
+  // Work and executed cycles per slot; each app observes its own stretch.
   std::vector<common::Cycles> row(slot_domain.size(), 0);
   std::vector<common::Cycles> slot_cycles(slot_domain.size(), 0);
   hw::BoardEpoch board =
@@ -162,13 +143,13 @@ MultiAppResult run_multi_simulation(
                            prefetch_pays_off(frames), &platform.power_sensor());
   EpochRecord rec;
 
-  // Every app's row sits at its offset, and the frame's memory fraction is
-  // the apps' demand-weighted mean. Each app records its own cores' frame
-  // time and cycles, with the board's energy and reading attributed by
-  // cycle share, and its next decision observes exactly that.
+  // The frame's memory fraction is the apps' demand-weighted mean. Each app
+  // records and observes its own cores' frame time and cycles, with the
+  // board's energy and reading attributed by cycle share.
   run_frame_loop(
       platform, board, prefetch, units,
-      [&](std::span<wl::FrameBlock> blocks, std::size_t b) {
+      [&](std::span<wl::FrameBlock> blocks, std::size_t b,
+          double& mem_fraction) {
         double mem_weighted = 0.0;
         double demand_total = 0.0;
         for (std::size_t a = 0; a < n_apps; ++a) {
@@ -179,9 +160,8 @@ MultiAppResult run_multi_simulation(
           mem_weighted += block.mem_fraction * d;
           demand_total += d;
         }
-        return FrameRow{row.data(), demand_total > 0.0
-                                        ? mem_weighted / demand_total
-                                        : 0.0};
+        mem_fraction = demand_total > 0.0 ? mem_weighted / demand_total : 0.0;
+        return row.data();
       },
       [&](std::span<wl::FrameBlock> blocks, std::size_t b, std::size_t i,
           common::Seconds period, common::Watt reading) {
@@ -189,29 +169,25 @@ MultiAppResult run_multi_simulation(
         result.total_time += board.window;
         for (std::size_t a = 0; a < n_apps; ++a) {
           DecisionUnit& unit = units[a];
-          common::Seconds app_frame_time = 0.0;
-          common::Cycles app_cycles = 0;
-          // Overridden when any domain the app occupies ran faster than its
-          // own request (it was dragged faster by a co-runner there).
-          bool overridden = false;
+          common::Seconds frame_time = 0.0;
+          common::Cycles cycles = 0;
+          bool overridden = false;  // A co-runner dragged a domain faster.
           for (const std::size_t s : unit.slots) {
             const std::size_t d = board.slot_domain[s];
             const hw::EpochScratch& sc = board.domains[d];
             const std::size_t l = board.slot_local[s];
             // Each core's completion includes its own domain's DVFS stall.
-            app_frame_time =
-                std::max(app_frame_time, sc.core_busy[l] + sc.dvfs_stall);
-            app_cycles += sc.core_cycles[l];
+            frame_time = std::max(frame_time, sc.core_busy[l] + sc.dvfs_stall);
+            cycles += sc.core_cycles[l];
             slot_cycles[s] = sc.core_cycles[l];
             overridden = overridden ||
                          unit.request < platform.domain(d).current_opp_index();
           }
-          if (overridden) ++result.overridden_epochs[a];
-          const bool met = app_frame_time <= period;
-          const double share =
-              board.executed == 0 ? 0.0
-                                  : static_cast<double>(app_cycles) /
-                                        static_cast<double>(board.executed);
+          result.overridden_epochs[a] += overridden ? 1 : 0;
+          const double share = board.executed == 0
+                                   ? 0.0
+                                   : static_cast<double>(cycles) /
+                                         static_cast<double>(board.executed);
           const hw::Cluster& home = platform.domain(unit.home);
 
           rec.epoch = i;
@@ -219,35 +195,34 @@ MultiAppResult run_multi_simulation(
           rec.opp_index = home.current_opp_index();
           rec.frequency = home.current_opp().frequency;
           rec.demand = blocks[a].demand[b];
-          rec.executed = app_cycles;
-          rec.frame_time = app_frame_time;
+          rec.executed = cycles;
+          rec.frame_time = frame_time;
           rec.window = board.window;
           rec.energy = board.energy * share;
           rec.sensor_power = reading * share;
           rec.temperature = board.temperature;
-          rec.slack = period > 0.0 ? (period - app_frame_time) / period : 0.0;
-          rec.deadline_met = met;
+          rec.slack = period > 0.0 ? (period - frame_time) / period : 0.0;
+          rec.deadline_met = frame_time <= period;
 
           if (!unit.last) unit.last.emplace();
           gov::EpochObservation& obs = *unit.last;
           obs.epoch = i;
           obs.period = period;
-          obs.frame_time = app_frame_time;
+          obs.frame_time = frame_time;
           obs.window = board.window;
-          obs.total_cycles = app_cycles;
+          obs.total_cycles = cycles;
           obs.core_cycles.bind(slot_cycles.data() + unit.slots.front(),
                                unit.slots.size());
           obs.opp_index = rec.opp_index;
           obs.avg_power = rec.sensor_power;
           obs.temperature = board.temperature;
-          obs.deadline_met = met;
+          obs.deadline_met = rec.deadline_met;
 
           emitters[a].emit(rec, *governors[a]);
         }
       });
   for (std::size_t a = 0; a < n_apps; ++a) {
-    // Per-app share of sensor energy.
-    emitters[a].finish(result.per_app[a].total_energy);
+    emitters[a].finish(result.per_app[a].total_energy);  // Its share.
   }
   return result;
 }

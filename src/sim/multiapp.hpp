@@ -6,10 +6,9 @@
 /// of the board. Each application keeps its own governor (its own Q-table,
 /// predictor and slack monitor); the per-application OPP requests are
 /// arbitrated per V-F domain by taking the fastest — the only choice that
-/// can satisfy every deadline. The epoch loop is the single-app engine's
-/// (sim/frame_loop.hpp), with one decision unit per application; this
-/// module owns validation, the arbitration inputs (each app's slots, home
-/// domain and governor) and the per-app attribution.
+/// can satisfy every deadline. The epoch loop is run_simulation's
+/// (sim/frame_loop.hpp), one decision unit per application; this module
+/// owns validation, those units and the per-app attribution.
 ///
 /// Restrictions of this first formulation: all applications share the
 /// decision-epoch cadence (equal fps), and energy is attributed to
@@ -61,21 +60,19 @@ struct MultiAppOptions {
 
 /// \brief Run several applications concurrently, one governor per app.
 ///
-/// Requirements (checked, std::invalid_argument on violation, naming the
-/// application, placement and core): at least one placement; one governor
-/// per placement; each placement its own Application object (one replay
-/// cursor each) on at least one core; core sets disjoint and within the
-/// platform; all applications demand the same frame rate over their *entire*
-/// requirement schedules — a mid-run add_requirement_change that forks the
-/// rates is rejected up front, not discovered at the divergent frame.
+/// Requirements (checked, std::invalid_argument on violation): at least one
+/// placement; per placement one governor and its own Application object;
+/// core sets non-empty, disjoint and within the platform; all applications
+/// demand the same frame rate over their *entire* requirement schedules — a
+/// mid-run add_requirement_change that forks the rates is rejected up front,
+/// not discovered at the divergent frame.
 ///
 /// Placements address cores by global index; per-app OPP requests
 /// arbitrate per V-F domain (max among the apps occupying it, clamped to the
 /// OPP table), and domains hosting no application keep their current OPP.
 /// An epoch counts as overridden for an app when a domain it occupies ran
-/// faster than the app's own request.
-/// As in run_simulation, a long run may prefetch frames on a helper thread:
-/// no other thread may use the placed Applications until it returns.
+/// faster than the app's own request. As in run_simulation, no other thread
+/// may use the placed Applications until it returns.
 [[nodiscard]] MultiAppResult run_multi_simulation(
     hw::Platform& platform, const std::vector<AppPlacement>& placements,
     const std::vector<std::unique_ptr<gov::Governor>>& governors,
