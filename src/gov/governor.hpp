@@ -136,7 +136,7 @@ struct EpochObservation {
 struct DecisionContext {
   std::size_t epoch = 0;               ///< Index of the upcoming epoch.
   common::Seconds period = 0.0;        ///< Deadline (Tref) for it.
-  std::size_t cores = 1;               ///< Cores it decides for, one a slot.
+  std::size_t cores = 1;               ///< Cores it decides for: slots.size().
   const hw::OppTable* opps = nullptr;  ///< The action space.
   /// DVFS domain this decision applies to; run_multi_simulation gives the
   /// application's first core's. On multi-domain platforms the engine calls

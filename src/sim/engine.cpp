@@ -247,10 +247,9 @@ RunResult run_simulation(hw::Platform& platform, const wl::Application& app,
 
   RunEmitter emitter(result, sinks, ctx);
 
-  // The board epoch lives at function scope: each units[d].last holds a
-  // CycleSpan view into board.domains[d].core_cycles, and the final
-  // checkpoint snapshot (emitter.finish -> on_run_end) deep-copies
-  // units[0].last after the loop — the viewed storage must still be alive.
+  // The board epoch outlives the loop: units[d].last views its
+  // domains[d].core_cycles, and the final checkpoint snapshot
+  // (emitter.finish -> on_run_end) deep-copies units[0].last.
   hw::BoardEpoch board =
       platform.make_epoch(place.slot_domain, place.slot_local);
 

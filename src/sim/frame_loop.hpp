@@ -32,9 +32,8 @@ struct alignas(64) DecisionUnit {
   std::size_t request = 0;  ///< Its decision for this epoch.
 };
 
-/// \brief The shortest bounded trace among \p apps, capped at \p max_frames
-///        (0 = no cap); with every application streaming, 0 throws
-///        std::invalid_argument naming \p who and the \p field to set.
+/// \brief The shortest bounded trace among \p apps, capped at \p max_frames;
+///        0 with every app streaming throws, naming \p who and \p field.
 inline std::size_t run_length(std::span<const wl::Application* const> apps,
                               std::size_t max_frames, const std::string& who,
                               const std::string& field) {
@@ -60,19 +59,23 @@ inline std::size_t run_length(std::span<const wl::Application* const> apps,
 ///        runs and the sensor integrates the frame, and `record_step(blocks,
 ///        b, epoch, period, reading)` records it.
 ///
-/// The units' slots partition the board's. A domain runs at the largest
-/// request among the units with a slot on it, or keeps its OPP without one.
-/// Consecutive units sharing a governor charge its T_OVH once. Forced
-/// inline: out of line it ran about 5% below in 1x4 stream-ondemand frames/s.
+/// A domain runs at the largest request among the units with a slot on it,
+/// or keeps its OPP without one. Consecutive units sharing a governor charge
+/// its T_OVH once. Forced inline: out of line it ran about 5% below in 1x4
+/// stream-ondemand frames/s.
 template <typename FrameStep, typename RecordStep>
 [[gnu::always_inline]] inline void run_frame_loop(
     hw::Platform& platform, hw::BoardEpoch& board, BlockPrefetcher& prefetch,
     std::span<DecisionUnit> units, FrameStep&& frame_step,
     RecordStep&& record_step) {
   const std::size_t domains = platform.domain_count();
-  std::vector<char> hosted(domains, 0);
-  for (const std::size_t d : board.slot_domain) hosted[d] = 1;
-  std::vector<std::size_t> request(domains);
+  std::vector<std::vector<std::size_t>> on(domains);  // Units with a slot.
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    for (const std::size_t s : units[u].slots) {
+      std::vector<std::size_t>& here = on[board.slot_domain[s]];
+      if (here.empty() || here.back() != u) here.push_back(u);
+    }
+  }
 
   hw::PowerSensor& sensor = platform.power_sensor();
   gov::DecisionContext dctx;
@@ -87,7 +90,6 @@ template <typename FrameStep, typename RecordStep>
       dctx.epoch = i;
       dctx.period = blocks[0].periods[b];
       dctx.work = row;
-      std::ranges::fill(request, 0);
       common::Seconds overhead = 0.0;
       for (std::size_t u = 0; u < units.size(); ++u) {
         DecisionUnit& unit = units[u];
@@ -95,16 +97,17 @@ template <typename FrameStep, typename RecordStep>
         dctx.slots = unit.slots;
         dctx.cores = unit.slots.size();
         unit.request = unit.governor->decide(dctx, unit.last);
-        for (const std::size_t s : unit.slots) {
-          std::size_t& r = request[board.slot_domain[s]];
-          r = std::max(r, unit.request);
-        }
         if (u + 1 == units.size() || units[u + 1].governor != unit.governor) {
           overhead += unit.governor->epoch_overhead();
         }
       }
       for (std::size_t d = 0; d < domains; ++d) {
-        if (hosted[d] != 0) platform.domain(d).set_opp(request[d]);
+        if (on[d].empty()) continue;
+        std::size_t request = 0;
+        for (const std::size_t u : on[d]) {
+          request = std::max(request, units[u].request);
+        }
+        platform.domain(d).set_opp(request);
       }
 
       platform.run_epoch_into(board, row, overhead, dctx.period,

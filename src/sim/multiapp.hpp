@@ -71,8 +71,7 @@ struct MultiAppOptions {
 /// arbitrate per V-F domain (max among the apps occupying it, clamped to the
 /// OPP table), and domains hosting no application keep their current OPP.
 /// An epoch counts as overridden for an app when a domain it occupies ran
-/// faster than the app's own request. As in run_simulation, no other thread
-/// may use the placed Applications until it returns.
+/// faster than the app's own request.
 [[nodiscard]] MultiAppResult run_multi_simulation(
     hw::Platform& platform, const std::vector<AppPlacement>& placements,
     const std::vector<std::unique_ptr<gov::Governor>>& governors,

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "common/config.hpp"
 #include "sim/block_prefetch.hpp"
@@ -106,10 +105,9 @@ TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
                                         0xbdab107920cb11adULL}));
 }
 
-// The same pair for 1200 frames: long enough for the prefetch helper
-// (kMinPrefetchFrames), which the 200-frame pins above never reach. The
-// two runs go through it wherever the host has a second hardware thread;
-// their digests are the same either way.
+// The same pair for 1200 frames: past kMinPrefetchFrames, where a
+// single-app run would start the prefetch helper, and past the 200-frame
+// pins' single block. Multi-app runs fill every block on the engine thread.
 TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
   constexpr std::size_t kLongFrames = 1200;
   static_assert(kLongFrames >= kMinPrefetchFrames);
@@ -123,8 +121,7 @@ TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
                                boards[1].cores_b, kLongFrames),
             (std::vector<std::uint64_t>{0xd9ebbd7a47820564ULL,
                                         0x34057be21017c7ceULL}));
-  EXPECT_EQ(BlockPrefetcher::threaded_runs() - before,
-            std::thread::hardware_concurrency() >= 2 ? 2u : 0u);
+  EXPECT_EQ(BlockPrefetcher::threaded_runs() - before, 0u);
 }
 
 // EpochRecord::demand is the application's demand, excluding overhead, as
