@@ -138,8 +138,8 @@ MultiAppResult run_multi_simulation(
   std::vector<common::Cycles> slot_cycles(slot_domain.size(), 0);
   hw::BoardEpoch board =
       platform.make_epoch(std::move(slot_domain), std::move(slot_local));
-  // Filled on this thread: on a 4-vCPU x86-64 VM the prefetch helper made
-  // two- and four-app runs of 2000 to 10000 frames 6-10% slower.
+  // Filled on this thread: on a 4-vCPU x86-64 VM the prefetch helper slowed
+  // 2000- to 10000-frame runs of two and four apps in 9 of 10 timed cases.
   BlockPrefetcher prefetch(std::move(sources), 0, frames, kBlockFrames, false,
                            &platform.power_sensor());
   EpochRecord rec;
