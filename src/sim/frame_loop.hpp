@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -32,22 +33,23 @@ struct alignas(64) DecisionUnit {
   std::size_t request = 0;  ///< Its decision for this epoch.
 };
 
-/// \brief The shortest bounded trace among \p apps, capped at \p max_frames;
-///        0 with every app streaming throws, naming \p who and \p field.
+/// \brief The shortest bounded trace among \p apps, capped at \p max_frames
+///        (0: no cap, which throws when every app streams, naming \p who
+///        and \p field).
 inline std::size_t run_length(std::span<const wl::Application* const> apps,
                               std::size_t max_frames, const std::string& who,
                               const std::string& field) {
-  std::size_t frames = max_frames;
-  for (const wl::Application* app : apps) {
-    if (app->streaming()) continue;
-    frames = frames == 0 ? app->frame_count()
-                         : std::min(frames, app->frame_count());
-  }
-  if (frames == 0 && std::ranges::all_of(apps, &wl::Application::streaming)) {
+  if (max_frames == 0 &&
+      std::ranges::all_of(apps, &wl::Application::streaming)) {
     throw std::invalid_argument(
         who + ": application '" + apps.back()->name() +
         "' streams an unbounded frame source and no application bounds the "
         "run; set " + field + " to the intended run length");
+  }
+  std::size_t frames =
+      max_frames == 0 ? std::numeric_limits<std::size_t>::max() : max_frames;
+  for (const wl::Application* app : apps) {
+    if (!app->streaming()) frames = std::min(frames, app->frame_count());
   }
   return frames;
 }

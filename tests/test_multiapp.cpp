@@ -9,6 +9,7 @@
 #include "sim/experiment.hpp"
 #include "sim/multiapp.hpp"
 #include "sim/telemetry.hpp"
+#include "wl/trace.hpp"
 #include "run_digest.hpp"
 
 namespace prime::sim {
@@ -461,6 +462,26 @@ TEST(MultiApp, StreamingAppsNeedMaxFramesAndMatchTraceReplay) {
   const MultiAppResult mixed_run =
       run_multi_simulation(*platform, mixed, governors);
   EXPECT_EQ(mixed_run.per_app[0].epoch_count, 50u);
+}
+
+// The run is as long as the shortest bounded trace wherever it is placed:
+// an application with an empty trace leaves no frame to run, first or last.
+TEST(MultiApp, ShortestTraceBoundsTheRunInAnyOrder) {
+  auto platform = hw::Platform::odroid_xu3_a15();
+  const wl::Application full = make_app("mpeg4", 25.0, 50, 1, *platform);
+  const wl::Application empty("empty", wl::WorkloadTrace{}, 25.0, 2);
+  for (const bool empty_first : {true, false}) {
+    std::vector<std::unique_ptr<gov::Governor>> governors;
+    governors.push_back(make_governor("rtm"));
+    governors.push_back(make_governor("rtm"));
+    const std::vector<AppPlacement> placements =
+        empty_first
+            ? std::vector<AppPlacement>{{&empty, {0, 1}}, {&full, {2, 3}}}
+            : std::vector<AppPlacement>{{&full, {0, 1}}, {&empty, {2, 3}}};
+    const MultiAppResult r =
+        run_multi_simulation(*platform, placements, governors);
+    EXPECT_EQ(r.per_app[0].epoch_count, 0u) << "empty first: " << empty_first;
+  }
 }
 
 }  // namespace
