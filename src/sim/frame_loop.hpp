@@ -34,8 +34,7 @@ struct alignas(64) DecisionUnit {
 };
 
 /// \brief The shortest bounded trace among \p apps, capped at \p max_frames
-///        (0: no cap, which throws when every app streams, naming \p who
-///        and \p field).
+///        (0: none; throws, naming \p who and \p field, if all stream).
 inline std::size_t run_length(std::span<const wl::Application* const> apps,
                               std::size_t max_frames, const std::string& who,
                               const std::string& field) {

@@ -35,8 +35,7 @@ void validate(const hw::Platform& platform,
     if (p.app == nullptr) {
       reject("placement " + std::to_string(i) + " has no application");
     }
-    // One Application is one replay cursor, which two placements would
-    // rewind against each other on every block.
+    // One Application is one replay cursor, which two placements would rewind.
     for (std::size_t j = 0; j < i; ++j) {
       if (placements[j].app == p.app) {
         reject(named(i) + " is the same object as " + named(j) +
