@@ -87,9 +87,10 @@ template <typename FrameStep, typename RecordStep>
     const common::NormalDraw* noise = prefetch.noise(k);
     std::size_t i = blocks[0].start;
     for (std::size_t b = 0; b < blocks[0].count; ++b, ++i) {
+      const common::Seconds period = blocks[0].periods[b];
       common::Cycles* const row = frame_step(blocks, b, dctx.mem_fraction);
       dctx.epoch = i;
-      dctx.period = blocks[0].periods[b];
+      dctx.period = period;
       dctx.work = row;
       common::Seconds overhead = 0.0;
       for (std::size_t u = 0; u < units.size(); ++u) {
@@ -111,11 +112,10 @@ template <typename FrameStep, typename RecordStep>
         platform.domain(d).set_opp(request);
       }
 
-      platform.run_epoch_into(board, row, overhead, dctx.period,
-                              dctx.mem_fraction);
+      platform.run_epoch_into(board, row, overhead, period, dctx.mem_fraction);
       const common::Watt reading =
           sensor.integrate(board.avg_power, board.window, noise[b]);
-      record_step(blocks, b, i, dctx.period, reading);
+      record_step(blocks, b, i, period, reading);
     }
     prefetch.release(k);
   }
