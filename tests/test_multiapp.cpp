@@ -107,8 +107,8 @@ TEST(MultiApp, PinnedResultsOnOneAndTwoDomainBoards) {
 }
 
 // The same pair for 1200 frames: past kMinPrefetchFrames, where a
-// single-app run would start the prefetch helper, and past the 200-frame
-// pins' single block. Multi-app runs fill every block on the engine thread.
+// single-app run would start the prefetch helper. Multi-app runs fill every
+// block on the engine thread.
 TEST(MultiAppLong, PinnedResultsOnOneAndTwoDomainBoards) {
   constexpr std::size_t kLongFrames = 1200;
   static_assert(kLongFrames >= kMinPrefetchFrames);
