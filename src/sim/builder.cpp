@@ -429,10 +429,9 @@ SweepResult ExperimentBuilder::run() const {
       cells[i].oracle_telemetry = make_sinks(coords, /*publish=*/false);
       RunOptions opt;
       opt.placement = first.placement;
-      // Streaming applications are unbounded: the configured trace length is
-      // the run length (a no-op for materialised apps, whose trace is exactly
-      // that long already).
-      if (cells[i].app->streaming()) opt.max_frames = first.app.frames;
+      // The configured trace length is the run length: a stored trace is
+      // exactly that long already, and a stream is unbounded.
+      opt.max_frames = first.app.frames;
       for (const auto& sink : cells[i].oracle_telemetry) {
         opt.sinks.push_back(sink.get());
       }
@@ -440,8 +439,8 @@ SweepResult ExperimentBuilder::run() const {
     }
   });
 
-  // Phase 2: one task per scenario, against the shared (const) application
-  // and a fresh platform + governor + telemetry set.
+  // Phase 2: one task per scenario, against a private copy of the cell's
+  // application and a fresh platform + governor + telemetry set.
   SweepResult sweep;
   sweep.results.resize(matrix.size());
   parallel_for(matrix.size(), parallelism_, [&](std::size_t i) {
@@ -453,6 +452,7 @@ SweepResult ExperimentBuilder::run() const {
     result.telemetry = make_sinks(scenario, /*publish=*/true);
     RunOptions opt;
     opt.placement = scenario.placement;
+    opt.max_frames = scenario.app.frames;
     for (const auto& sink : result.telemetry) opt.sinks.push_back(sink.get());
     if (!warm_start_dir_.empty()) {
       const qlib::PolicyLibrary lib(warm_start_dir_);
@@ -466,17 +466,12 @@ SweepResult ExperimentBuilder::run() const {
       }
       opt.warm_start_from = lib.path_for(key);
     }
-    // A streaming application's replay cursor is mutable state, so the cell's
-    // shared instance cannot serve concurrent scenario runs — copy it
-    // instead: the copy shares the already-computed calibration and source
-    // factory but streams through a private cursor (no re-probing, and
-    // determinism comes from the seed, so the streams are identical).
-    std::optional<wl::Application> private_app;
-    if (cell.app->streaming()) {
-      private_app.emplace(*cell.app);
-      opt.max_frames = scenario.app.frames;
-    }
-    const wl::Application& app = private_app ? *private_app : *cell.app;
+    // An application's replay cursor is mutable state, so the cell's shared
+    // instance cannot serve concurrent scenario runs. The copy shares the
+    // already-computed frames or calibration and source factory but reads
+    // through a private cursor (sources are deterministic, so every copy
+    // reads the same frames).
+    const wl::Application app = *cell.app;
     RunResult run = run_simulation(*platform, app, *governor, opt);
     result.scenario = scenario;
     result.row = normalize_against(run, cell.oracle);
@@ -525,7 +520,7 @@ Comparison ExperimentBuilder::compare() const {
   const auto platform = make_platform();
   const wl::Application app = make_application(spec, *platform);
   return compare_governors(*platform, app, governors_, governor_seed_,
-                           app.streaming() ? spec.frames : 0);
+                           spec.frames);
 }
 
 }  // namespace prime::sim

@@ -92,11 +92,13 @@ inline constexpr std::size_t kBlockFrames = 64;  ///< Frames per FrameBlock.
 
 /// \brief Options controlling a simulation run.
 struct RunOptions {
-  /// Run length cap. For trace-backed applications 0 means "the whole trace"
-  /// and larger values clamp to the trace length. For streaming applications
-  /// (wl::Application::streaming()) the source is unbounded, so max_frames is
-  /// the sole run-length authority and must be > 0 — run_simulation throws
-  /// std::invalid_argument on 0.
+  /// Run length cap. For an application with a stored trace 0 means "the
+  /// whole trace" and larger values clamp to the trace length. For streaming
+  /// applications (wl::Application::streaming()) the source is unbounded, so
+  /// max_frames is the sole run-length authority and must be > 0 —
+  /// run_simulation throws std::invalid_argument on 0. Either way the run
+  /// moves the application's replay cursor: concurrent runs need one
+  /// Application each.
   std::size_t max_frames = 0;
   /// Telemetry sinks (not owned; must outlive the run) receiving run-begin,
   /// every epoch in order, and run-end. See sim/telemetry.hpp.

@@ -9,9 +9,13 @@ namespace prime::wl {
 
 Application::Application(std::string name, WorkloadTrace trace, double fps,
                          std::size_t threads, double imbalance)
-    : name_(std::move(name)), trace_(std::move(trace)),
+    : name_(std::move(name)),
+      trace_(std::make_shared<const WorkloadTrace>(std::move(trace))),
       threads_(threads == 0 ? 1 : threads),
-      imbalance_(std::clamp(imbalance, 0.0, 0.9)) {
+      imbalance_(std::clamp(imbalance, 0.0, 0.9)),
+      source_factory_([stored = trace_] {
+        return std::make_unique<TraceFrameSource>(stored);
+      }) {
   if (fps <= 0.0) throw std::invalid_argument("Application: fps must be > 0");
   schedule_.emplace_back(0, fps);
 }
@@ -32,8 +36,8 @@ Application::Application(const Application& other)
     : name_(other.name_), trace_(other.trace_), threads_(other.threads_),
       imbalance_(other.imbalance_), mem_fraction_(other.mem_fraction_),
       schedule_(other.schedule_), source_factory_(other.source_factory_) {
-  // source_/next_index_/current_ stay at their defaults: the copy's replay
-  // cursor is fresh, independent of how far the original has streamed.
+  // source_/current_frame_/current_ stay at their defaults: the copy's
+  // replay cursor is fresh, independent of how far the original has read.
 }
 
 Application& Application::operator=(const Application& other) {
@@ -46,8 +50,7 @@ Application& Application::operator=(const Application& other) {
     schedule_ = other.schedule_;
     source_factory_ = other.source_factory_;
     source_.reset();
-    next_index_ = 0;
-    current_ = FrameDemand{};
+    current_frame_ = kNoFrame;
   }
   return *this;
 }
@@ -67,46 +70,36 @@ void Application::add_requirement_change(std::size_t frame, double fps) {
   }
 }
 
+const WorkloadTrace& Application::trace() const noexcept {
+  static const WorkloadTrace kEmpty;
+  return trace_ ? *trace_ : kEmpty;
+}
+
 const FrameDemand& Application::demand_at(std::size_t frame) const {
-  if (!streaming()) return trace_.at(frame);
-  if (next_index_ > 0 && frame == next_index_ - 1) return current_;
-  if (frame < next_index_ || source_ == nullptr) {
-    // Rewind: deterministic sources restart from their seed, so re-creating
-    // the stream replays the identical sequence (repeat runs start here).
-    source_ = source_factory_();
-    next_index_ = 0;
+  if (frame == current_frame_) return current_;
+  skip_to(frame);
+  std::optional<FrameDemand> next = source_->next();
+  if (!next) {
+    throw std::out_of_range("Application '" + name_ +
+                            "': frame source exhausted at frame " +
+                            std::to_string(frame));
   }
-  while (next_index_ <= frame) {
-    std::optional<FrameDemand> next = source_->next();
-    if (!next) {
-      throw std::out_of_range("Application '" + name_ +
-                              "': frame source exhausted at frame " +
-                              std::to_string(next_index_));
-    }
-    current_ = *next;
-    ++next_index_;
-  }
+  current_ = *next;
+  current_frame_ = frame;
   return current_;
 }
 
 void Application::skip_to(std::size_t frame) const {
-  if (!streaming()) return;  // materialised traces are random access already
-  if (next_index_ > frame || source_ == nullptr) {
+  if (source_ == nullptr || source_->position() > frame) {
+    // Rewind: deterministic sources restart from their seed, so re-creating
+    // the source replays the identical sequence (repeat runs start here).
     source_ = source_factory_();
-    next_index_ = 0;
-    current_ = FrameDemand{};
   }
   if (!source_->skip_to(frame)) {
     throw std::out_of_range("Application '" + name_ +
                             "': frame source exhausted at frame " +
                             std::to_string(source_->position()) +
                             " while skipping to " + std::to_string(frame));
-  }
-  // The one-frame cache is stale after a genuine skip: the next demand_at()
-  // pulls the frame at the new position instead of trusting it.
-  if (frame != next_index_) {
-    next_index_ = frame;
-    current_ = FrameDemand{};
   }
 }
 
@@ -126,7 +119,7 @@ PerformanceRequirement Application::requirement_at(std::size_t frame) const {
 std::vector<common::Cycles> Application::core_work(std::size_t frame,
                                                    std::size_t cores) const {
   std::vector<common::Cycles> work(cores, 0);
-  if (cores == 0 || (!streaming() && trace_.empty())) return work;
+  if (cores == 0 || (trace_ && trace_->empty())) return work;
   split_total_into(frame, static_cast<double>(demand_at(frame).cycles), cores,
                    work.data());
   return work;
@@ -164,52 +157,26 @@ void Application::fill_block(std::size_t start, std::size_t frames,
     block.periods[i] = deadline_at(start + i);
   }
 
-  const bool no_work = cores == 0 || (!streaming() && trace_.empty());
-  if (!no_work) {
-    if (!streaming()) {
-      for (std::size_t i = 0; i < frames; ++i) {
-        common::Cycles* row = block.row(i);
-        std::fill_n(row, cores, common::Cycles{0});
-        split_total_into(start + i,
-                         static_cast<double>(trace_.at(start + i).cycles),
-                         cores, row);
-      }
-    } else {
-      // Position the replay cursor at `start` (same rewind/skip semantics as
-      // demand_at), then pull the whole batch through one next_block call.
-      if (source_ == nullptr || next_index_ > start) {
-        source_ = source_factory_();
-        next_index_ = 0;
-        current_ = FrameDemand{};
-      }
-      if (next_index_ < start) {
-        if (!source_->skip_to(start)) {
-          throw std::out_of_range("Application '" + name_ +
-                                  "': frame source exhausted at frame " +
-                                  std::to_string(source_->position()) +
-                                  " while skipping to " +
-                                  std::to_string(start));
-        }
-        next_index_ = start;
-        current_ = FrameDemand{};
-      }
-      const std::size_t got = source_->next_block(block.raw.data(), frames);
-      next_index_ += got;
-      if (got > 0) current_ = block.raw[got - 1];
-      if (got < frames) {
-        throw std::out_of_range("Application '" + name_ +
-                                "': frame source exhausted at frame " +
-                                std::to_string(next_index_));
-      }
-      for (std::size_t i = 0; i < frames; ++i) {
-        common::Cycles* row = block.row(i);
-        std::fill_n(row, cores, common::Cycles{0});
-        split_total_into(start + i,
-                         static_cast<double>(block.raw[i].cycles), cores, row);
-      }
-    }
-  } else {
+  if (cores == 0 || (trace_ && trace_->empty())) {
     std::fill(block.work.begin(), block.work.end(), common::Cycles{0});
+  } else {
+    skip_to(start);
+    const std::size_t got = source_->next_block(block.raw.data(), frames);
+    if (got > 0) {
+      current_ = block.raw[got - 1];
+      current_frame_ = start + got - 1;
+    }
+    if (got < frames) {
+      throw std::out_of_range("Application '" + name_ +
+                              "': frame source exhausted at frame " +
+                              std::to_string(start + got));
+    }
+    for (std::size_t i = 0; i < frames; ++i) {
+      common::Cycles* row = block.row(i);
+      std::fill_n(row, cores, common::Cycles{0});
+      split_total_into(start + i, static_cast<double>(block.raw[i].cycles),
+                       cores, row);
+    }
   }
 
   // Per-frame demand is the sum of the row's split (not the raw frame

@@ -3,16 +3,19 @@
 ///
 /// Per the paper, every application is "transformed to a periodic structure"
 /// of frames, each with a deadline (the performance requirement announced
-/// through an API). `Application` replays either a materialised
-/// `WorkloadTrace` (random access, archival/CSV round-trip) or a streaming
-/// `FrameSource` (lazy, constant memory, unbounded — run length comes from
-/// sim::RunOptions::max_frames), splits each frame's cycles across worker
-/// threads (with realistic imbalance), and exposes a requirement schedule so
-/// experiments can change fps mid-run — the dynamic performance variation the
-/// paper says defeats offline methods.
+/// through an API). `Application` pulls its frames through one replay cursor
+/// over a `FrameSource`: a stored `WorkloadTrace` (bounded, archival/CSV
+/// round-trip) is replayed by `TraceFrameSource`s over the shared trace, a
+/// generator stream (lazy, constant memory, unbounded — run length comes from
+/// sim::RunOptions::max_frames) by the sources its factory makes. It splits
+/// each frame's cycles across worker threads (with realistic imbalance), and
+/// exposes a requirement schedule so experiments can change fps mid-run — the
+/// dynamic performance variation the paper says defeats offline methods.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,11 +35,16 @@ struct PerformanceRequirement {
 };
 
 /// \brief A periodic application executing a workload trace.
+///
+/// Every frame access goes through the replay cursor, which is mutable
+/// replay state behind const methods: NOT thread-safe — give each concurrent
+/// run its own Application (copies are cheap and share the frames).
 class Application {
  public:
-  /// \brief Construct from a trace, an initial requirement and thread count.
+  /// \brief Construct from a stored trace, an initial requirement and
+  ///        thread count. The trace is moved into shared, immutable storage.
   /// \param name     Display name.
-  /// \param trace    Per-frame cycle demands.
+  /// \param trace    Per-frame cycle demands; bounds the run length.
   /// \param fps      Initial performance requirement.
   /// \param threads  Worker threads spawned per frame (>=1).
   /// \param imbalance Max fractional deviation of a thread's share from the
@@ -56,7 +64,7 @@ class Application {
 
   /// \brief Copies share the trace / source factory / calibration / schedule
   ///        but get their own fresh replay cursor — how each concurrent run
-  ///        of one streaming workload gets a private stream.
+  ///        of one workload gets a private cursor. Copying copies no frame.
   Application(const Application& other);
   Application& operator=(const Application& other);
   Application(Application&&) noexcept = default;
@@ -95,12 +103,10 @@ class Application {
   ///        absolute frame \p start: per-frame deadline, per-core split over
   ///        \p cores cores (exactly what core_work() returns per frame) and
   ///        the split's pre-overhead sum, plus the application mem-fraction.
-  ///        Streaming applications pull the batch through
-  ///        FrameSource::next_block (one virtual hop per batch, not per
-  ///        frame) and keep the same replay-cursor semantics as demand_at:
-  ///        sequential access is O(1), a lower \p start rewinds by
-  ///        re-creating the source. Throws std::out_of_range when a bounded
-  ///        source or trace exhausts before `start + frames`.
+  ///        Positions the cursor with skip_to(\p start), then pulls the batch
+  ///        through FrameSource::next_block (one virtual hop per batch, not
+  ///        per frame): sequential access is O(1). Throws std::out_of_range
+  ///        when a bounded source or trace exhausts before `start + frames`.
   void fill_block(std::size_t start, std::size_t frames, std::size_t cores,
                   FrameBlock& block) const;
 
@@ -113,45 +119,42 @@ class Application {
   /// \brief Set the memory-boundedness fraction (clamped to [0, 0.9]).
   void set_mem_fraction(double m) noexcept;
 
-  /// \brief True when frames stream from a FrameSource: the run length is
-  ///        unbounded and the engine requires an explicit max_frames.
-  [[nodiscard]] bool streaming() const noexcept {
-    return static_cast<bool>(source_factory_);
-  }
+  /// \brief True when no stored trace bounds the run: the engine requires
+  ///        an explicit max_frames (a factory's sources may still exhaust).
+  [[nodiscard]] bool streaming() const noexcept { return trace_ == nullptr; }
 
-  /// \brief Fast-forward the streaming replay cursor so the next sequential
-  ///        access serves frame \p frame directly (checkpoint resume). Uses
-  ///        FrameSource::skip_to — O(1) for trace-backed sources, a draw
-  ///        replay for generator streams. A no-op for materialised (random
-  ///        access) applications. Skipping below the cursor re-creates the
-  ///        source first. Throws std::out_of_range when a bounded source
-  ///        exhausts before \p frame. Like the cursor itself this is replay
-  ///        state, not logical state, hence const.
+  /// \brief Position the replay cursor so the next sequential access serves
+  ///        frame \p frame — the one positioning rule: a frame below the
+  ///        cursor re-creates the source (deterministic sources replay the
+  ///        same frames), a frame at or above it goes forward through
+  ///        FrameSource::skip_to (O(1) for trace-backed sources, a draw
+  ///        replay for generator streams). Checkpoint resume calls it
+  ///        directly. Throws std::out_of_range when a bounded source exhausts
+  ///        before \p frame. Like the cursor itself this is replay state,
+  ///        not logical state, hence const.
   void skip_to(std::size_t frame) const;
-  /// \brief Total frames in the trace (0 for streaming applications, whose
-  ///        length is unbounded — check streaming() first).
-  [[nodiscard]] std::size_t frame_count() const noexcept { return trace_.size(); }
-  /// \brief Demand of frame \p frame (total cycles across threads). Streaming
-  ///        applications serve sequential access in O(1) and rewinds by
-  ///        restarting the source; throws std::out_of_range past the end of a
-  ///        bounded source or trace.
+  /// \brief Total frames in the stored trace (0 for streaming applications,
+  ///        whose length is unbounded — check streaming() first).
+  [[nodiscard]] std::size_t frame_count() const noexcept {
+    return trace().size();
+  }
+  /// \brief Demand of frame \p frame (total cycles across threads): O(1) on
+  ///        repeated and sequential access, positioned by skip_to otherwise;
+  ///        throws std::out_of_range past the end of a bounded source or
+  ///        trace.
   [[nodiscard]] common::Cycles frame_cycles(std::size_t frame) const {
     return demand_at(frame).cycles;
   }
-  /// \brief The underlying trace (empty for streaming applications).
-  [[nodiscard]] const WorkloadTrace& trace() const noexcept { return trace_; }
+  /// \brief The stored trace (empty for streaming applications).
+  [[nodiscard]] const WorkloadTrace& trace() const noexcept;
   /// \brief Display name.
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   /// \brief Worker thread count.
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
  private:
-  /// \brief Demand of \p frame from whichever backend is active. Streaming
-  ///        mode keeps a one-frame cursor cache (mutable: replay state, not
-  ///        logical state), so the engine's repeated same-index accesses and
-  ///        sequential walk are O(1); accessing a lower index re-creates the
-  ///        source and fast-forwards. NOT thread-safe in streaming mode —
-  ///        give each concurrent run its own Application.
+  /// \brief Demand of \p frame: the one-frame cache on a repeat, else
+  ///        skip_to(\p frame) and one pull from the source.
   [[nodiscard]] const FrameDemand& demand_at(std::size_t frame) const;
 
   /// \brief The deterministic per-(frame, worker) split shared by core_work
@@ -163,18 +166,22 @@ class Application {
   void split_total_into(std::size_t frame, double total, std::size_t cores,
                         common::Cycles* out) const;
 
+  static constexpr std::size_t kNoFrame =
+      std::numeric_limits<std::size_t>::max();
+
   std::string name_;
-  WorkloadTrace trace_;
+  /// The stored trace the factory's sources replay; null when streaming.
+  std::shared_ptr<const WorkloadTrace> trace_;
   std::size_t threads_;
   double imbalance_;
   double mem_fraction_ = 0.20;
   /// (start-frame, fps) breakpoints, kept sorted by frame.
   std::vector<std::pair<std::size_t, double>> schedule_;
-  /// Streaming mode: the source factory plus the replay cursor. next_index_
-  /// counts frames already pulled; current_ caches frame next_index_ - 1.
+  /// The source factory plus the replay cursor: source_->position() is the
+  /// next frame it yields, and current_ caches frame current_frame_.
   FrameSourceFactory source_factory_;
   mutable std::unique_ptr<FrameSource> source_;
-  mutable std::size_t next_index_ = 0;
+  mutable std::size_t current_frame_ = kNoFrame;
   mutable FrameDemand current_{};
 };
 

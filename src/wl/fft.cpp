@@ -17,8 +17,6 @@ class FftFrameStream final : public FrameSource {
   FftFrameStream(const FftParams& params, std::uint64_t seed)
       : params_(params), rng_(seed) {}
 
-  [[nodiscard]] std::string name() const override { return params_.label; }
-
  protected:
   std::optional<FrameDemand> generate() override {
     double cycles = params_.mean_cycles *

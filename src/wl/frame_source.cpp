@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/rounding.hpp"
 
@@ -52,18 +53,25 @@ std::size_t FrameSource::discard(std::size_t n) {
   return n;
 }
 
+TraceFrameSource::TraceFrameSource(std::shared_ptr<const WorkloadTrace> trace)
+    : trace_(std::move(trace)) {
+  if (trace_ == nullptr) {
+    throw std::invalid_argument("TraceFrameSource: trace required");
+  }
+}
+
 std::optional<FrameDemand> TraceFrameSource::generate() {
-  if (position() >= trace_.size()) return std::nullopt;
-  return trace_.at(position());  // the base wrapper advances the cursor
+  if (position() >= trace_->size()) return std::nullopt;
+  return trace_->frames()[position()];  // the base wrapper advances the cursor
 }
 
 std::size_t TraceFrameSource::discard(std::size_t n) {
-  return std::min(n, trace_.size() - position());
+  return std::min(n, trace_->size() - position());
 }
 
 std::size_t TraceFrameSource::generate_block(FrameDemand* out, std::size_t n) {
-  const std::size_t got = std::min(n, trace_.size() - position());
-  for (std::size_t i = 0; i < got; ++i) out[i] = trace_.at(position() + i);
+  const std::size_t got = std::min(n, trace_->size() - position());
+  std::copy_n(trace_->frames().data() + position(), got, out);
   advance(got);
   return got;
 }

@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 
 #include "wl/trace.hpp"
 
@@ -62,9 +61,6 @@ class FrameSource {
   ///        rewind by re-creation, not by seeking.
   bool skip_to(std::size_t frame_index);
 
-  /// \brief Display name (matches the trace name the source would produce).
-  [[nodiscard]] virtual std::string name() const = 0;
-
  protected:
   /// \brief Produce the next frame (the per-source generation step behind
   ///        the position-tracking public next()).
@@ -96,14 +92,18 @@ using FrameSourceFactory = std::function<std::unique_ptr<FrameSource>()>;
 
 /// \brief Bounded source replaying a materialised trace front to back.
 ///        Skips in O(1) (cursor arithmetic over the random-access trace).
+///        Sources over one shared trace share its frames: re-creating one
+///        to rewind copies no frame.
 class TraceFrameSource final : public FrameSource {
  public:
-  explicit TraceFrameSource(WorkloadTrace trace) : trace_(std::move(trace)) {}
+  explicit TraceFrameSource(std::shared_ptr<const WorkloadTrace> trace);
+  explicit TraceFrameSource(WorkloadTrace trace)
+      : TraceFrameSource(
+            std::make_shared<const WorkloadTrace>(std::move(trace))) {}
 
-  [[nodiscard]] std::string name() const override { return trace_.name(); }
   /// \brief Frames not yet yielded.
   [[nodiscard]] std::size_t remaining() const noexcept {
-    return trace_.size() - position();
+    return trace_->size() - position();
   }
 
  protected:
@@ -115,7 +115,7 @@ class TraceFrameSource final : public FrameSource {
                                            std::size_t n) override;
 
  private:
-  WorkloadTrace trace_;
+  std::shared_ptr<const WorkloadTrace> trace_;
 };
 
 /// \brief Decorator scaling every frame's demand by a constant factor,
@@ -130,7 +130,6 @@ class ScaledFrameSource final : public FrameSource {
  public:
   ScaledFrameSource(std::unique_ptr<FrameSource> inner, double scale);
 
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] double scale() const noexcept { return scale_; }
 
  protected:

@@ -16,11 +16,8 @@ namespace {
 /// next() calls, one frame per call, identical RNG call order.
 class PhaseFrameStream final : public FrameSource {
  public:
-  PhaseFrameStream(std::string label, std::vector<Phase> phases,
-                   std::uint64_t seed)
-      : label_(std::move(label)), phases_(std::move(phases)), rng_(seed) {}
-
-  [[nodiscard]] std::string name() const override { return label_; }
+  PhaseFrameStream(std::vector<Phase> phases, std::uint64_t seed)
+      : phases_(std::move(phases)), rng_(seed) {}
 
  protected:
   std::optional<FrameDemand> generate() override {
@@ -41,7 +38,6 @@ class PhaseFrameStream final : public FrameSource {
   }
 
  private:
-  std::string label_;
   std::vector<Phase> phases_;
   common::Rng rng_;
   std::size_t phase_idx_ = 0;
@@ -55,8 +51,6 @@ class MarkovFrameStream final : public FrameSource {
   MarkovFrameStream(MarkovParams params, std::uint64_t seed)
       : params_(std::move(params)), rng_(seed), state_(params_.initial_state),
         row_(params_.state_means.size()) {}
-
-  [[nodiscard]] std::string name() const override { return params_.label; }
 
  protected:
   std::optional<FrameDemand> generate() override {
@@ -96,7 +90,7 @@ PhaseTraceGenerator::PhaseTraceGenerator(std::string label,
 
 std::unique_ptr<FrameSource> PhaseTraceGenerator::stream(
     std::uint64_t seed) const {
-  return std::make_unique<PhaseFrameStream>(label_, phases_, seed);
+  return std::make_unique<PhaseFrameStream>(phases_, seed);
 }
 
 MarkovTraceGenerator::MarkovTraceGenerator(const MarkovParams& params)

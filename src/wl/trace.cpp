@@ -1,5 +1,6 @@
 #include "wl/trace.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -13,20 +14,18 @@
 namespace prime::wl {
 
 WorkloadTrace::WorkloadTrace(std::string name, std::vector<FrameDemand> frames)
-    : name_(std::move(name)), frames_(std::move(frames)) {
-  for (const auto& f : frames_) stats_.add(static_cast<double>(f.cycles));
+    : name_(std::move(name)), frames_(std::move(frames)) {}
+
+common::RunningStats WorkloadTrace::stats() const noexcept {
+  common::RunningStats stats;
+  for (const auto& f : frames_) stats.add(static_cast<double>(f.cycles));
+  return stats;
 }
 
-WorkloadTrace::WorkloadTrace(std::string name, std::vector<FrameDemand> frames,
-                             const common::RunningStats& stats)
-    : name_(std::move(name)), frames_(std::move(frames)), stats_(stats) {}
-
-double WorkloadTrace::mean_cycles() const noexcept { return stats_.mean(); }
-
-double WorkloadTrace::cv() const noexcept { return stats_.cv(); }
-
 common::Cycles WorkloadTrace::peak_cycles() const noexcept {
-  return frames_.empty() ? 0 : static_cast<common::Cycles>(stats_.max());
+  common::Cycles peak = 0;
+  for (const auto& f : frames_) peak = std::max(peak, f.cycles);
+  return peak;
 }
 
 WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) const& {
@@ -34,25 +33,16 @@ WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) const& {
 }
 
 WorkloadTrace WorkloadTrace::scaled_to_mean(double target_mean) && {
-  if (frames_.empty() || stats_.mean() <= 0.0) return std::move(*this);
-  const double scale = target_mean / stats_.mean();
-  // A local accumulator: the frame stores could alias the member's fields.
-  common::RunningStats scaled;
+  // The in-order Welford mean: every calibrated demand depends on its bits.
+  const double mean = mean_cycles();
+  if (frames_.empty() || mean <= 0.0) return std::move(*this);
+  const double scale = target_mean / mean;
   for (auto& f : frames_) {
     // Round to nearest: truncation would make the achieved mean undershoot
     // target_mean by ~0.5 cycles/frame systematically.
     f.cycles = common::round_cycles(static_cast<double>(f.cycles) * scale);
-    scaled.add(static_cast<double>(f.cycles));
   }
-  stats_ = scaled;
   return std::move(*this);
-}
-
-WorkloadTrace WorkloadTrace::prefix(std::size_t n) const {
-  if (n >= frames_.size()) return *this;
-  return WorkloadTrace(name_,
-                       std::vector<FrameDemand>(frames_.begin(),
-                                                frames_.begin() + static_cast<long>(n)));
 }
 
 std::string WorkloadTrace::to_csv() const {
@@ -122,14 +112,12 @@ WorkloadTrace TraceGenerator::generate(std::size_t n, std::uint64_t seed) const 
   const std::unique_ptr<FrameSource> source = stream(seed);
   std::vector<FrameDemand> frames;
   frames.reserve(n);
-  common::RunningStats stats;
   while (frames.size() < n) {
     std::optional<FrameDemand> frame = source->next();
     if (!frame) break;  // defensive: generator streams are unbounded
-    stats.add(static_cast<double>(frame->cycles));
     frames.push_back(*frame);
   }
-  return WorkloadTrace(name(), std::move(frames), stats);
+  return WorkloadTrace(name(), std::move(frames));
 }
 
 }  // namespace prime::wl

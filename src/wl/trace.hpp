@@ -2,15 +2,10 @@
 /// \brief Workload traces: ordered per-frame cycle demands.
 ///
 /// A `WorkloadTrace` is what a generator produces and what an `Application`
-/// replays. Traces carry summary statistics (the paper's "workload
-/// variability" that drives exploration counts) and CSV round-tripping so
-/// experiment inputs can be archived exactly like the paper's dataset DOI.
-///
-/// The statistics are folded in the pass that produces the frames:
-/// `TraceGenerator::generate` adds each frame as it pulls it, and the rvalue
-/// `scaled_to_mean` adds each scaled frame as it rescales it in place. The
-/// frames are added in trace order either way, so the stats carry the same
-/// bits a second scan over the frames would give.
+/// replays. Traces keep only their frames: the summary statistics (the
+/// paper's "workload variability" that drives exploration counts) are one
+/// in-order pass over them when asked for. CSV round-tripping lets
+/// experiment inputs be archived exactly like the paper's dataset DOI.
 #pragma once
 
 #include <cstdint>
@@ -46,14 +41,14 @@ class WorkloadTrace {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// \brief Mean cycle demand per frame.
-  [[nodiscard]] double mean_cycles() const noexcept;
+  [[nodiscard]] double mean_cycles() const noexcept { return stats().mean(); }
   /// \brief Coefficient of variation of the demand (the paper's workload
   ///        variability: video is high, FFT is low).
-  [[nodiscard]] double cv() const noexcept;
-  /// \brief Largest frame demand.
+  [[nodiscard]] double cv() const noexcept { return stats().cv(); }
+  /// \brief Largest frame demand (0 for an empty trace).
   [[nodiscard]] common::Cycles peak_cycles() const noexcept;
-  /// \brief Full demand statistics.
-  [[nodiscard]] const common::RunningStats& stats() const noexcept { return stats_; }
+  /// \brief Full demand statistics, folded over the frames in trace order.
+  [[nodiscard]] common::RunningStats stats() const noexcept;
 
   /// \brief Return a copy scaled so the mean demand equals \p target_mean
   ///        (used to calibrate traces against platform capacity). Per-frame
@@ -62,12 +57,9 @@ class WorkloadTrace {
   ///        truncation; a demand that does not fit Cycles throws
   ///        std::out_of_range.
   [[nodiscard]] WorkloadTrace scaled_to_mean(double target_mean) const&;
-  /// \brief The same frames and stats as the copying form, rescaling this
-  ///        trace's frames in place and folding the stats in that one pass.
+  /// \brief The same frames as the copying form, rescaling this trace's
+  ///        frames in place.
   [[nodiscard]] WorkloadTrace scaled_to_mean(double target_mean) &&;
-
-  /// \brief Return the first \p n frames (or the whole trace if shorter).
-  [[nodiscard]] WorkloadTrace prefix(std::size_t n) const;
 
   /// \brief Serialise as CSV ("frame,cycles,kind").
   [[nodiscard]] std::string to_csv() const;
@@ -76,14 +68,8 @@ class WorkloadTrace {
                                               const std::string& csv_text);
 
  private:
-  friend class TraceGenerator;
-  /// Adopt \p stats, which the caller folded over \p frames in order.
-  WorkloadTrace(std::string name, std::vector<FrameDemand> frames,
-                const common::RunningStats& stats);
-
   std::string name_;
   std::vector<FrameDemand> frames_;
-  common::RunningStats stats_;
 };
 
 /// \brief Interface implemented by all workload generators.
@@ -102,8 +88,7 @@ class TraceGenerator {
   [[nodiscard]] virtual std::unique_ptr<FrameSource> stream(
       std::uint64_t seed) const = 0;
   /// \brief Materialise the first \p n frames of stream(\p seed) as a trace
-  ///        (for archival, CSV round-trip, and random-access replay). Each
-  ///        frame is folded into the trace's stats as it is pulled.
+  ///        (for archival, CSV round-trip, and stored-trace replay).
   [[nodiscard]] WorkloadTrace generate(std::size_t n, std::uint64_t seed) const;
   /// \brief Generator name, used as the trace name.
   [[nodiscard]] virtual std::string name() const = 0;

@@ -27,8 +27,6 @@ class VideoFrameStream final : public FrameSource {
     base_ = params_.mean_cycles * static_cast<double>(gop_) / weight_sum;
   }
 
-  [[nodiscard]] std::string name() const override { return params_.label; }
-
  protected:
   std::optional<FrameDemand> generate() override {
     const auto [kind, weight] = weight_at(i_++ % gop_);

@@ -2,8 +2,12 @@
 /// \brief Unit tests for the periodic application model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "wl/application.hpp"
@@ -135,6 +139,16 @@ TEST(Application, CoreWorkDeterministicAndOrderIndependent) {
   (void)earlier;
 }
 
+TEST(Application, EmptyStoredTraceFillsZeros) {
+  const Application app("empty", WorkloadTrace{}, 30.0);
+  FrameBlock block;
+  app.fill_block(5, 3, 4, block);
+  ASSERT_EQ(block.count, 3u);
+  EXPECT_EQ(block.work, std::vector<common::Cycles>(12, 0));
+  EXPECT_EQ(block.demand, std::vector<common::Cycles>(3, 0));
+  EXPECT_EQ(app.core_work(5, 4), std::vector<common::Cycles>(4, 0));
+}
+
 TEST(Application, ZeroCoresYieldsEmpty) {
   const Application app = make_app();
   EXPECT_TRUE(app.core_work(0, 0).empty());
@@ -185,6 +199,14 @@ TEST(StreamingApplication, RepeatedAndSkippingAccess) {
   EXPECT_EQ(app.frame_cycles(10), c10);
 }
 
+TEST(StreamingApplication, FrameBeforeASkipIsReadNotCached) {
+  const Application fresh = make_streaming_app();
+  const common::Cycles c9 = fresh.frame_cycles(9);
+  const Application app = make_streaming_app();
+  app.skip_to(10);
+  EXPECT_EQ(app.frame_cycles(9), c9);  // a rewind, not the one-frame cache
+}
+
 TEST(StreamingApplication, RewindReplaysIdentically) {
   const Application app = make_streaming_app();
   std::vector<common::Cycles> first;
@@ -222,6 +244,129 @@ TEST(StreamingApplication, BoundedSourceExhaustionThrows) {
   EXPECT_GT(app.frame_cycles(4), 0u);
   EXPECT_THROW((void)app.frame_cycles(5), std::out_of_range);
 }
+
+// --- One replay cursor for every backend -------------------------------------
+
+enum class Backend { kStoredTrace, kGeneratorStream, kBoundedStream };
+enum class Access { kSequential, kRewindToZero, kSkipForward, kCopyMidRun };
+using CursorCase = std::tuple<Backend, Access>;
+
+constexpr std::size_t kFrames = 100;  // make_app's trace length.
+constexpr std::size_t kBlock = 16;
+constexpr std::size_t kCores = 4;
+
+std::string backend_name(Backend backend) {
+  switch (backend) {
+    case Backend::kStoredTrace: return "StoredTrace";
+    case Backend::kGeneratorStream: return "GeneratorStream";
+    case Backend::kBoundedStream: return "BoundedStream";
+  }
+  return "?";
+}
+
+std::string access_name(Access access) {
+  switch (access) {
+    case Access::kSequential: return "Sequential";
+    case Access::kRewindToZero: return "RewindToZero";
+    case Access::kSkipForward: return "SkipForward";
+    case Access::kCopyMidRun: return "CopyMidRun";
+  }
+  return "?";
+}
+
+/// The same fft frames (seed 1) behind each backend.
+Application make_backend(Backend backend) {
+  switch (backend) {
+    case Backend::kStoredTrace: return make_app();
+    case Backend::kGeneratorStream: return make_streaming_app();
+    case Backend::kBoundedStream: {
+      const WorkloadTrace trace =
+          FftTraceGenerator::paper_fft().generate(kFrames, 1);
+      return Application(
+          "app", [trace] { return std::make_unique<TraceFrameSource>(trace); },
+          30.0, 4, 0.1);
+    }
+  }
+  throw std::logic_error("unknown backend");
+}
+
+class ReplayCursor : public ::testing::TestWithParam<CursorCase> {
+ protected:
+  void SetUp() override {
+    where_ = backend_name(std::get<0>(GetParam())) + " x " +
+             access_name(std::get<1>(GetParam()));
+    // A fresh application's sequential fill of every frame is the reference.
+    make_backend(std::get<0>(GetParam())).fill_block(0, kFrames, kCores, ref_);
+  }
+
+  /// Fill [from, to) through \p app in kBlock-frame blocks, checking each
+  /// block row for row against the reference.
+  void fill_and_check(const Application& app, std::size_t from,
+                      std::size_t to, const std::string& step) {
+    FrameBlock block;
+    for (std::size_t start = from; start < to; start += kBlock) {
+      const std::size_t n = std::min(kBlock, to - start);
+      app.fill_block(start, n, kCores, block);
+      ASSERT_EQ(block.start, start) << where_ << ", " << step;
+      ASSERT_EQ(block.count, n) << where_ << ", " << step;
+      EXPECT_EQ(block.mem_fraction, ref_.mem_fraction) << where_ << ", " << step;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t f = start + i;
+        const std::string at = where_ + ", " + step + ": frame " +
+                               std::to_string(f);
+        EXPECT_EQ(block.periods[i], ref_.periods[f]) << at;
+        EXPECT_EQ(block.demand[i], ref_.demand[f]) << at;
+        EXPECT_TRUE(std::equal(block.row(i), block.row(i) + kCores,
+                               ref_.row(f)))
+            << at;
+      }
+    }
+  }
+
+  std::string where_;
+  FrameBlock ref_;
+};
+
+// Every access pattern reads, block for block, what a fresh application's
+// sequential fill reads, whichever backend holds the frames.
+TEST_P(ReplayCursor, EveryBlockMatchesAFreshSequentialFill) {
+  const Application app = make_backend(std::get<0>(GetParam()));
+  switch (std::get<1>(GetParam())) {
+    case Access::kSequential:
+      fill_and_check(app, 0, kFrames, "sequential");
+      break;
+    case Access::kRewindToZero:
+      fill_and_check(app, 0, 48, "first pass");
+      fill_and_check(app, 0, kFrames, "after the rewind");
+      break;
+    case Access::kSkipForward:
+      fill_and_check(app, 0, kBlock, "first block");
+      app.skip_to(37);
+      fill_and_check(app, 61, kFrames, "after the skip");
+      break;
+    case Access::kCopyMidRun: {
+      fill_and_check(app, 0, 48, "original, first part");
+      const Application copy = app;
+      fill_and_check(copy, 0, kFrames, "copy");
+      fill_and_check(app, 48, kFrames, "original, rest");
+      break;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ReplayCursor,
+    ::testing::Combine(::testing::Values(Backend::kStoredTrace,
+                                         Backend::kGeneratorStream,
+                                         Backend::kBoundedStream),
+                       ::testing::Values(Access::kSequential,
+                                         Access::kRewindToZero,
+                                         Access::kSkipForward,
+                                         Access::kCopyMidRun)),
+    [](const ::testing::TestParamInfo<CursorCase>& info) {
+      return backend_name(std::get<0>(info.param)) + "_" +
+             access_name(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace prime::wl

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "common/config.hpp"
 #include "hw/platform.hpp"
@@ -74,19 +75,60 @@ TEST(ExperimentBuilder, RunProducesOneResultPerScenario) {
             sweep.results[1].run.total_energy);
 }
 
+/// Every RunResult field of \p a equals \p b's exactly.
+void expect_same_run(const RunResult& a, const RunResult& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.governor, b.governor) << where;
+  EXPECT_EQ(a.application, b.application) << where;
+  EXPECT_EQ(a.epoch_count, b.epoch_count) << where;
+  EXPECT_EQ(a.total_energy, b.total_energy) << where;
+  EXPECT_EQ(a.measured_energy, b.measured_energy) << where;
+  EXPECT_EQ(a.total_time, b.total_time) << where;
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses) << where;
+  EXPECT_EQ(a.performance_sum, b.performance_sum) << where;
+  EXPECT_EQ(a.power_sum, b.power_sum) << where;
+}
+
+// Every run of a cell reads the cell's application through its own replay
+// cursor, stored trace or stream: four concurrent runs give the serial
+// sweep's bits (and under TSan, a shared cursor is a data race).
 TEST(ExperimentBuilder, SweepIsDeterministicAcrossThreadCounts) {
-  const SweepResult serial = small_builder().parallelism(1).run();
-  const SweepResult threaded = small_builder().parallelism(4).run();
-  ASSERT_EQ(serial.results.size(), threaded.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    EXPECT_EQ(serial.results[i].scenario.governor,
-              threaded.results[i].scenario.governor);
-    EXPECT_DOUBLE_EQ(serial.results[i].run.total_energy,
-                     threaded.results[i].run.total_energy);
+  const auto sweep = [](bool stream, std::size_t threads) {
+    ExperimentBuilder b;
+    b.workloads({"fft", "h264"})
+        .fps(25.0)
+        .frames(80)
+        .governors({"performance", "powersave", "ondemand", "rtm"})
+        .stream(stream)
+        .parallelism(threads);
+    return b.run();
+  };
+  const SweepResult stored = sweep(false, 1);
+  for (const bool stream : {false, true}) {
+    const SweepResult serial = sweep(stream, 1);
+    const SweepResult threaded = sweep(stream, 4);
+    ASSERT_EQ(serial.results.size(), 8u);
+    ASSERT_EQ(threaded.results.size(), 8u);
+    ASSERT_EQ(serial.oracle_runs.size(), 2u);
+    ASSERT_EQ(threaded.oracle_runs.size(), 2u);
+    for (std::size_t i = 0; i < serial.results.size(); ++i) {
+      const std::string where = std::string(stream ? "streamed" : "stored") +
+                                " sweep, scenario " + std::to_string(i);
+      expect_same_run(serial.results[i].run, threaded.results[i].run,
+                      where + ", 1 vs 4 threads");
+      // A stream replays the stored trace's calibrated demands.
+      expect_same_run(serial.results[i].run, stored.results[i].run,
+                      where + " vs stored");
+    }
+    for (std::size_t c = 0; c < serial.oracle_runs.size(); ++c) {
+      const std::string where = std::string(stream ? "streamed" : "stored") +
+                                " sweep, oracle " + std::to_string(c);
+      expect_same_run(serial.oracle_runs[c], threaded.oracle_runs[c],
+                      where + ", 1 vs 4 threads");
+      expect_same_run(serial.oracle_runs[c], stored.oracle_runs[c],
+                      where + " vs stored");
+    }
   }
-  ASSERT_EQ(serial.oracle_runs.size(), threaded.oracle_runs.size());
-  EXPECT_DOUBLE_EQ(serial.oracle_runs[0].total_energy,
-                   threaded.oracle_runs[0].total_energy);
 }
 
 TEST(ExperimentBuilder, CompareMatchesCompareGovernors) {

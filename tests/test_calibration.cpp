@@ -1,6 +1,6 @@
 /// \file test_calibration.cpp
-/// \brief Calibrating an application to a platform: the stats that
-///        generate() and both scaled_to_mean() forms fold as they go, the
+/// \brief Calibrating an application to a platform: the stats of the
+///        traces generate() and both scaled_to_mean() forms build, the
 ///        materialised and streamed applications demand for demand, and the
 ///        targets calibration must refuse.
 #include <gtest/gtest.h>

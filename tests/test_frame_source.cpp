@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "wl/fft.hpp"
 #include "wl/frame_source.hpp"
@@ -62,13 +63,14 @@ TEST(TraceFrameSource, ReplaysAndExhausts) {
   const WorkloadTrace trace("t", {FrameDemand{100, FrameKind::kIntra},
                                   FrameDemand{200, FrameKind::kPredicted}});
   TraceFrameSource source(trace);
-  EXPECT_EQ(source.name(), "t");
   EXPECT_EQ(source.remaining(), 2u);
   EXPECT_EQ(source.next()->cycles, 100u);
   EXPECT_EQ(source.next()->cycles, 200u);
   EXPECT_EQ(source.remaining(), 0u);
   EXPECT_FALSE(source.next().has_value());
   EXPECT_FALSE(source.next().has_value());  // stays exhausted
+  EXPECT_THROW(TraceFrameSource(std::shared_ptr<const WorkloadTrace>{}),
+               std::invalid_argument);
 }
 
 TEST(ScaledFrameSource, RoundsExactlyLikeScaledToMean) {

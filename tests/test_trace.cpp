@@ -57,14 +57,6 @@ TEST(WorkloadTrace, ScaleOfEmptyIsNoOp) {
   EXPECT_TRUE(t.scaled_to_mean(100.0).empty());
 }
 
-TEST(WorkloadTrace, Prefix) {
-  const WorkloadTrace t = make_simple();
-  const WorkloadTrace p = t.prefix(2);
-  EXPECT_EQ(p.size(), 2u);
-  EXPECT_EQ(p.at(1).cycles, 200u);
-  EXPECT_EQ(t.prefix(99).size(), 3u);
-}
-
 TEST(WorkloadTrace, CsvRoundTrip) {
   const WorkloadTrace t = make_simple();
   const std::string csv = t.to_csv();
